@@ -33,6 +33,7 @@ from .fueter import (
     axial_embedding,
     check_fueter_appell_match,
     check_fueter_identity,
+    check_fueter_vanishing,
     complex_monomial_parts,
     fueter_map,
     fueter_order,

@@ -27,6 +27,25 @@ Scalar = int | Fraction
 
 _ZERO = Fraction(0)
 
+def require_int(value, field: str) -> int:
+    """Return value if it is a real integer (not a bool or a float), else
+    raise ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def parse_rational(text, field: str) -> Fraction:
+    """Parse an exact rational written "int" or "int/int"; anything else
+    (a JSON number, a decimal string, a zero denominator) raises ValueError."""
+    num, slash, den = text.partition("/") if isinstance(text, str) else ("", "", "")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if not all(s.isascii() and s.isdigit() for s in (digits, den if slash else "1")):
+        raise ValueError(f'{field} must be a string "int" or "int/int", got {text!r}')
+    if slash and not int(den):
+        raise ValueError(f"{field} has a zero denominator: {text!r}")
+    return Fraction(int(num), int(den or 1))
+
 
 def blade_product(a: int, b: int) -> tuple[int, int]:
     """Multiply two basis blades given as bit masks; return (sign, mask).
@@ -54,7 +73,7 @@ def indices_to_mask(indices: Iterable[int], m: int) -> int:
     """Bit mask of a blade given by distinct generator indices in 1..m."""
     mask = 0
     for j in indices:
-        if not 1 <= j <= m:
+        if not 1 <= require_int(j, "blade index") <= m:
             raise ValueError(f"generator index {j} out of range 1..{m}")
         bit = 1 << (j - 1)
         if mask & bit:
@@ -78,7 +97,7 @@ class AlgebraContext:
     m: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or not 1 <= self.m <= MAX_DIMENSION:
+        if not 1 <= require_int(self.m, "dimension m") <= MAX_DIMENSION:
             raise ValueError(f"dimension m must be an integer in 1..{MAX_DIMENSION}")
 
     @property
@@ -89,7 +108,7 @@ class AlgebraContext:
         return Multivector(self, {})
 
     def scalar(self, value: Scalar) -> Multivector:
-        return Multivector(self, {0: Fraction(value)})
+        return Multivector(self, {0: value})
 
     def one(self) -> Multivector:
         return self.scalar(1)
@@ -100,11 +119,15 @@ class AlgebraContext:
 
     def blade(self, indices: Iterable[int]) -> Multivector:
         """The basis blade with the given generator indices."""
-        return Multivector(self, {indices_to_mask(indices, self.m): Fraction(1)})
+        return Multivector(self, {indices_to_mask(indices, self.m): 1})
 
 
 class Multivector:
-    """Sparse element of R_{0,m}; instances are treated as immutable."""
+    """Sparse element of R_{0,m}; instances are treated as immutable.
+
+    Blade masks must be ints and coefficients ints or Fractions; floats
+    and bools are rejected rather than converted.
+    """
 
     __slots__ = ("context", "terms")
 
@@ -112,8 +135,10 @@ class Multivector:
         limit = 1 << context.m
         cleaned: dict[int, Fraction] = {}
         for mask, coeff in terms.items():
-            if not 0 <= mask < limit:
+            if not 0 <= require_int(mask, "blade mask") < limit:
                 raise ValueError(f"blade mask {mask:#x} out of range for m={context.m}")
+            if isinstance(coeff, bool) or not isinstance(coeff, (int, Fraction)):
+                raise ValueError(f"coefficient must be an int or a Fraction, got {coeff!r}")
             q = Fraction(coeff)
             if q:
                 cleaned[mask] = q
@@ -229,7 +254,7 @@ class Multivector:
         terms: dict[int, Fraction] = {}
         for item in data:
             mask = indices_to_mask(item["blade"], context.m)
-            terms[mask] = terms.get(mask, _ZERO) + Fraction(item["coeff"])
+            terms[mask] = terms.get(mask, _ZERO) + parse_rational(item["coeff"], '"coeff"')
         return cls(context, terms)
 
     def __str__(self) -> str:

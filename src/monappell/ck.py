@@ -27,9 +27,8 @@ def ck_extend(g: CliffordPolynomial) -> CliffordPolynomial:
     current = g
     j = 0
     while not current.is_zero():
-        factor = Fraction((-1) ** j, factorial(j))
-        x0j = CliffordPolynomial.monomial(ctx, (j,) + (0,) * ctx.m, ctx.one())
-        result = result + factor * (x0j * current)
+        factor = ctx.scalar(Fraction((-1) ** j, factorial(j)))
+        result = result + CliffordPolynomial.monomial(ctx, (j,) + (0,) * ctx.m, factor) * current
         current = dirac(current)
         j += 1
     return result

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .errors import MonappellError
-from .fueter import check_fueter_appell_match, check_fueter_identity, fueter_map
+from .fueter import check_fueter_appell_match, check_fueter_identity, check_fueter_vanishing
 from .initial_terms import (
     BUILTIN_SOURCE,
     InitialTermSpec,
@@ -23,7 +23,6 @@ from .initial_terms import (
     validate_initial_term,
 )
 from .latex import collected_term_latex
-from .polynomials import CliffordPolynomial, first_difference
 from .report import VerificationReport
 from .sequences import SequenceSpec, generate_sequence, verify_axial, verify_sequence
 from .suites import run_identity_suites
@@ -148,8 +147,9 @@ def cmd_generate(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     spec = _resolve_spec(args, parser)
-    report = verify_sequence(spec)
-    report.extend(verify_axial(spec))
+    terms = generate_sequence(spec)
+    report = verify_sequence(spec, terms)
+    report.extend(verify_axial(spec, terms))
     report.extend(run_identity_suites(spec.m, args.seed, args.cases))
     return _emit_report(report, args, extra={"seed": args.seed})
 
@@ -159,16 +159,7 @@ def cmd_fueter_compare(args, parser) -> int:
         parser.error("fueter-compare requires an odd dimension m")
     spec = _resolve_spec(args, parser)
     threshold = 2 * spec.k + spec.m - 1
-    report = VerificationReport()
-    zero = CliffordPolynomial.zero(spec.context)
-    for n in range(threshold):
-        image = fueter_map(n, spec.pk, spec.k)
-        report.add(
-            "fueter_vanishing",
-            {"m": spec.m, "k": spec.k, "n": n},
-            image.is_zero(),
-            first_difference(image, zero),
-        )
+    report = check_fueter_vanishing(spec.pk, spec.k)
     for n in range(threshold, threshold + spec.n_max + 1):
         report.extend(check_fueter_identity(n, spec.pk, spec.k))
     for n in range(spec.n_max + 1):
@@ -183,13 +174,7 @@ def cmd_validate_pk(args, parser) -> int:
         candidate = load_initial_term(args.file)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         parser.error(f"cannot read initial term: {exc}")
-    report = validate_initial_term(candidate, args.k)
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        for line in report.summary_lines():
-            print(line)
-    return 0 if report.all_passed else 1
+    return _emit_report(validate_initial_term(candidate, args.k), args)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,7 +15,7 @@ from pathlib import Path
 from .algebra import AlgebraContext
 from .errors import DimensionTooSmallError, InvalidInitialTermError
 from .operators import dirac, require_initial_term
-from .polynomials import CliffordPolynomial, first_difference, grlex_key, unit_exps
+from .polynomials import CliffordPolynomial, degree_witness, grlex_key, unit_exps
 from .report import VerificationReport
 
 BUILTIN_SOURCE = "builtin"
@@ -45,23 +45,14 @@ def validate_initial_term(p: CliffordPolynomial, k: int) -> VerificationReport:
 
     x0_witness = None
     if p.depends_on_x0():
-        bad = min((e for e in p.terms if e[0]), key=grlex_key)
+        bad = min((e for e, _ in p.numerators if e[0]), key=grlex_key)
         x0_witness = f"monomial {list(bad)} involves x_0"
     report.add("initial_term_x0_free", params, not p.depends_on_x0(), x0_witness)
 
-    degree_witness = None
-    if not p.is_homogeneous(k):
-        bad = min((e for e in p.terms if sum(e) != k), key=grlex_key)
-        degree_witness = f"monomial {list(bad)} has degree {sum(bad)}, expected {k}"
-    report.add("initial_term_homogeneous", params, p.is_homogeneous(k), degree_witness)
+    report.add("initial_term_homogeneous", params, p.is_homogeneous(k), degree_witness(p, k))
 
-    residual = dirac(p)
-    report.add(
-        "initial_term_dirac_kernel",
-        params,
-        residual.is_zero(),
-        first_difference(residual, CliffordPolynomial.zero(p.context)),
-    )
+    zero = CliffordPolynomial.zero(p.context)
+    report.add_equal("initial_term_dirac_kernel", params, dirac(p), zero)
     return report
 
 

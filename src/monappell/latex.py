@@ -7,7 +7,7 @@ from math import comb
 
 from .algebra import Multivector, mask_to_indices
 from .coefficients import expansion_coefficient
-from .polynomials import CliffordPolynomial, grlex_key
+from .polynomials import CliffordPolynomial
 
 
 def fraction_latex(q: Fraction) -> str:
@@ -26,21 +26,21 @@ def blade_latex(mask: int) -> str:
     return "e_{" + sep.join(str(j) for j in indices) + "}"
 
 
+def _scaled_latex(q: Fraction, body: str) -> str:
+    """q times a product of variables and blades, unit factors left implicit."""
+    if not body:
+        return fraction_latex(q)
+    if q == 1:
+        return body
+    if q == -1:
+        return "-" + body
+    return fraction_latex(q) + " " + body
+
+
 def multivector_latex(a: Multivector) -> str:
     if a.is_zero():
         return "0"
-    parts = []
-    for mask in a.sorted_masks():
-        q = a.terms[mask]
-        blade = blade_latex(mask)
-        if not blade:
-            parts.append(fraction_latex(q))
-        elif q == 1:
-            parts.append(blade)
-        elif q == -1:
-            parts.append("-" + blade)
-        else:
-            parts.append(fraction_latex(q) + " " + blade)
+    parts = [_scaled_latex(a.terms[mask], blade_latex(mask)) for mask in a.sorted_masks()]
     return " + ".join(parts).replace("+ -", "- ")
 
 
@@ -58,24 +58,15 @@ def polynomial_latex(p: CliffordPolynomial) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for exps in sorted(p.terms, key=grlex_key):
-        coeff = p.terms[exps]
+    for exps, blades in p._grouped():
         mono = _monomial_latex(exps)
-        if len(coeff.terms) > 1:
-            body = r"\left(" + multivector_latex(coeff) + r"\right)"
+        if len(blades) > 1:
+            body = r"\left(" + multivector_latex(p._coefficient_of(blades)) + r"\right)"
             parts.append(body + (" " + mono if mono else ""))
-            continue
-        mask, q = next(iter(coeff.terms.items()))
-        blade = blade_latex(mask)
-        factors = [piece for piece in (mono, blade) if piece]
-        if not factors:
-            parts.append(fraction_latex(q))
-        elif q == 1:
-            parts.append(" ".join(factors))
-        elif q == -1:
-            parts.append("-" + " ".join(factors))
         else:
-            parts.append(fraction_latex(q) + " " + " ".join(factors))
+            (mask, num), = blades
+            body = " ".join(piece for piece in (mono, blade_latex(mask)) if piece)
+            parts.append(_scaled_latex(Fraction(num, p.denominator), body))
     return " + ".join(parts).replace("+ -", "- ")
 
 
@@ -95,11 +86,7 @@ def collected_term_latex(m: int, k: int, n: int, pk: CliffordPolynomial | None =
         i = n - j
         if i:
             pieces.append(r"\underline{x}" if i == 1 else rf"\underline{{x}}^{{{i}}}")
-        body = " ".join(pieces)
-        if weight == 1:
-            parts.append(body)
-        else:
-            parts.append(fraction_latex(weight) + " " + body)
+        parts.append(_scaled_latex(weight, " ".join(pieces)))
     collected = " + ".join(parts)
     if k == 0 or pk is None:
         return collected

@@ -7,9 +7,6 @@ convention used throughout the package.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .algebra import blade_product
 from .coefficients import lowering_factor
 from .errors import (
     InvalidInitialTermError,
@@ -17,31 +14,27 @@ from .errors import (
     NonVectorInputError,
     NotMonogenicError,
 )
-from .polynomials import CliffordPolynomial, vector_power
+from .polynomials import CliffordPolynomial, _collect, _normalized, vector_power
 
-_ZERO = Fraction(0)
+
+def _dirac_terms(numerators: dict, m: int):
+    """Contributions of dirac: e_j times d/dx_j of each term, e_j on the left.
+
+    e_j e_A = (-1)^s e_(A xor j), where s counts the generators of A with
+    index at most j (the swaps past smaller ones, and e_j^2 = -1).
+    """
+    generators = [(j, 1 << (j - 1), (1 << j) - 1) for j in range(1, m + 1)]
+    for (exps, mask), q in numerators.items():
+        for j, bit, upto in generators:
+            a = exps[j]
+            if a:
+                lowered = exps[:j] + (a - 1,) + exps[j + 1 :]
+                yield (lowered, mask ^ bit), (-a * q if (mask & upto).bit_count() & 1 else a * q)
 
 
 def dirac(p: CliffordPolynomial) -> CliffordPolynomial:
     """Dirac operator sum_j e_j d/dx_j (left action)."""
-    ctx = p.context
-    acc: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for exps, coeff in p.terms.items():
-        for j in range(1, ctx.m + 1):
-            a = exps[j]
-            if not a:
-                continue
-            lowered = exps[:j] + (a - 1,) + exps[j + 1 :]
-            bucket = acc.setdefault(lowered, {})
-            ej = 1 << (j - 1)
-            for mask, q in coeff.terms.items():
-                sign, prod = blade_product(ej, mask)
-                total = bucket.get(prod, _ZERO) + sign * a * q
-                if total:
-                    bucket[prod] = total
-                elif prod in bucket:
-                    del bucket[prod]
-    return CliffordPolynomial._from_raw(ctx, acc)
+    return _collect(p.context, _dirac_terms(p.numerators, p.context.m), p.denominator)
 
 
 def cauchy_riemann(p: CliffordPolynomial) -> CliffordPolynomial:
@@ -57,23 +50,13 @@ def conj_cauchy_riemann(p: CliffordPolynomial) -> CliffordPolynomial:
 def laplacian(p: CliffordPolynomial) -> CliffordPolynomial:
     """Laplacian in all m+1 variables; factors as the product of the
     Cauchy-Riemann operator with its conjugate."""
-    ctx = p.context
-    acc: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for exps, coeff in p.terms.items():
-        for i in range(ctx.m + 1):
-            a = exps[i]
-            if a < 2:
-                continue
-            lowered = exps[:i] + (a - 2,) + exps[i + 1 :]
-            factor = a * (a - 1)
-            bucket = acc.setdefault(lowered, {})
-            for mask, q in coeff.terms.items():
-                total = bucket.get(mask, _ZERO) + factor * q
-                if total:
-                    bucket[mask] = total
-                elif mask in bucket:
-                    del bucket[mask]
-    return CliffordPolynomial._from_raw(ctx, acc)
+    contributions = (
+        ((exps[:i] + (a - 2,) + exps[i + 1 :], mask), a * (a - 1) * q)
+        for (exps, mask), q in p.numerators.items()
+        for i, a in enumerate(exps)
+        if a > 1
+    )
+    return _collect(p.context, contributions, p.denominator)
 
 
 def hypercomplex_derivative(p: CliffordPolynomial, *, check: bool = True) -> CliffordPolynomial:
@@ -90,7 +73,7 @@ def hypercomplex_derivative(p: CliffordPolynomial, *, check: bool = True) -> Cli
 
 def check_leibniz_scalar(phi: CliffordPolynomial, g: CliffordPolynomial) -> bool:
     """Product rule dirac(phi g) = dirac(phi) g + phi dirac(g) for scalar phi."""
-    if any(coeff.grades() - {0} for coeff in phi.terms.values()):
+    if any(mask for _, mask in phi.numerators):
         raise NonScalarInputError("left factor must have grade-0 coefficients")
     phi._require_same_context(g)
     lhs = dirac(phi * g)
@@ -100,17 +83,12 @@ def check_leibniz_scalar(phi: CliffordPolynomial, g: CliffordPolynomial) -> bool
 
 def vector_components(f: CliffordPolynomial) -> list[CliffordPolynomial]:
     """Split a grade-1 polynomial sum_j f_j e_j into its scalar components f_j."""
-    ctx = f.context
-    comps: list[dict] = [{} for _ in range(ctx.m)]
-    for exps, coeff in f.terms.items():
-        for mask, q in coeff.terms.items():
-            if mask.bit_count() != 1:
-                raise NonVectorInputError("coefficients must be grade 1")
-            comps[mask.bit_length() - 1][exps] = q
-    return [
-        CliffordPolynomial(ctx, {exps: ctx.scalar(q) for exps, q in comp.items()})
-        for comp in comps
-    ]
+    comps: list[dict] = [{} for _ in range(f.context.m)]
+    for (exps, mask), q in f.numerators.items():
+        if mask.bit_count() != 1:
+            raise NonVectorInputError("coefficients must be grade 1")
+        comps[mask.bit_length() - 1][exps, 0] = q
+    return [_normalized(f.context, comp, f.denominator) for comp in comps]
 
 
 def check_leibniz_vector(f: CliffordPolynomial, g: CliffordPolynomial) -> bool:

@@ -2,15 +2,22 @@
 
 The variables are real and therefore central; coefficients sit on the
 left of the monomials, which is the convention every left-acting
-operator in this package relies on.  Terms are a sparse map from
-exponent tuples (a_0, ..., a_m) to `Multivector` coefficients, canonical
-in the same sense as `Multivector` itself: zero coefficients are never
-stored.  Serialization orders monomials graded-lexicographically.
+operator in this package relies on.
+
+A polynomial is stored flat: integer numerators keyed by (exps, mask),
+the exponent tuple (a_0, ..., a_m) and the blade bit mask, over one
+positive denominator.  The form is canonical (no zero numerator, no
+factor common to all numerators and the denominator, denominator 1 for
+zero), so equality is literal.  Every result is built by `_collect` or
+`_normalized`; Fractions appear only at the API boundary.  Serialization
+orders monomials graded-lexicographically.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm, prod
+from operator import add, neg
 from typing import Iterable
 
 from .algebra import (
@@ -20,16 +27,22 @@ from .algebra import (
     blade_product,
     indices_to_mask,
     mask_to_indices,
+    parse_rational,
+    require_int,
 )
 from .errors import ContextMismatchError
-
-_ZERO = Fraction(0)
 
 
 def grlex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Graded lexicographic sort key: total degree first, then lexicographic
     with x_0 > x_1 > ... > x_m (so x_0-heavy monomials print first)."""
-    return (sum(exps), tuple(-a for a in exps))
+    return (sum(exps), tuple(map(neg, exps)))
+
+
+def _term_key(key: tuple[tuple[int, ...], int]):
+    """Order of (exps, mask) keys: graded-lex monomials, then blades by grade."""
+    exps, mask = key
+    return (grlex_key(exps), mask.bit_count(), mask)
 
 
 def unit_exps(m: int, i: int) -> tuple[int, ...]:
@@ -37,37 +50,86 @@ def unit_exps(m: int, i: int) -> tuple[int, ...]:
     return tuple(1 if t == i else 0 for t in range(m + 1))
 
 
-class CliffordPolynomial:
-    """Sparse polynomial over R_{0,m} in the m+1 variables x_0..x_m."""
+def _normalized(context: AlgebraContext, numerators: dict, denominator: int) -> CliffordPolynomial:
+    """The canonical polynomial numerators / denominator (denominator > 0):
+    zero numerators dropped, common factors divided out."""
+    nums = {key: q for key, q in numerators.items() if q}
+    if not nums:
+        denominator = 1
+    elif denominator != 1:
+        g = gcd(denominator, *nums.values())
+        if g != 1:
+            nums = {key: q // g for key, q in nums.items()}
+            denominator //= g
+    poly = CliffordPolynomial.__new__(CliffordPolynomial)
+    poly.context, poly.numerators, poly.denominator = context, nums, denominator
+    return poly
 
-    __slots__ = ("context", "terms")
+
+def _collect(context: AlgebraContext, contributions, denominator: int) -> CliffordPolynomial:
+    """Sum integer contributions ((exps, mask), numerator) per key, over a
+    common denominator: the one accumulate kernel behind every operation."""
+    acc: dict = {}
+    get = acc.get
+    for key, q in contributions:
+        acc[key] = get(key, 0) + q
+    return _normalized(context, acc, denominator)
+
+
+def _exponents(exps, m: int, field: str) -> tuple[int, ...]:
+    """exps as a tuple of m+1 non-negative integers, or ValueError naming the field."""
+    exps = tuple(require_int(a, f"{field} entry") for a in exps)
+    if len(exps) != m + 1 or any(a < 0 for a in exps):
+        raise ValueError(f"{field} {list(exps)} is not {m + 1} non-negative integers")
+    return exps
+
+
+def _from_fractions(context: AlgebraContext, coeffs: list) -> CliffordPolynomial:
+    """Convert [((exps, mask), Fraction), ...] into the flat form, once, at the
+    boundary; repeated keys are summed."""
+    den = lcm(*(q.denominator for _, q in coeffs))
+    numerators = [(key, q.numerator * (den // q.denominator)) for key, q in coeffs]
+    return _collect(context, numerators, den)
+
+
+def _by_mask(numerators: dict) -> dict[int, list]:
+    groups: dict[int, list] = {}
+    for (exps, mask), q in numerators.items():
+        groups.setdefault(mask, []).append((exps, q))
+    return groups
+
+
+def _products(left: dict, right: dict):
+    """Contributions of the product left * right, one blade product per pair
+    of masks; the left factor's blade stays on the left."""
+    rights = _by_mask(right)
+    for ma, xs in _by_mask(left).items():
+        for mb, ys in rights.items():
+            sign, mask = blade_product(ma, mb)
+            for ea, qa in xs:
+                qa *= sign
+                for eb, qb in ys:
+                    yield (tuple(map(add, ea, eb)), mask), qa * qb
+
+
+class CliffordPolynomial:
+    """Sparse polynomial over R_{0,m} in the m+1 variables x_0..x_m.
+
+    `numerators` maps (exps, mask) to a nonzero int over the positive
+    `denominator`; the constructor takes the {exps: Multivector} form.
+    """
+
+    __slots__ = ("context", "numerators", "denominator")
 
     def __init__(self, context: AlgebraContext, terms: dict[tuple[int, ...], Multivector]):
-        width = context.m + 1
-        cleaned: dict[tuple[int, ...], Multivector] = {}
+        coeffs = []
         for exps, coeff in terms.items():
-            if len(exps) != width or any(a < 0 for a in exps):
-                raise ValueError(f"bad exponent tuple {exps!r} for m={context.m}")
+            exps = _exponents(exps, context.m, "exponent")
             if coeff.context != context:
                 raise ContextMismatchError("coefficient from a different algebra")
-            if not coeff.is_zero():
-                cleaned[tuple(exps)] = coeff
-        self.context = context
-        self.terms = cleaned
-
-    @classmethod
-    def _from_raw(cls, context: AlgebraContext, raw: dict) -> CliffordPolynomial:
-        """Internal fast path: raw maps exps -> {mask: Fraction}, already reduced."""
-        terms = {}
-        for exps, bucket in raw.items():
-            if bucket:
-                mv = Multivector(context, bucket)
-                if not mv.is_zero():
-                    terms[exps] = mv
-        poly = cls.__new__(cls)
-        poly.context = context
-        poly.terms = terms
-        return poly
+            coeffs += [((exps, mask), q) for mask, q in coeff.terms.items()]
+        poly = _from_fractions(context, coeffs)
+        self.context, self.numerators, self.denominator = context, poly.numerators, poly.denominator
 
     # -- constructors -------------------------------------------------
 
@@ -97,6 +159,31 @@ class CliffordPolynomial:
             raise IndexError(f"variable index {i} out of range 0..{context.m}")
         return cls.monomial(context, unit_exps(context.m, i), context.one())
 
+    # -- views ----------------------------------------------------------
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Multivector]:
+        """{exps: Multivector} view of the coefficients, rebuilt on every access."""
+        return {exps: self._coefficient_of(blades) for exps, blades in self._grouped()}
+
+    def _ratio_text(self, q: int) -> str:
+        """The reduced fraction q / denominator as "num/den"."""
+        g = gcd(q, self.denominator)
+        return f"{q // g}/{self.denominator // g}"
+
+    def _grouped(self):
+        """(exps, [(mask, numerator), ...]) in graded-lex monomial order,
+        blades of each monomial by grade, then mask."""
+        groups: dict[tuple[int, ...], list] = {}
+        for (exps, mask), q in self.numerators.items():
+            groups.setdefault(exps, []).append((mask, q))
+        for exps in sorted(groups, key=grlex_key):
+            yield exps, sorted(groups[exps], key=lambda b: (b[0].bit_count(), b[0]))
+
+    def _coefficient_of(self, blades: list) -> Multivector:
+        den = self.denominator
+        return Multivector(self.context, {mask: Fraction(q, den) for mask, q in blades})
+
     # -- ring structure ------------------------------------------------
 
     def _require_same_context(self, other: CliffordPolynomial) -> None:
@@ -106,84 +193,54 @@ class CliffordPolynomial:
             )
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
+
+    def _combined(self, other: CliffordPolynomial, sign: int) -> CliffordPolynomial:
+        """self + sign * other over the least common denominator."""
+        self._require_same_context(other)
+        da, db = self.denominator, other.denominator
+        den = lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        contributions = [(key, sa * q) for key, q in self.numerators.items()]
+        contributions += [(key, sb * q) for key, q in other.numerators.items()]
+        return _collect(self.context, contributions, den)
 
     def __add__(self, other: CliffordPolynomial) -> CliffordPolynomial:
         if not isinstance(other, CliffordPolynomial):
             return NotImplemented
-        self._require_same_context(other)
-        acc = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            prev = acc.get(exps)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero():
-                acc.pop(exps, None)
-            else:
-                acc[exps] = total
-        poly = CliffordPolynomial.__new__(CliffordPolynomial)
-        poly.context = self.context
-        poly.terms = acc
-        return poly
+        return self._combined(other, 1)
 
     def __neg__(self) -> CliffordPolynomial:
-        poly = CliffordPolynomial.__new__(CliffordPolynomial)
-        poly.context = self.context
-        poly.terms = {exps: -coeff for exps, coeff in self.terms.items()}
-        return poly
+        return self._scaled(Fraction(-1))
 
     def __sub__(self, other: CliffordPolynomial) -> CliffordPolynomial:
         if not isinstance(other, CliffordPolynomial):
             return NotImplemented
-        return self + (-other)
+        return self._combined(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, CliffordPolynomial):
             self._require_same_context(other)
-            acc: dict[tuple[int, ...], dict[int, Fraction]] = {}
-            for ea, ca in self.terms.items():
-                for eb, cb in other.terms.items():
-                    exps = tuple(x + y for x, y in zip(ea, eb))
-                    bucket = acc.setdefault(exps, {})
-                    for ma, qa in ca.terms.items():
-                        for mb, qb in cb.terms.items():
-                            sign, mask = blade_product(ma, mb)
-                            total = bucket.get(mask, _ZERO) + sign * qa * qb
-                            if total:
-                                bucket[mask] = total
-                            elif mask in bucket:
-                                del bucket[mask]
-            return CliffordPolynomial._from_raw(self.context, acc)
+            den = self.denominator * other.denominator
+            return _collect(self.context, _products(self.numerators, other.numerators), den)
         if isinstance(other, Multivector):
             # right multiplication: coefficients pick up `other` on the right
-            return self._coeff_mapped(lambda c: c * other)
+            return self * CliffordPolynomial.constant(self.context, other)
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q:
-                return CliffordPolynomial.zero(self.context)
-            return self._coeff_mapped(lambda c: q * c)
+            return self._scaled(Fraction(other))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, Multivector):
             # left multiplication: `other` acts on each coefficient from the left
-            return self._coeff_mapped(lambda c: other * c)
+            return CliffordPolynomial.constant(self.context, other) * self
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q:
-                return CliffordPolynomial.zero(self.context)
-            return self._coeff_mapped(lambda c: q * c)
+            return self._scaled(Fraction(other))
         return NotImplemented
 
-    def _coeff_mapped(self, fn) -> CliffordPolynomial:
-        terms = {}
-        for exps, coeff in self.terms.items():
-            mapped = fn(coeff)
-            if not mapped.is_zero():
-                terms[exps] = mapped
-        poly = CliffordPolynomial.__new__(CliffordPolynomial)
-        poly.context = self.context
-        poly.terms = terms
-        return poly
+    def _scaled(self, q: Fraction) -> CliffordPolynomial:
+        nums = {key: q.numerator * c for key, c in self.numerators.items()}
+        return _normalized(self.context, nums, self.denominator * q.denominator)
 
     def __pow__(self, n: int) -> CliffordPolynomial:
         if n < 0:
@@ -196,7 +253,11 @@ class CliffordPolynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CliffordPolynomial):
             return NotImplemented
-        return self.context == other.context and self.terms == other.terms
+        return (
+            self.context == other.context
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
+        )
 
     __hash__ = None
 
@@ -206,44 +267,32 @@ class CliffordPolynomial:
         """Formal partial derivative with respect to x_i."""
         if not 0 <= i <= self.context.m:
             raise IndexError(f"variable index {i} out of range 0..{self.context.m}")
-        terms = {}
-        for exps, coeff in self.terms.items():
+        nums = {}
+        for (exps, mask), q in self.numerators.items():
             a = exps[i]
             if a:
-                lowered = exps[:i] + (a - 1,) + exps[i + 1 :]
-                terms[lowered] = a * coeff
-        poly = CliffordPolynomial.__new__(CliffordPolynomial)
-        poly.context = self.context
-        poly.terms = terms
-        return poly
+                nums[exps[:i] + (a - 1,) + exps[i + 1 :], mask] = a * q
+        return _normalized(self.context, nums, self.denominator)
 
     def restrict_x0(self) -> CliffordPolynomial:
         """Substitute x_0 = 0."""
-        kept = {exps: coeff for exps, coeff in self.terms.items() if exps[0] == 0}
-        poly = CliffordPolynomial.__new__(CliffordPolynomial)
-        poly.context = self.context
-        poly.terms = kept
-        return poly
+        kept = {key: q for key, q in self.numerators.items() if not key[0][0]}
+        return _normalized(self.context, kept, self.denominator)
 
     def depends_on_x0(self) -> bool:
-        return any(exps[0] for exps in self.terms)
+        return any(exps[0] for exps, _ in self.numerators)
 
     def is_homogeneous(self, degree: int) -> bool:
         """True iff every monomial has the given total degree (vacuously for 0)."""
-        return all(sum(exps) == degree for exps in self.terms)
+        return all(sum(exps) == degree for exps, _ in self.numerators)
 
     def total_degree(self) -> int:
         """Maximal total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(exps) for exps in self.terms)
+        return max((sum(exps) for exps, _ in self.numerators), default=-1)
 
     def homogeneous_component(self, degree: int) -> CliffordPolynomial:
-        kept = {exps: coeff for exps, coeff in self.terms.items() if sum(exps) == degree}
-        poly = CliffordPolynomial.__new__(CliffordPolynomial)
-        poly.context = self.context
-        poly.terms = kept
-        return poly
+        kept = {key: q for key, q in self.numerators.items() if sum(key[0]) == degree}
+        return _normalized(self.context, kept, self.denominator)
 
     def coefficient(self, exps: Iterable[int]) -> Multivector:
         return self.terms.get(tuple(exps), self.context.zero())
@@ -253,60 +302,59 @@ class CliffordPolynomial:
         values = [Fraction(v) for v in point]
         if len(values) != self.context.m + 1:
             raise ValueError(f"point must have {self.context.m + 1} coordinates")
-        total = self.context.zero()
-        for exps, coeff in self.terms.items():
-            factor = Fraction(1)
-            for v, a in zip(values, exps):
-                if a:
-                    factor *= v**a
-            total = total + factor * coeff
-        return total
+        # over the common denominator den * prod_i d_i^(top_i), with v_i = n_i / d_i
+        origin = (0,) * len(values)
+        tops = [max((e[i] for e, _ in self.numerators), default=0) for i in range(len(values))]
+        contributions = []
+        for (exps, mask), q in self.numerators.items():
+            for v, a, top in zip(values, exps, tops):
+                q *= v.numerator**a * v.denominator ** (top - a)
+            contributions.append(((origin, mask), q))
+        den = self.denominator * prod(v.denominator**top for v, top in zip(values, tops))
+        return _collect(self.context, contributions, den).coefficient(origin)
 
     # -- serialization ---------------------------------------------------
 
     def sorted_exps(self) -> list[tuple[int, ...]]:
-        return sorted(self.terms, key=grlex_key)
+        return sorted({exps for exps, _ in self.numerators}, key=grlex_key)
 
     def to_json_dict(self) -> dict:
         """Interchange schema: {"m": m, "terms": [{"exps": [...], "coeff": [...]}]}."""
-        terms = []
-        for exps in self.sorted_exps():
-            coeff = self.terms[exps]
-            blades = [
-                {
-                    "blade": list(mask_to_indices(mask)),
-                    "q": f"{coeff.terms[mask].numerator}/{coeff.terms[mask].denominator}",
-                }
-                for mask in coeff.sorted_masks()
-            ]
-            terms.append({"exps": list(exps), "coeff": blades})
+        terms = [
+            {
+                "exps": list(exps),
+                "coeff": [
+                    {"blade": list(mask_to_indices(mask)), "q": self._ratio_text(q)}
+                    for mask, q in blades
+                ],
+            }
+            for exps, blades in self._grouped()
+        ]
         return {"m": self.context.m, "terms": terms}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> CliffordPolynomial:
-        context = AlgebraContext(int(data["m"]))
-        terms: dict[tuple[int, ...], Multivector] = {}
+        """Read the interchange schema strictly: "m", "exps" and "blade"
+        entries must be JSON integers and "q" a string "int" or "int/int";
+        anything else raises ValueError naming the field."""
+        context = AlgebraContext(require_int(data["m"], '"m"'))
+        coeffs = []
         for item in data["terms"]:
-            exps = tuple(int(a) for a in item["exps"])
-            bucket: dict[int, Fraction] = {}
+            exps = _exponents(item["exps"], context.m, '"exps"')
             for entry in item["coeff"]:
-                mask = indices_to_mask(entry["blade"], context.m)
-                bucket[mask] = bucket.get(mask, _ZERO) + Fraction(entry["q"])
-            coeff = Multivector(context, bucket)
-            if not coeff.is_zero():
-                prev = terms.get(exps)
-                terms[exps] = coeff if prev is None else prev + coeff
-        return cls(context, terms)
+                key = (exps, indices_to_mask(entry["blade"], context.m))
+                coeffs.append((key, parse_rational(entry["q"], '"q"')))
+        return _from_fractions(context, coeffs)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.numerators:
             return "0"
         parts = []
-        for exps in self.sorted_exps():
+        for exps, blades in self._grouped():
             mono = " ".join(
                 f"x{i}" if a == 1 else f"x{i}^{a}" for i, a in enumerate(exps) if a
             )
-            coeff = str(self.terms[exps])
+            coeff = str(self._coefficient_of(blades))
             if mono:
                 parts.append(f"({coeff}) {mono}")
             else:
@@ -354,11 +402,17 @@ def first_difference(p: CliffordPolynomial, q: CliffordPolynomial) -> str | None
     diff = p - q
     if diff.is_zero():
         return None
-    exps = min(diff.terms, key=grlex_key)
-    coeff = diff.terms[exps]
-    mask = min(coeff.terms, key=lambda mk: (mk.bit_count(), mk))
-    delta = coeff.terms[mask]
+    key = min(diff.numerators, key=_term_key)
+    exps, mask = key
     return (
         f"monomial {list(exps)}, blade {list(mask_to_indices(mask))}: "
-        f"difference {delta.numerator}/{delta.denominator}"
+        f"difference {diff._ratio_text(diff.numerators[key])}"
     )
+
+
+def degree_witness(p: CliffordPolynomial, degree: int) -> str | None:
+    """Describe the graded-lex-first monomial of p not of the given degree, or None."""
+    for exps in p.sorted_exps():
+        if sum(exps) != degree:
+            return f"monomial {list(exps)} has degree {sum(exps)}, expected {degree}"
+    return None

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .polynomials import first_difference
+
 
 @dataclass
 class CheckResult:
@@ -37,6 +39,12 @@ class VerificationReport:
         entry = CheckResult(identity, dict(params), bool(passed), None if passed else witness)
         self.entries.append(entry)
         return entry
+
+    def add_equal(self, identity: str, params: dict, lhs, rhs) -> CheckResult:
+        """Record the exact check lhs == rhs of two polynomials; a failure
+        carries first_difference(lhs, rhs) as its witness."""
+        passed = lhs == rhs
+        return self.add(identity, params, passed, None if passed else first_difference(lhs, rhs))
 
     def extend(self, other: VerificationReport) -> VerificationReport:
         self.entries.extend(other.entries)

@@ -26,11 +26,12 @@ from .ck import ck_extend
 from .coefficients import expansion_coefficient, restriction_coefficient
 from .errors import ContextMismatchError, NotAxialFormError
 from .initial_terms import builtin_initial_term
-from .operators import cauchy_riemann, conj_cauchy_riemann, require_initial_term
+from .operators import dirac, require_initial_term
 from .polynomials import (
     CliffordPolynomial,
-    first_difference,
-    grlex_key,
+    _normalized,
+    _term_key,
+    degree_witness,
     vector_power,
     vector_variable,
 )
@@ -74,11 +75,15 @@ def sequence_term_explicit(spec: SequenceSpec, n: int) -> CliffordPolynomial:
     """Closed-form n-th term: binomially weighted powers of x_0 and x̲ times P_k."""
     _check_index(spec, n)
     ctx = spec.context
+    xv = vector_variable(ctx)
+    power = CliffordPolynomial.one(ctx)  # x̲^(n-j), one factor x̲ more per step
     h = CliffordPolynomial.zero(ctx)
-    for j in range(n + 1):
+    for j in range(n, -1, -1):
         weight = comb(n, j) * expansion_coefficient(spec.m, spec.k, n, j)
         x0j = CliffordPolynomial.monomial(ctx, (j,) + (0,) * ctx.m, ctx.scalar(weight))
-        h = h + x0j * vector_power(ctx, n - j)
+        h = h + x0j * power
+        if j:
+            power = power * xv
     return h * spec.pk
 
 
@@ -116,37 +121,26 @@ def verify_sequence(
     if terms is None:
         terms = generate_sequence(spec)
     report = VerificationReport()
-    ctx = spec.context
-    zero = CliffordPolynomial.zero(ctx)
+    zero = CliffordPolynomial.zero(spec.context)
     for n, term in enumerate(terms):
         params = {"m": spec.m, "k": spec.k, "n": n}
-        residual = cauchy_riemann(term)
-        report.add("monogenic", params, residual.is_zero(), first_difference(residual, zero))
+        d0, d = term.partial_derivative(0), dirac(term)
+        residual = d0 + d  # the Cauchy-Riemann operator
+        report.add_equal("monogenic", params, residual, zero)
         if n >= 1:
-            step = Fraction(1, 2) * conj_cauchy_riemann(term)
+            step = Fraction(1, 2) * (d0 - d)  # half the conjugate operator
             expected = n * terms[n - 1]
-            report.add("appell_step", params, step == expected, first_difference(step, expected))
-        report.add(
-            "homogeneous",
-            params,
-            term.is_homogeneous(spec.k + n),
-            _degree_witness(term, spec.k + n),
-        )
-        via_ck = sequence_term_ck(spec, n)
-        report.add("route_equivalence", params, via_ck == term, first_difference(via_ck, term))
+            report.add_equal("appell_step", params, step, expected)
+        witness = degree_witness(term, spec.k + n)
+        report.add("homogeneous", params, witness is None, witness)
+        report.add_equal("route_equivalence", params, sequence_term_ck(spec, n), term)
     return report
-
-
-def _degree_witness(p: CliffordPolynomial, degree: int) -> str | None:
-    for exps in sorted(p.terms, key=grlex_key):
-        if sum(exps) != degree:
-            return f"monomial {list(exps)} has degree {sum(exps)}, expected {degree}"
-    return None
 
 
 @dataclass
 class AxialPair:
-    """Profile functions of an axial monogenic polynomial of initial degree k.
+    """Profile functions of an axial polynomial of initial degree k, such
+    as a sequence term or the Fueter embedding of a complex monomial.
 
     The source polynomial equals (a + x̲ b_reduced) P_k once t is read as
     r^2; the odd radial profile is recovered as B = r * b_reduced.  Both
@@ -180,41 +174,40 @@ def axial_decompose(p: CliffordPolynomial, k: int, pk: CliffordPolynomial) -> Ax
     ctx = p.context
     a_profile = BivariatePoly.zero()
     b_profile = BivariatePoly.zero()
-    strata: dict[int, dict[tuple[int, ...], object]] = {}
-    for exps, coeff in p.terms.items():
-        flattened = (0,) + exps[1:]
-        strata.setdefault(exps[0], {})[flattened] = coeff
-    for j, bucket in sorted(strata.items()):
-        slice_poly = CliffordPolynomial(ctx, bucket)
-        for degree in sorted({sum(e) for e in bucket}):
-            component = slice_poly.homogeneous_component(degree)
-            if component.is_zero():
-                continue
-            i = degree - k
-            if i < 0:
-                raise NotAxialFormError(
-                    f"x_0^{j} slice has degree {degree} below the initial degree {k}"
-                )
-            reference = vector_power(ctx, i) * pk
-            ratio = _scalar_ratio(component, reference)
-            half, odd = divmod(i, 2)
-            signed = -ratio if half % 2 else ratio
-            mono = BivariatePoly.monomial(j, half, signed)
-            if odd:
-                b_profile = b_profile + mono
-            else:
-                a_profile = a_profile + mono
+    # (power of x_0, degree of the x_0-free rest) -> that component, x_0 removed
+    strata: dict[tuple[int, int], dict] = {}
+    for (exps, mask), q in p.numerators.items():
+        rest = (0,) + exps[1:]
+        strata.setdefault((exps[0], sum(rest)), {})[rest, mask] = q
+    xv = vector_variable(ctx)
+    references = [pk]  # x̲^i P_k, one factor x̲ more per entry
+    for (j, degree), bucket in sorted(strata.items()):
+        component = _normalized(ctx, bucket, p.denominator)
+        i = degree - k
+        if i < 0:
+            raise NotAxialFormError(
+                f"x_0^{j} slice has degree {degree} below the initial degree {k}"
+            )
+        while len(references) <= i:
+            references.append(xv * references[-1])
+        ratio = _scalar_ratio(component, references[i])
+        half, odd = divmod(i, 2)
+        signed = -ratio if half % 2 else ratio
+        mono = BivariatePoly.monomial(j, half, signed)
+        if odd:
+            b_profile = b_profile + mono
+        else:
+            a_profile = a_profile + mono
     return AxialPair(a=a_profile, b_reduced=b_profile, k=k, m=ctx.m, pk=pk)
 
 
 def _scalar_ratio(target: CliffordPolynomial, reference: CliffordPolynomial) -> Fraction:
     """The rational h with target = h * reference, or NotAxialFormError."""
-    ref_exps = min(reference.terms, key=grlex_key)
-    ref_coeff = reference.terms[ref_exps]
-    mask = min(ref_coeff.terms, key=lambda mk: (mk.bit_count(), mk))
-    pivot = ref_coeff.terms[mask]
-    got = target.coefficient(ref_exps).terms.get(mask, Fraction(0))
-    ratio = got / pivot
+    pivot = min(reference.numerators, key=_term_key)
+    ratio = Fraction(
+        target.numerators.get(pivot, 0) * reference.denominator,
+        target.denominator * reference.numerators[pivot],
+    )
     if target != ratio * reference:
         raise NotAxialFormError(
             "homogeneous component is not a rational multiple of x̲^i times the initial term"
@@ -241,8 +234,7 @@ def vekua_check(pair: AxialPair) -> bool:
 
     where b is the reduced odd profile (B = r b).
     """
-    first, second = _vekua_residuals(pair)
-    return first.is_zero() and second.is_zero()
+    return vekua_witness(pair) is None
 
 
 def vekua_witness(pair: AxialPair) -> str | None:
@@ -267,9 +259,7 @@ def verify_axial(
             report.add("axial_reconstruction", params, False, str(exc))
             report.add("vekua_system", params, False, "no decomposition")
             continue
-        rebuilt = pair.reconstruct()
-        report.add(
-            "axial_reconstruction", params, rebuilt == term, first_difference(rebuilt, term)
-        )
-        report.add("vekua_system", params, vekua_check(pair), vekua_witness(pair))
+        report.add_equal("axial_reconstruction", params, pair.reconstruct(), term)
+        witness = vekua_witness(pair)
+        report.add("vekua_system", params, witness is None, witness)
     return report

@@ -22,83 +22,61 @@ from .sampling import (
 )
 
 
-def _aggregate(report, name, m, seed, cases, failures):
-    witness = None if not failures else f"first failing case index {failures[0]}"
-    report.add(
-        name,
-        {"m": m, "cases": cases, "seed": seed, "failures": len(failures)},
-        not failures,
-        witness,
-    )
+def _suite(names, m: int, seed: int, cases: int, check) -> VerificationReport:
+    """Run check(rng, context), which returns one verdict per identity name,
+    on `cases` seeded draws; report one aggregated entry per name."""
+    rng = random.Random(seed)
+    context = AlgebraContext(m)
+    failures: dict[str, list[int]] = {name: [] for name in names}
+    for index in range(cases):
+        for name, passed in zip(names, check(rng, context)):
+            if not passed:
+                failures[name].append(index)
+    report = VerificationReport()
+    for name, failed in failures.items():
+        witness = None if not failed else f"first failing case index {failed[0]}"
+        params = {"m": m, "cases": cases, "seed": seed, "failures": len(failed)}
+        report.add(name, params, not failed, witness)
+    return report
 
 
 def leibniz_scalar_suite(m: int, seed: int, cases: int) -> VerificationReport:
-    rng = random.Random(seed)
-    context = AlgebraContext(m)
-    failures = []
-    for index in range(cases):
+    def check(rng, context):
         phi = random_scalar_polynomial(rng, context)
-        g = random_polynomial(rng, context)
-        if not check_leibniz_scalar(phi, g):
-            failures.append(index)
-    report = VerificationReport()
-    _aggregate(report, "leibniz_scalar", m, seed, cases, failures)
-    return report
+        return [check_leibniz_scalar(phi, random_polynomial(rng, context))]
+
+    return _suite(["leibniz_scalar"], m, seed, cases, check)
 
 
 def leibniz_vector_suite(m: int, seed: int, cases: int) -> VerificationReport:
-    rng = random.Random(seed)
-    context = AlgebraContext(m)
-    failures = []
-    for index in range(cases):
+    def check(rng, context):
         f = random_vector_polynomial(rng, context)
-        g = random_polynomial(rng, context)
-        if not check_leibniz_vector(f, g):
-            failures.append(index)
-    report = VerificationReport()
-    _aggregate(report, "leibniz_vector", m, seed, cases, failures)
-    return report
+        return [check_leibniz_vector(f, random_polynomial(rng, context))]
+
+    return _suite(["leibniz_vector"], m, seed, cases, check)
 
 
 def power_rule_suite(
     m: int, seed: int, cases: int, k_max: int = 2, n_max: int = 4
 ) -> VerificationReport:
-    rng = random.Random(seed)
-    context = AlgebraContext(m)
-    failures = []
-    for index in range(cases):
+    def check(rng, context):
         k = rng.randint(0, k_max) if m >= 2 else 0
         n = rng.randint(1, n_max)
-        pk = random_initial_term(rng, context, k)
-        if not check_dirac_power_rule(n, pk, k):
-            failures.append(index)
-    report = VerificationReport()
-    _aggregate(report, "dirac_power_rule", m, seed, cases, failures)
-    return report
+        return [check_dirac_power_rule(n, random_initial_term(rng, context, k), k)]
+
+    return _suite(["dirac_power_rule"], m, seed, cases, check)
 
 
 def ck_suite(m: int, seed: int, cases: int) -> VerificationReport:
     """Extension restriction, monogenicity of the extension, and the
     derivative intertwining, on random x_0-free data."""
-    rng = random.Random(seed)
-    context = AlgebraContext(m)
-    restrict_failures = []
-    monogenic_failures = []
-    intertwine_failures = []
-    for index in range(cases):
+
+    def check(rng, context):
         g = random_x0_free_polynomial(rng, context)
         extension = ck_extend(g)
-        if extension.restrict_x0() != g:
-            restrict_failures.append(index)
-        if not is_monogenic(extension):
-            monogenic_failures.append(index)
-        if not check_ck_intertwining(g):
-            intertwine_failures.append(index)
-    report = VerificationReport()
-    _aggregate(report, "ck_restriction", m, seed, cases, restrict_failures)
-    _aggregate(report, "ck_monogenic", m, seed, cases, monogenic_failures)
-    _aggregate(report, "ck_intertwining", m, seed, cases, intertwine_failures)
-    return report
+        return [extension.restrict_x0() == g, is_monogenic(extension), check_ck_intertwining(g)]
+
+    return _suite(["ck_restriction", "ck_monogenic", "ck_intertwining"], m, seed, cases, check)
 
 
 def run_identity_suites(m: int, seed: int, cases: int) -> VerificationReport:

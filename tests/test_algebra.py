@@ -151,3 +151,19 @@ def test_json_round_trip(data):
     # blades appear sorted by grade then mask, coefficients as num/den text
     for item in encoded:
         assert "/" in item["coeff"]
+
+
+@pytest.mark.parametrize("terms", [{0: 0.1}, {0: True}, {0: "1/2"}, {1.0: 1}, {True: 1}])
+def test_multivector_rejects_inexact_keys_and_values(terms):
+    with pytest.raises(ValueError):
+        Multivector(CTX3, terms)
+
+
+def test_dimension_must_be_a_real_integer():
+    for m in (True, 2.0):
+        with pytest.raises(ValueError):
+            AlgebraContext(m)
+    with pytest.raises(ValueError):
+        CTX3.scalar(0.5)
+    with pytest.raises(ValueError, match='"coeff"'):
+        Multivector.from_json(CTX3, [{"blade": [1], "coeff": 0.5}])

@@ -145,3 +145,33 @@ def test_output_dir_from_environment(tmp_path, capsys, monkeypatch):
     assert code == 0
     report = json.loads((outdir / "report.json").read_text())
     assert report["all_passed"] is True
+
+
+def _corrupt_pk(tmp_path, example):
+    """The built-in degree-1 term for m=3 as JSON, with one field replaced."""
+    data = builtin_initial_term(CTX3, 1).to_json_dict()
+    if example == "q":
+        data["terms"][0]["coeff"][0]["q"] = 0.1
+    elif example == "exps":
+        data["terms"][0]["exps"] = [0, 1.7, 0, 0]
+    else:
+        data["m"] = {"m_float": 2.9, "m_bool": True}[example]
+    path = tmp_path / "pk.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize(
+    "example, field", [("q", '"q"'), ("exps", '"exps"'), ("m_float", '"m"'), ("m_bool", '"m"')]
+)
+def test_inexact_json_input_is_a_usage_error(tmp_path, capsys, example, field):
+    path = _corrupt_pk(tmp_path, example)
+    commands = (
+        ["validate-pk", "--file", str(path), "--k", "1"],
+        ["generate", "--m", "3", "--k", "1", "--n-max", "1", "--pk", str(path)],
+    )
+    for argv in commands:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert field in capsys.readouterr().err

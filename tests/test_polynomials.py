@@ -169,3 +169,46 @@ def test_invalid_constructions():
         CliffordPolynomial(CTX3, {(0, 0, 0, 0): AlgebraContext(2).one()})
     with pytest.raises(ValueError):
         vector_power(CTX3, -1)
+
+
+def test_constructor_rejects_inexact_exponents():
+    for exps in ((0, 1.0, 0, 0), (0, True, 0, 0)):
+        with pytest.raises(ValueError):
+            CliffordPolynomial(CTX3, {exps: CTX3.one()})
+
+
+@pytest.mark.parametrize("text, value", [("7", 7), ("-2/4", Fraction(-1, 2)), ("+3/1", 3)])
+def test_json_rational_forms_accepted(text, value):
+    data = {"m": 1, "terms": [{"exps": [0, 0], "coeff": [{"blade": [], "q": text}]}]}
+    p = CliffordPolynomial.from_json_dict(data)
+    assert p == CliffordPolynomial.constant(AlgebraContext(1), value)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("q", 0.5),
+        ("q", 2),
+        ("q", "0.5"),
+        ("q", "1e3"),
+        ("q", "1/0"),
+        ("q", "1/-2"),
+        ("exps", [0, 1.0]),
+        ("exps", [0, False]),
+        ("exps", [0, 1, 0]),
+        ("blade", [1.0]),
+        ("m", 1.0),
+        ("m", True),
+    ],
+)
+def test_json_rejects_inexact_fields(field, value):
+    term = {"exps": [0, 1], "coeff": [{"blade": [1], "q": "1/2"}]}
+    data = {"m": 1, "terms": [term]}
+    if field == "m":
+        data["m"] = value
+    elif field == "exps":
+        term["exps"] = value
+    else:
+        term["coeff"][0][field] = value
+    with pytest.raises(ValueError, match=field):
+        CliffordPolynomial.from_json_dict(data)

@@ -9,7 +9,7 @@ import argparse
 import sys
 import time
 
-from monappell.sequences import SequenceSpec, verify_axial, verify_sequence
+from monappell.sequences import SequenceSpec, generate_sequence, verify_axial, verify_sequence
 
 
 def main() -> int:
@@ -25,8 +25,9 @@ def main() -> int:
         for k in args.k:
             start = time.perf_counter()
             spec = SequenceSpec.builtin(m, k, args.n_max)
-            report = verify_sequence(spec)
-            report.extend(verify_axial(spec))
+            terms = generate_sequence(spec)
+            report = verify_sequence(spec, terms)
+            report.extend(verify_axial(spec, terms))
             elapsed = time.perf_counter() - start
             bad = report.failures()
             failures += len(bad)

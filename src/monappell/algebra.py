@@ -8,15 +8,21 @@ The algebra is generated by e_1, ..., e_m subject to
 A basis blade e_A with A = {j_1 < ... < j_g} is stored as an integer bit
 mask (bit j-1 set iff generator j occurs); the empty mask is the identity
 element.  A multivector is a sparse map from blade masks to
-`fractions.Fraction` coefficients.  The map is kept canonical -- zero
-coefficients are never stored -- so two multivectors are equal exactly
-when their term maps are equal.  No floating point is used anywhere.
+`fractions.Fraction` coefficients: it is the Fraction-valued boundary
+type, while polynomials (and the (x_0, t) profiles built on them) keep
+integer numerators over one denominator.  The map is kept canonical --
+zero coefficients are never stored -- so two multivectors are equal
+exactly when their term maps are equal.  `accumulate` is the one sparse
+"sum per key, drop zeros" loop of the package; Multivector arithmetic and
+the polynomial kernel both build their results with it.  No floating
+point is used anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
 from .errors import ContextMismatchError
@@ -33,6 +39,32 @@ def require_int(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{field} must be an integer, got {value!r}")
     return value
+
+
+def require_exact(value, field: str) -> Scalar:
+    """Return value if it is an int or a Fraction (not a bool or a float),
+    else raise ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ValueError(f"{field} must be an int or a Fraction, got {value!r}")
+    return value
+
+
+def require_shape(value, kind, field: str):
+    """Return value if it is an instance of kind (list for a JSON array, dict
+    for a JSON object), else raise ValueError naming the field."""
+    if not isinstance(value, kind):
+        shape = "an object" if kind is dict else "a list"
+        raise ValueError(f"{field} must be {shape}, got {value!r}")
+    return value
+
+
+def accumulate(contributions: Iterable[tuple]) -> dict:
+    """Sum (key, value) pairs per key and drop the keys whose sum is zero."""
+    acc: dict = {}
+    get = acc.get
+    for key, q in contributions:
+        acc[key] = q + get(key, 0)  # q first: Fraction + int takes Fraction's fast path
+    return {key: q for key, q in acc.items() if q}
 
 
 def parse_rational(text, field: str) -> Fraction:
@@ -69,10 +101,10 @@ def mask_to_indices(mask: int) -> tuple[int, ...]:
     return tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
 
 
-def indices_to_mask(indices: Iterable[int], m: int) -> int:
+def indices_to_mask(indices: list[int] | tuple[int, ...], m: int) -> int:
     """Bit mask of a blade given by distinct generator indices in 1..m."""
     mask = 0
-    for j in indices:
+    for j in require_shape(indices, (list, tuple), '"blade"'):
         if not 1 <= require_int(j, "blade index") <= m:
             raise ValueError(f"generator index {j} out of range 1..{m}")
         bit = 1 << (j - 1)
@@ -117,7 +149,7 @@ class AlgebraContext:
         """The generator e_j."""
         return self.blade((j,))
 
-    def blade(self, indices: Iterable[int]) -> Multivector:
+    def blade(self, indices: list[int] | tuple[int, ...]) -> Multivector:
         """The basis blade with the given generator indices."""
         return Multivector(self, {indices_to_mask(indices, self.m): 1})
 
@@ -133,17 +165,19 @@ class Multivector:
 
     def __init__(self, context: AlgebraContext, terms: dict[int, Scalar]):
         limit = 1 << context.m
-        cleaned: dict[int, Fraction] = {}
         for mask, coeff in terms.items():
             if not 0 <= require_int(mask, "blade mask") < limit:
                 raise ValueError(f"blade mask {mask:#x} out of range for m={context.m}")
-            if isinstance(coeff, bool) or not isinstance(coeff, (int, Fraction)):
-                raise ValueError(f"coefficient must be an int or a Fraction, got {coeff!r}")
-            q = Fraction(coeff)
-            if q:
-                cleaned[mask] = q
+            require_exact(coeff, "coefficient")
         self.context = context
-        self.terms = cleaned
+        self.terms = {mask: Fraction(coeff) for mask, coeff in terms.items() if coeff}
+
+    @classmethod
+    def _of(cls, context: AlgebraContext, terms: dict[int, Fraction]) -> Multivector:
+        """Wrap terms that are already canonical: in-range masks, nonzero Fractions."""
+        out = cls.__new__(cls)
+        out.context, out.terms = context, terms
+        return out
 
     def _require_same_context(self, other: Multivector) -> None:
         if self.context != other.context:
@@ -167,17 +201,11 @@ class Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
         self._require_same_context(other)
-        acc = dict(self.terms)
-        for mask, q in other.terms.items():
-            total = acc.get(mask, _ZERO) + q
-            if total:
-                acc[mask] = total
-            elif mask in acc:
-                del acc[mask]
-        return Multivector(self.context, acc)
+        both = chain(self.terms.items(), other.terms.items())
+        return Multivector._of(self.context, accumulate(both))
 
     def __neg__(self) -> Multivector:
-        return Multivector(self.context, {mask: -q for mask, q in self.terms.items()})
+        return Multivector._of(self.context, {mask: -q for mask, q in self.terms.items()})
 
     def __sub__(self, other: Multivector) -> Multivector:
         if not isinstance(other, Multivector):
@@ -187,16 +215,13 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             self._require_same_context(other)
-            acc: dict[int, Fraction] = {}
-            for ma, qa in self.terms.items():
-                for mb, qb in other.terms.items():
-                    sign, mask = blade_product(ma, mb)
-                    total = acc.get(mask, _ZERO) + sign * qa * qb
-                    if total:
-                        acc[mask] = total
-                    elif mask in acc:
-                        del acc[mask]
-            return Multivector(self.context, acc)
+            products = (
+                (mask, sign * qa * qb)
+                for ma, qa in self.terms.items()
+                for mb, qb in other.terms.items()
+                for sign, mask in (blade_product(ma, mb),)
+            )
+            return Multivector._of(self.context, accumulate(products))
         if isinstance(other, (int, Fraction)):
             return self._scaled(Fraction(other))
         return NotImplemented
@@ -208,9 +233,8 @@ class Multivector:
         return NotImplemented
 
     def _scaled(self, q: Fraction) -> Multivector:
-        if not q:
-            return Multivector(self.context, {})
-        return Multivector(self.context, {mask: q * c for mask, c in self.terms.items()})
+        terms = {mask: q * c for mask, c in self.terms.items()} if q else {}
+        return Multivector._of(self.context, terms)
 
     def conjugate(self) -> Multivector:
         """Clifford conjugation: reverse factor order and negate each generator.
@@ -221,13 +245,13 @@ class Multivector:
         for mask, q in self.terms.items():
             g = mask.bit_count()
             flipped[mask] = -q if g % 4 in (1, 2) else q
-        return Multivector(self.context, flipped)
+        return Multivector._of(self.context, flipped)
 
     def grade_projection(self, g: int) -> Multivector:
         if not 0 <= g <= self.context.m:
             raise ValueError(f"grade {g} out of range 0..{self.context.m}")
         kept = {mask: q for mask, q in self.terms.items() if mask.bit_count() == g}
-        return Multivector(self.context, kept)
+        return Multivector._of(self.context, kept)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multivector):
@@ -251,11 +275,11 @@ class Multivector:
 
     @classmethod
     def from_json(cls, context: AlgebraContext, data: Iterable[dict]) -> Multivector:
-        terms: dict[int, Fraction] = {}
-        for item in data:
-            mask = indices_to_mask(item["blade"], context.m)
-            terms[mask] = terms.get(mask, _ZERO) + parse_rational(item["coeff"], '"coeff"')
-        return cls(context, terms)
+        pairs = (
+            (indices_to_mask(item["blade"], context.m), parse_rational(item["coeff"], '"coeff"'))
+            for item in data
+        )
+        return cls._of(context, accumulate(pairs))
 
     def __str__(self) -> str:
         if not self.terms:

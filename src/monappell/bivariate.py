@@ -3,6 +3,10 @@
 The profile functions of axial monogenic polynomials and the real and
 imaginary parts of complex monomials both live here.  Keys are
 (x_0 exponent, t exponent); coefficients are exact rationals.
+
+A profile is a scalar `CliffordPolynomial` on the one-generator algebra
+R_{0,1}, with x_1 standing for t, so its exponent tuples are the (a, l)
+keys and all of its arithmetic runs on the integer polynomial kernel.
 """
 
 from __future__ import annotations
@@ -12,24 +16,28 @@ from fractions import Fraction
 from .algebra import AlgebraContext, Scalar
 from .polynomials import CliffordPolynomial, radius_squared
 
-_ZERO = Fraction(0)
+_PLANE = AlgebraContext(1)
+_T = CliffordPolynomial.variable(_PLANE, 1)
 
 
 class BivariatePoly:
-    """Sparse rational polynomial in (x_0, t); treated as immutable."""
+    """Sparse rational polynomial in (x_0, t); treated as immutable.
 
-    __slots__ = ("terms",)
+    Exponents must be non-negative ints and coefficients ints or
+    Fractions; floats and bools are rejected rather than converted.
+    """
+
+    __slots__ = ("_poly",)
 
     def __init__(self, terms: dict[tuple[int, int], Scalar] | None = None):
-        cleaned: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            for (a, l), coeff in terms.items():
-                if a < 0 or l < 0:
-                    raise ValueError(f"negative exponent in {(a, l)}")
-                q = Fraction(coeff)
-                if q:
-                    cleaned[(a, l)] = q
-        self.terms = cleaned
+        coeffs = {key: _PLANE.scalar(coeff) for key, coeff in (terms or {}).items()}
+        self._poly = CliffordPolynomial(_PLANE, coeffs)
+
+    @classmethod
+    def _wrap(cls, poly: CliffordPolynomial) -> BivariatePoly:
+        out = cls.__new__(cls)
+        out._poly = poly
+        return out
 
     @classmethod
     def zero(cls) -> BivariatePoly:
@@ -43,52 +51,33 @@ class BivariatePoly:
     def monomial(cls, x0_exp: int, t_exp: int, coeff: Scalar = 1) -> BivariatePoly:
         return cls({(x0_exp, t_exp): coeff})
 
+    @property
+    def terms(self) -> dict[tuple[int, int], Fraction]:
+        """{(a, l): Fraction} view of the coefficients, rebuilt on every access."""
+        den = self._poly.denominator
+        return {exps: Fraction(q, den) for (exps, _), q in self._poly.numerators.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return self._poly.is_zero()
 
     def __add__(self, other: BivariatePoly) -> BivariatePoly:
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        acc = dict(self.terms)
-        for key, q in other.terms.items():
-            total = acc.get(key, _ZERO) + q
-            if total:
-                acc[key] = total
-            elif key in acc:
-                del acc[key]
-        out = BivariatePoly.__new__(BivariatePoly)
-        out.terms = acc
-        return out
+        return BivariatePoly._wrap(self._poly + other._poly)
 
     def __neg__(self) -> BivariatePoly:
-        out = BivariatePoly.__new__(BivariatePoly)
-        out.terms = {key: -q for key, q in self.terms.items()}
-        return out
+        return BivariatePoly._wrap(-self._poly)
 
     def __sub__(self, other: BivariatePoly) -> BivariatePoly:
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        return self + (-other)
+        return BivariatePoly._wrap(self._poly - other._poly)
 
     def __mul__(self, other):
         if isinstance(other, BivariatePoly):
-            acc: dict[tuple[int, int], Fraction] = {}
-            for (a1, l1), q1 in self.terms.items():
-                for (a2, l2), q2 in other.terms.items():
-                    key = (a1 + a2, l1 + l2)
-                    total = acc.get(key, _ZERO) + q1 * q2
-                    if total:
-                        acc[key] = total
-                    elif key in acc:
-                        del acc[key]
-            out = BivariatePoly.__new__(BivariatePoly)
-            out.terms = acc
-            return out
+            return BivariatePoly._wrap(self._poly * other._poly)
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            out = BivariatePoly.__new__(BivariatePoly)
-            out.terms = {} if not q else {key: q * c for key, c in self.terms.items()}
-            return out
+            return BivariatePoly._wrap(other * self._poly)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -96,70 +85,43 @@ class BivariatePoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._poly == other._poly
 
     __hash__ = None
 
     def d_dx0(self) -> BivariatePoly:
-        out = BivariatePoly.__new__(BivariatePoly)
-        out.terms = {
-            (a - 1, l): a * q for (a, l), q in self.terms.items() if a
-        }
-        return out
+        return BivariatePoly._wrap(self._poly.partial_derivative(0))
 
     def d_dt(self) -> BivariatePoly:
-        out = BivariatePoly.__new__(BivariatePoly)
-        out.terms = {
-            (a, l - 1): l * q for (a, l), q in self.terms.items() if l
-        }
-        return out
+        return BivariatePoly._wrap(self._poly.partial_derivative(1))
 
     def times_t(self) -> BivariatePoly:
-        out = BivariatePoly.__new__(BivariatePoly)
-        out.terms = {(a, l + 1): q for (a, l), q in self.terms.items()}
-        return out
+        return BivariatePoly._wrap(self._poly * _T)
 
     def evaluate(self, x0: Scalar, t: Scalar) -> Fraction:
-        x0 = Fraction(x0)
-        t = Fraction(t)
-        total = Fraction(0)
-        for (a, l), q in self.terms.items():
-            total += q * x0**a * t**l
-        return total
+        return self._poly.evaluate((x0, t)).scalar_part()
 
     def to_clifford(self, context: AlgebraContext) -> CliffordPolynomial:
         """Substitute t = x_1^2 + ... + x_m^2, yielding a scalar-coefficient
         polynomial in m+1 variables."""
         rsq = radius_squared(context)
-        powers: dict[int, CliffordPolynomial] = {0: CliffordPolynomial.one(context)}
+        powers = [CliffordPolynomial.one(context)]  # |x̲|^(2l), one factor more per entry
         out = CliffordPolynomial.zero(context)
-        for (a, l), q in sorted(self.terms.items()):
-            if l not in powers:
-                top = max(powers)
-                current = powers[top]
-                for exp in range(top + 1, l + 1):
-                    current = current * rsq
-                    powers[exp] = current
-            mono = CliffordPolynomial.monomial(
-                context, (a,) + (0,) * context.m, context.scalar(q)
-            )
-            out = out + mono * powers[l]
+        for (a, l), q in self.terms.items():
+            while len(powers) <= l:
+                powers.append(powers[-1] * rsq)
+            x0a = CliffordPolynomial.monomial(context, (a,) + (0,) * context.m, context.scalar(q))
+            out = out + x0a * powers[l]
         return out
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for (a, l) in sorted(self.terms):
-            q = self.terms[(a, l)]
-            mono = " ".join(
-                piece
-                for piece in (
-                    ("x0" if a == 1 else f"x0^{a}") if a else "",
-                    ("t" if l == 1 else f"t^{l}") if l else "",
-                )
-                if piece
-            )
+        for (a, l) in sorted(terms):
+            q = terms[(a, l)]
+            mono = " ".join(v if e == 1 else f"{v}^{e}" for v, e in (("x0", a), ("t", l)) if e)
             if not mono:
                 parts.append(str(q))
             elif q == 1:

@@ -8,8 +8,9 @@ A polynomial is stored flat: integer numerators keyed by (exps, mask),
 the exponent tuple (a_0, ..., a_m) and the blade bit mask, over one
 positive denominator.  The form is canonical (no zero numerator, no
 factor common to all numerators and the denominator, denominator 1 for
-zero), so equality is literal.  Every result is built by `_collect` or
-`_normalized`; Fractions appear only at the API boundary.  Serialization
+zero), so equality is literal.  Every result is built by `_collect`
+(integer contributions summed by `algebra.accumulate`) or `_normalized`;
+Fractions appear only at the API boundary.  Serialization
 orders monomials graded-lexicographically.
 """
 
@@ -24,11 +25,14 @@ from .algebra import (
     AlgebraContext,
     Multivector,
     Scalar,
+    accumulate,
     blade_product,
     indices_to_mask,
     mask_to_indices,
     parse_rational,
+    require_exact,
     require_int,
+    require_shape,
 )
 from .errors import ContextMismatchError
 
@@ -50,10 +54,9 @@ def unit_exps(m: int, i: int) -> tuple[int, ...]:
     return tuple(1 if t == i else 0 for t in range(m + 1))
 
 
-def _normalized(context: AlgebraContext, numerators: dict, denominator: int) -> CliffordPolynomial:
-    """The canonical polynomial numerators / denominator (denominator > 0):
-    zero numerators dropped, common factors divided out."""
-    nums = {key: q for key, q in numerators.items() if q}
+def _normalized(context: AlgebraContext, nums: dict, denominator: int) -> CliffordPolynomial:
+    """The canonical polynomial nums / denominator, for nonzero nums and a
+    positive denominator: common factors divided out."""
     if not nums:
         denominator = 1
     elif denominator != 1:
@@ -68,16 +71,13 @@ def _normalized(context: AlgebraContext, numerators: dict, denominator: int) -> 
 
 def _collect(context: AlgebraContext, contributions, denominator: int) -> CliffordPolynomial:
     """Sum integer contributions ((exps, mask), numerator) per key, over a
-    common denominator: the one accumulate kernel behind every operation."""
-    acc: dict = {}
-    get = acc.get
-    for key, q in contributions:
-        acc[key] = get(key, 0) + q
-    return _normalized(context, acc, denominator)
+    common denominator."""
+    return _normalized(context, accumulate(contributions), denominator)
 
 
 def _exponents(exps, m: int, field: str) -> tuple[int, ...]:
     """exps as a tuple of m+1 non-negative integers, or ValueError naming the field."""
+    exps = require_shape(exps, (list, tuple), field)
     exps = tuple(require_int(a, f"{field} entry") for a in exps)
     if len(exps) != m + 1 or any(a < 0 for a in exps):
         raise ValueError(f"{field} {list(exps)} is not {m + 1} non-negative integers")
@@ -182,7 +182,7 @@ class CliffordPolynomial:
 
     def _coefficient_of(self, blades: list) -> Multivector:
         den = self.denominator
-        return Multivector(self.context, {mask: Fraction(q, den) for mask, q in blades})
+        return Multivector._of(self.context, {mask: Fraction(q, den) for mask, q in blades})
 
     # -- ring structure ------------------------------------------------
 
@@ -239,7 +239,7 @@ class CliffordPolynomial:
         return NotImplemented
 
     def _scaled(self, q: Fraction) -> CliffordPolynomial:
-        nums = {key: q.numerator * c for key, c in self.numerators.items()}
+        nums = {key: q.numerator * c for key, c in self.numerators.items()} if q else {}
         return _normalized(self.context, nums, self.denominator * q.denominator)
 
     def __pow__(self, n: int) -> CliffordPolynomial:
@@ -299,7 +299,7 @@ class CliffordPolynomial:
 
     def evaluate(self, point: Iterable[Scalar]) -> Multivector:
         """Exact substitution of a rational point (x_0, ..., x_m)."""
-        values = [Fraction(v) for v in point]
+        values = [require_exact(v, "point coordinate") for v in point]
         if len(values) != self.context.m + 1:
             raise ValueError(f"point must have {self.context.m + 1} coordinates")
         # over the common denominator den * prod_i d_i^(top_i), with v_i = n_i / d_i
@@ -334,14 +334,18 @@ class CliffordPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> CliffordPolynomial:
-        """Read the interchange schema strictly: "m", "exps" and "blade"
-        entries must be JSON integers and "q" a string "int" or "int/int";
-        anything else raises ValueError naming the field."""
+        """Read the interchange schema strictly: the top level and each term
+        and coeff entry must be objects, "terms", "exps", "coeff" and "blade"
+        lists, "m", "exps" and "blade" entries JSON integers and "q" a string
+        "int" or "int/int"; anything else raises ValueError naming the field."""
+        data = require_shape(data, dict, "top level")
         context = AlgebraContext(require_int(data["m"], '"m"'))
         coeffs = []
-        for item in data["terms"]:
+        for item in require_shape(data["terms"], list, '"terms"'):
+            item = require_shape(item, dict, '"terms" entry')
             exps = _exponents(item["exps"], context.m, '"exps"')
-            for entry in item["coeff"]:
+            for entry in require_shape(item["coeff"], list, '"coeff"'):
+                entry = require_shape(entry, dict, '"coeff" entry')
                 key = (exps, indices_to_mask(entry["blade"], context.m))
                 coeffs.append((key, parse_rational(entry["q"], '"q"')))
         return _from_fractions(context, coeffs)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import AlgebraContext, Multivector
+from .algebra import AlgebraContext, Multivector, accumulate
 from .errors import DimensionTooSmallError
 from .polynomials import CliffordPolynomial, unit_exps
 
@@ -24,11 +24,10 @@ def random_multivector(
         masks = range(context.blade_count)
     else:
         masks = [mk for mk in range(context.blade_count) if mk.bit_count() in grades]
-    terms: dict[int, Fraction] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        mask = rng.choice(list(masks))
-        terms[mask] = terms.get(mask, Fraction(0)) + random_rational(rng)
-    return Multivector(context, terms)
+    draws = [
+        (rng.choice(list(masks)), random_rational(rng)) for _ in range(rng.randint(1, max_terms))
+    ]
+    return Multivector(context, accumulate(draws))
 
 
 def random_polynomial(

@@ -172,8 +172,7 @@ def axial_decompose(p: CliffordPolynomial, k: int, pk: CliffordPolynomial) -> Ax
         raise ContextMismatchError("polynomial and initial term from different algebras")
     require_initial_term(pk, k)
     ctx = p.context
-    a_profile = BivariatePoly.zero()
-    b_profile = BivariatePoly.zero()
+    profiles: tuple[dict, dict] = ({}, {})  # A, then b_reduced: {(j, half): h}
     # (power of x_0, degree of the x_0-free rest) -> that component, x_0 removed
     strata: dict[tuple[int, int], dict] = {}
     for (exps, mask), q in p.numerators.items():
@@ -192,13 +191,10 @@ def axial_decompose(p: CliffordPolynomial, k: int, pk: CliffordPolynomial) -> Ax
             references.append(xv * references[-1])
         ratio = _scalar_ratio(component, references[i])
         half, odd = divmod(i, 2)
-        signed = -ratio if half % 2 else ratio
-        mono = BivariatePoly.monomial(j, half, signed)
-        if odd:
-            b_profile = b_profile + mono
-        else:
-            a_profile = a_profile + mono
-    return AxialPair(a=a_profile, b_reduced=b_profile, k=k, m=ctx.m, pk=pk)
+        # each stratum (j, degree) lands on its own key (j, half)
+        profiles[odd][j, half] = -ratio if half % 2 else ratio
+    a, b_reduced = map(BivariatePoly, profiles)
+    return AxialPair(a=a, b_reduced=b_reduced, k=k, m=ctx.m, pk=pk)
 
 
 def _scalar_ratio(target: CliffordPolynomial, reference: CliffordPolynomial) -> Fraction:

@@ -175,3 +175,37 @@ def test_inexact_json_input_is_a_usage_error(tmp_path, capsys, example, field):
             main(argv)
         assert excinfo.value.code == 2
         assert field in capsys.readouterr().err
+
+
+def _misshapen_pk(example):
+    """The built-in degree-1 term for m=3 as JSON, with one field of the wrong shape."""
+    data = builtin_initial_term(CTX3, 1).to_json_dict()
+    term = data["terms"][0]
+    if example == "top level":
+        return [1, 2]
+    if example == '"terms"':
+        return {"m": 3, "terms": 5}
+    if example == '"blade"':
+        term["coeff"][0]["blade"] = 3
+    elif example == '"coeff"':
+        term["coeff"] = 7
+    elif example == '"exps"':
+        term["exps"] = 5
+    elif example == '"terms" entry':
+        data["terms"][0] = 5
+    else:
+        term["coeff"][0] = "1/1"
+    return data
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["top level", '"terms"', '"blade"', '"coeff"', '"exps"', '"terms" entry', '"coeff" entry'],
+)
+def test_misshapen_json_input_is_a_usage_error(tmp_path, capsys, field):
+    path = tmp_path / "pk.json"
+    path.write_text(json.dumps(_misshapen_pk(field)))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["validate-pk", "--file", str(path), "--k", "1"])
+    assert excinfo.value.code == 2
+    assert field in capsys.readouterr().err

@@ -3,7 +3,9 @@
 The reference below is the straightforward representation {exps: {mask:
 Fraction}} with one accumulate loop per operation.  It is kept here, in
 the tests only, as the oracle the flat (exps, mask) -> int kernel must
-agree with exactly.
+agree with exactly.  Multivectors ({mask: Fraction}) and (x_0, t) profiles
+({(a, l): Fraction}), which both build their results through the shared
+accumulate kernel, are checked against plain dict-of-Fraction loops too.
 """
 
 import copy
@@ -15,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 
 from monappell.algebra import AlgebraContext, Multivector, blade_product
+from monappell.bivariate import BivariatePoly
 from monappell.operators import dirac, laplacian
-from monappell.polynomials import CliffordPolynomial, first_difference
+from monappell.polynomials import CliffordPolynomial, first_difference, vector_variable
 from monappell.sequences import SequenceSpec, sequence_term_explicit
-from strategies import multivectors, polynomials
+from strategies import multivectors, polynomials, rationals
 
 
 def nested(p: CliffordPolynomial) -> dict:
@@ -215,3 +218,84 @@ def test_terms_view_is_rebuilt_on_each_access():
     assert p.terms is not view
     view.clear()
     assert p.terms
+
+
+def ref_sparse_sum(a: dict, b: dict, sign: int = 1) -> dict:
+    acc = dict(a)
+    for key, q in b.items():
+        total = acc.get(key, Fraction(0)) + sign * q
+        if total:
+            acc[key] = total
+        elif key in acc:
+            del acc[key]
+    return acc
+
+
+def ref_sparse_product(a: dict, b: dict, combine) -> dict:
+    """combine(key_a, key_b) -> (sign, key) of the product of two basis elements."""
+    acc: dict = {}
+    for ka, qa in a.items():
+        for kb, qb in b.items():
+            sign, key = combine(ka, kb)
+            total = acc.get(key, Fraction(0)) + sign * qa * qb
+            if total:
+                acc[key] = total
+            elif key in acc:
+                del acc[key]
+    return acc
+
+
+def _monomial_product(ka, kb):
+    return 1, (ka[0] + kb[0], ka[1] + kb[1])
+
+
+@pytest.mark.parametrize("m", MS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_multivector_arithmetic_matches_reference(m, data):
+    ctx = AlgebraContext(m)
+    a, b = data.draw(multivectors(ctx, max_terms=5)), data.draw(multivectors(ctx, max_terms=5))
+    assert (a + b).terms == ref_sparse_sum(a.terms, b.terms)
+    assert (a - b).terms == ref_sparse_sum(a.terms, b.terms, -1)
+    assert (a * b).terms == ref_sparse_product(a.terms, b.terms, blade_product)
+    for result in (a + b, a - b, a * b):
+        assert all(isinstance(q, Fraction) and q for q in result.terms.values())
+
+
+profile_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals, max_size=4
+)
+
+
+@settings(max_examples=60)
+@given(p_terms=profile_terms, q_terms=profile_terms, x0=rationals, t=rationals, c=rationals)
+def test_profile_arithmetic_matches_reference(p_terms, q_terms, x0, t, c):
+    a = {key: q for key, q in p_terms.items() if q}
+    b = {key: q for key, q in q_terms.items() if q}
+    p, q = BivariatePoly(p_terms), BivariatePoly(q_terms)
+    assert p.terms == a and q.terms == b
+    assert (p + q).terms == ref_sparse_sum(a, b)
+    assert (p - q).terms == ref_sparse_sum(a, b, -1)
+    assert (p * q).terms == ref_sparse_product(a, b, _monomial_product)
+    scaled = {key: c * v for key, v in a.items()} if c else {}
+    assert (c * p).terms == scaled and (p * c).terms == scaled
+    assert p.d_dx0().terms == {(x - 1, l): x * v for (x, l), v in a.items() if x}
+    assert p.d_dt().terms == {(x, l - 1): l * v for (x, l), v in a.items() if l}
+    assert p.times_t().terms == {(x, l + 1): v for (x, l), v in a.items()}
+    assert p.evaluate(x0, t) == sum((v * x0**x * t**l for (x, l), v in a.items()), Fraction(0))
+
+
+@pytest.mark.parametrize("terms", [{(0, 0): 0.1}, {(0, 0): True}, {(1.5, 0): 1}])
+def test_profile_constructor_rejects_inexact_input(terms):
+    with pytest.raises(ValueError):
+        BivariatePoly(terms)
+
+
+@pytest.mark.parametrize("bad", [0.1, True])
+def test_evaluate_rejects_float_and_bool_coordinates(bad):
+    with pytest.raises(ValueError, match="point coordinate"):
+        vector_variable(AlgebraContext(3)).evaluate((0, bad, 0, 0))
+    with pytest.raises(ValueError, match="point coordinate"):
+        BivariatePoly({(1, 0): 1}).evaluate(bad, 0)
+    with pytest.raises(ValueError, match="point coordinate"):
+        BivariatePoly({(0, 1): 1}).evaluate(0, bad)

@@ -35,6 +35,7 @@ from .fueter import (
     check_fueter_identity,
     check_fueter_vanishing,
     complex_monomial_parts,
+    fueter_compare,
     fueter_map,
     fueter_order,
     fueter_scale,

@@ -58,6 +58,15 @@ def require_shape(value, kind, field: str):
     return value
 
 
+def require_fields(value, field: str, *keys: str) -> tuple:
+    """Return the values of keys in the JSON object value, in order; if value
+    is not an object or lacks a key, raise ValueError naming field and key."""
+    try:
+        return tuple(map(require_shape(value, dict, field).__getitem__, keys))
+    except KeyError as exc:
+        raise ValueError(f'missing field "{exc.args[0]}" in {field}') from None
+
+
 def accumulate(contributions: Iterable[tuple]) -> dict:
     """Sum (key, value) pairs per key and drop the keys whose sum is zero."""
     acc: dict = {}
@@ -275,10 +284,8 @@ class Multivector:
 
     @classmethod
     def from_json(cls, context: AlgebraContext, data: Iterable[dict]) -> Multivector:
-        pairs = (
-            (indices_to_mask(item["blade"], context.m), parse_rational(item["coeff"], '"coeff"'))
-            for item in data
-        )
+        fields = (require_fields(item, "multivector entry", "blade", "coeff") for item in data)
+        pairs = ((indices_to_mask(b, context.m), parse_rational(c, '"coeff"')) for b, c in fields)
         return cls._of(context, accumulate(pairs))
 
     def __str__(self) -> str:

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .errors import MonappellError
-from .fueter import check_fueter_appell_match, check_fueter_identity, check_fueter_vanishing
+from .fueter import fueter_compare
 from .initial_terms import (
     BUILTIN_SOURCE,
     InitialTermSpec,
@@ -37,15 +37,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_pk=True):
+    def common(p):
         p.add_argument("--m", type=int, required=True, help="dimension m (generators)")
         p.add_argument("--k", type=int, required=True, help="degree of the initial term")
-        if with_pk:
-            p.add_argument(
-                "--pk",
-                default=BUILTIN_SOURCE,
-                help="initial term: 'builtin' or a path to a JSON polynomial",
-            )
+        p.add_argument(
+            "--pk",
+            default=BUILTIN_SOURCE,
+            help="initial term: 'builtin' or a path to a JSON polynomial",
+        )
         p.add_argument(
             "--output-dir",
             default=None,
@@ -87,7 +86,7 @@ def _resolve_spec(args, parser) -> SequenceSpec:
     try:
         pk = InitialTermSpec(m=args.m, k=args.k, source=args.pk).resolve()
         return SequenceSpec(m=args.m, k=args.k, pk=pk, n_max=args.n_max)
-    except (MonappellError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (MonappellError, ValueError, OSError, json.JSONDecodeError) as exc:
         parser.error(str(exc))
 
 
@@ -101,20 +100,18 @@ def _output_dir(args) -> Path | None:
 
 
 def _emit_report(report: VerificationReport, args, extra: dict | None = None) -> int:
+    outdir = _output_dir(args) if hasattr(args, "output_dir") else None
+    if args.format == "json" or outdir is not None:
+        text = json.dumps({**(extra or {}), **report.to_json()}, indent=2)
     if args.format == "json":
-        payload = dict(extra or {})
-        payload.update(report.to_json())
-        print(json.dumps(payload, indent=2))
+        print(text)
     else:
         for key, value in (extra or {}).items():
             print(f"{key}: {value}")
         for line in report.summary_lines():
             print(line)
-    outdir = _output_dir(args) if hasattr(args, "output_dir") else None
     if outdir is not None:
-        payload = dict(extra or {})
-        payload.update(report.to_json())
-        (outdir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
+        (outdir / "report.json").write_text(text + "\n")
     return 0 if report.all_passed else 1
 
 
@@ -157,14 +154,7 @@ def cmd_verify(args, parser) -> int:
 def cmd_fueter_compare(args, parser) -> int:
     if args.m % 2 == 0:
         parser.error("fueter-compare requires an odd dimension m")
-    spec = _resolve_spec(args, parser)
-    threshold = 2 * spec.k + spec.m - 1
-    report = check_fueter_vanishing(spec.pk, spec.k)
-    for n in range(threshold, threshold + spec.n_max + 1):
-        report.extend(check_fueter_identity(n, spec.pk, spec.k))
-    for n in range(spec.n_max + 1):
-        report.extend(check_fueter_appell_match(spec, n))
-    return _emit_report(report, args)
+    return _emit_report(fueter_compare(_resolve_spec(args, parser)), args)
 
 
 def cmd_validate_pk(args, parser) -> int:
@@ -172,7 +162,7 @@ def cmd_validate_pk(args, parser) -> int:
         parser.error("k must be non-negative")
     try:
         candidate = load_initial_term(args.file)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError) as exc:
         parser.error(f"cannot read initial term: {exc}")
     return _emit_report(validate_initial_term(candidate, args.k), args)
 
@@ -185,8 +175,8 @@ def main(argv: list[str] | None = None) -> int:
     except MonappellError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - internal failure path
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -92,27 +92,47 @@ def fueter_scale(m: int, k: int, n: int) -> int:
 def check_fueter_identity(n: int, pk: CliffordPolynomial, k: int) -> VerificationReport:
     """Fueter image of z^n equals the scaled CK extension of
     x̲^(n-(2k+m-1)) P_k, exactly."""
+    fueter_scale(pk.context.m, k, n)  # raises below the threshold n = 2k+m-1
+    return _identity_report(n, pk, k, fueter_map(n, pk, k))
+
+
+def _identity_report(
+    n: int, pk: CliffordPolynomial, k: int, image: CliffordPolynomial
+) -> VerificationReport:
     m = pk.context.m
-    drop = 2 * k + m - 1
-    scale = fueter_scale(m, k, n)  # raises below the threshold n = 2k+m-1
-    lhs = fueter_map(n, pk, k)
-    rhs = scale * ck_extend(vector_power(pk.context, n - drop) * pk)
+    rhs = fueter_scale(m, k, n) * ck_extend(vector_power(pk.context, n - (2 * k + m - 1)) * pk)
     report = VerificationReport()
-    report.add_equal("fueter_ck_identity", {"m": m, "k": k, "n": n}, lhs, rhs)
+    report.add_equal("fueter_ck_identity", {"m": m, "k": k, "n": n}, image, rhs)
     return report
 
 
 def check_fueter_appell_match(spec: SequenceSpec, n: int) -> VerificationReport:
     """Fueter image of z^(n + 2k+m-1) is a known rational multiple of the
     n-th sequence term; the multiple is recorded in the report."""
+    return _match_report(spec, n, fueter_map(n + 2 * spec.k + spec.m - 1, spec.pk, spec.k))
+
+
+def _match_report(spec: SequenceSpec, n: int, image: CliffordPolynomial) -> VerificationReport:
     m, k = spec.m, spec.k
     shifted = n + 2 * k + m - 1
     lam = Fraction(
         fueter_scale(m, k, shifted) * lowering_product(m, k, n), factorial(n)
     )
-    lhs = fueter_map(shifted, spec.pk, k)
     rhs = lam * sequence_term_explicit(spec, n)
     params = {"m": m, "k": k, "n": n, "lambda": f"{lam.numerator}/{lam.denominator}"}
     report = VerificationReport()
-    report.add_equal("fueter_appell_match", params, lhs, rhs)
+    report.add_equal("fueter_appell_match", params, image, rhs)
     return report
+
+
+def fueter_compare(spec: SequenceSpec) -> VerificationReport:
+    """The vanishing entries below the threshold 2k+m-1, then the CK identity
+    and the Appell match for z^(threshold+n), n = 0..n_max; each image is
+    built once and feeds both checks."""
+    threshold = 2 * spec.k + spec.m - 1
+    report, matches = check_fueter_vanishing(spec.pk, spec.k), VerificationReport()
+    for n in range(spec.n_max + 1):
+        image = fueter_map(threshold + n, spec.pk, spec.k)
+        report.extend(_identity_report(threshold + n, spec.pk, spec.k, image))
+        matches.extend(_match_report(spec, n, image))
+    return report.extend(matches)

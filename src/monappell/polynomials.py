@@ -31,6 +31,7 @@ from .algebra import (
     mask_to_indices,
     parse_rational,
     require_exact,
+    require_fields,
     require_int,
     require_shape,
 )
@@ -338,16 +339,16 @@ class CliffordPolynomial:
         and coeff entry must be objects, "terms", "exps", "coeff" and "blade"
         lists, "m", "exps" and "blade" entries JSON integers and "q" a string
         "int" or "int/int"; anything else raises ValueError naming the field."""
-        data = require_shape(data, dict, "top level")
-        context = AlgebraContext(require_int(data["m"], '"m"'))
+        m, terms = require_fields(data, "top level", "m", "terms")
+        context = AlgebraContext(require_int(m, '"m"'))
         coeffs = []
-        for item in require_shape(data["terms"], list, '"terms"'):
-            item = require_shape(item, dict, '"terms" entry')
-            exps = _exponents(item["exps"], context.m, '"exps"')
-            for entry in require_shape(item["coeff"], list, '"coeff"'):
-                entry = require_shape(entry, dict, '"coeff" entry')
-                key = (exps, indices_to_mask(entry["blade"], context.m))
-                coeffs.append((key, parse_rational(entry["q"], '"q"')))
+        for item in require_shape(terms, list, '"terms"'):
+            exps, coeff = require_fields(item, '"terms" entry', "exps", "coeff")
+            exps = _exponents(exps, context.m, '"exps"')
+            for entry in require_shape(coeff, list, '"coeff"'):
+                blade, q = require_fields(entry, '"coeff" entry', "blade", "q")
+                key = (exps, indices_to_mask(blade, context.m))
+                coeffs.append((key, parse_rational(q, '"q"')))
         return _from_fractions(context, coeffs)
 
     def __str__(self) -> str:

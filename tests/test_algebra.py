@@ -167,3 +167,12 @@ def test_dimension_must_be_a_real_integer():
         CTX3.scalar(0.5)
     with pytest.raises(ValueError, match='"coeff"'):
         Multivector.from_json(CTX3, [{"blade": [1], "coeff": 0.5}])
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [({"blade": [1]}, 'missing field "coeff"'), ([1], "multivector entry must be an object")],
+)
+def test_multivector_from_json_names_the_missing_field(entry, message):
+    with pytest.raises(ValueError, match=message):
+        Multivector.from_json(CTX3, [entry])

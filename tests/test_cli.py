@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from monappell import cli, fueter
 from monappell.algebra import AlgebraContext
 from monappell.cli import ENV_OUTPUT_DIR, main
 from monappell.initial_terms import builtin_initial_term
@@ -79,6 +80,25 @@ def test_fueter_compare(capsys):
     assert code == 0
     assert "fueter_vanishing" in out and "fueter_ck_identity" in out
     assert "lambda=-4/1" in out
+    names = [line.split()[1] for line in out.splitlines() if line.startswith("PASS")]
+    assert names == (
+        ["fueter_vanishing"] * 2 + ["fueter_ck_identity"] * 3 + ["fueter_appell_match"] * 3
+    )
+
+
+def test_fueter_compare_builds_each_image_once(capsys, monkeypatch):
+    calls = []
+    original = fueter.fueter_map
+
+    def counting(n, pk, k):
+        calls.append(n)
+        return original(n, pk, k)
+
+    monkeypatch.setattr(fueter, "fueter_map", counting)
+    code, _, _ = run_cli(capsys, ["fueter-compare", "--m", "3", "--k", "1", "--n-max", "2"])
+    assert code == 0
+    threshold, n_max = 2 * 1 + 3 - 1, 2
+    assert sorted(calls) == list(range(threshold + n_max + 1))
 
 
 def test_fueter_compare_rejects_even_dimension(capsys):
@@ -103,6 +123,17 @@ def test_validate_pk_rejects_non_monogenic(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["validate-pk", "--file", str(path), "--k", "1"])
     assert code == 1
     assert "FAIL initial_term_dirac_kernel" in out
+
+
+def test_internal_error_names_the_exception_type(capsys, monkeypatch):
+    def broken(args, parser):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "cmd_generate", broken)
+    code, out, err = run_cli(capsys, ["generate", "--m", "3", "--k", "0", "--n-max", "1"])
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: TypeError: unsupported operand\n"
 
 
 def test_usage_errors_exit_two():
@@ -193,6 +224,12 @@ def _misshapen_pk(example):
         term["exps"] = 5
     elif example == '"terms" entry':
         data["terms"][0] = 5
+    elif example == 'missing field "terms"':
+        return {"m": 3}
+    elif example == 'missing field "coeff"':
+        del term["coeff"]
+    elif example == 'missing field "q"':
+        del term["coeff"][0]["q"]
     else:
         term["coeff"][0] = "1/1"
     return data
@@ -200,7 +237,10 @@ def _misshapen_pk(example):
 
 @pytest.mark.parametrize(
     "field",
-    ["top level", '"terms"', '"blade"', '"coeff"', '"exps"', '"terms" entry', '"coeff" entry'],
+    [
+        "top level", '"terms"', '"blade"', '"coeff"', '"exps"', '"terms" entry', '"coeff" entry',
+        'missing field "terms"', 'missing field "coeff"', 'missing field "q"',
+    ],
 )
 def test_misshapen_json_input_is_a_usage_error(tmp_path, capsys, field):
     path = tmp_path / "pk.json"

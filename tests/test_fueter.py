@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from monappell import fueter
 from monappell.algebra import AlgebraContext
 from monappell.bivariate import BivariatePoly
 from monappell.ck import is_monogenic
@@ -11,7 +12,9 @@ from monappell.fueter import (
     axial_embedding,
     check_fueter_appell_match,
     check_fueter_identity,
+    check_fueter_vanishing,
     complex_monomial_parts,
+    fueter_compare,
     fueter_map,
     fueter_order,
     fueter_scale,
@@ -136,3 +139,33 @@ def test_fueter_appell_match_examples():
 
     spec1 = SequenceSpec.builtin(3, 1, 2)
     assert check_fueter_appell_match(spec1, 2).all_passed
+
+
+@pytest.mark.parametrize("m, k, n_max", [(3, 0, 3), (3, 1, 2), (5, 1, 1)])
+def test_fueter_compare_equals_the_separate_checks(m, k, n_max):
+    spec = SequenceSpec.builtin(m, k, n_max)
+    threshold = 2 * k + m - 1
+    expected = check_fueter_vanishing(spec.pk, k)
+    for n in range(n_max + 1):
+        expected.extend(check_fueter_identity(threshold + n, spec.pk, k))
+    for n in range(n_max + 1):
+        expected.extend(check_fueter_appell_match(spec, n))
+    assert fueter_compare(spec).to_json() == expected.to_json()
+
+
+def test_fueter_compare_negative_control(monkeypatch):
+    # one corrupted image must fail both checks that read it, and nothing else
+    spec = SequenceSpec.builtin(3, 1, 2)
+    threshold, bad = 2 * 1 + 3 - 1, 1
+    original = fueter.fueter_map
+
+    def corrupted(n, pk, k):
+        image = original(n, pk, k)
+        return image + ONE3 if n == threshold + bad else image
+
+    monkeypatch.setattr(fueter, "fueter_map", corrupted)
+    entries = fueter_compare(spec).entries
+    failed = [(e.identity, e.params["n"]) for e in entries if not e.passed]
+    assert failed == [("fueter_ck_identity", threshold + bad), ("fueter_appell_match", bad)]
+    assert all(e.witness for e in entries if not e.passed)
+    assert len(entries) == threshold + 2 * (spec.n_max + 1)

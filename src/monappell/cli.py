@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import MonappellError
@@ -82,6 +83,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def json_text(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2), byte for byte, for dicts with str keys,
+    lists, str, int, bool and None; any other leaf goes to json.dumps.
+
+    The stdlib's C encoder is used only without indent, so an indented dump
+    runs its pure-Python generators; here each container is one str.join.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{encode_basestring_ascii(k)}: {json_text(v, inner)}" for k, v in value.items())
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = (json_text(v, inner) for v in value)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return json.dumps(value)
+
+
 def _resolve_spec(args, parser) -> SequenceSpec:
     try:
         pk = InitialTermSpec(m=args.m, k=args.k, source=args.pk).resolve()
@@ -102,7 +130,7 @@ def _output_dir(args) -> Path | None:
 def _emit_report(report: VerificationReport, args, extra: dict | None = None) -> int:
     outdir = _output_dir(args) if hasattr(args, "output_dir") else None
     if args.format == "json" or outdir is not None:
-        text = json.dumps({**(extra or {}), **report.to_json()}, indent=2)
+        text = json_text({**(extra or {}), **report.to_json()})
     if args.format == "json":
         print(text)
     else:
@@ -117,16 +145,19 @@ def _emit_report(report: VerificationReport, args, extra: dict | None = None) ->
 
 def cmd_generate(args, parser) -> int:
     spec = _resolve_spec(args, parser)
+    outdir = _output_dir(args)
     terms = generate_sequence(spec)
+    if args.format == "json" or outdir is not None:
+        dicts = [term.to_json_dict() for term in terms]
     if args.format == "json":
         payload = {
             "m": spec.m,
             "k": spec.k,
             "n_max": spec.n_max,
             "initial_term": spec.pk.to_json_dict(),
-            "terms": [term.to_json_dict() for term in terms],
+            "terms": dicts,
         }
-        print(json.dumps(payload, indent=2))
+        print(json_text(payload))
     elif args.format == "latex":
         for n in range(spec.n_max + 1):
             rendered = collected_term_latex(spec.m, spec.k, n, spec.pk if spec.k else None)
@@ -134,11 +165,9 @@ def cmd_generate(args, parser) -> int:
     else:
         for n, term in enumerate(terms):
             print(f"n={n}: {term}")
-    outdir = _output_dir(args)
     if outdir is not None:
-        for n, term in enumerate(terms):
-            path = outdir / f"term_{n}.json"
-            path.write_text(json.dumps(term.to_json_dict(), indent=2) + "\n")
+        for n, data in enumerate(dicts):
+            (outdir / f"term_{n}.json").write_text(json_text(data) + "\n")
     return 0
 
 
@@ -170,6 +199,11 @@ def cmd_validate_pk(args, parser) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact numbers are read and written in full: lift CPython's limit on
+    # int <-> str conversions (4300 digits from 3.10.7 on) for this run.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args, parser)
     except MonappellError as exc:
@@ -178,6 +212,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

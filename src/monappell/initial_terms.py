@@ -57,10 +57,13 @@ def validate_initial_term(p: CliffordPolynomial, k: int) -> VerificationReport:
 
 
 def load_initial_term(path: str | Path) -> CliffordPolynomial:
-    """Read a polynomial from the JSON interchange schema."""
+    """Read a polynomial from the JSON interchange schema; input nested too
+    deeply to decode or describe raises ValueError."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    return CliffordPolynomial.from_json_dict(data)
+        try:
+            return CliffordPolynomial.from_json_dict(json.load(handle))
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
 
 
 @dataclass

@@ -77,7 +77,13 @@ def _collect(context: AlgebraContext, contributions, denominator: int) -> Cliffo
 
 
 def _exponents(exps, m: int, field: str) -> tuple[int, ...]:
-    """exps as a tuple of m+1 non-negative integers, or ValueError naming the field."""
+    """exps as a tuple of m+1 non-negative integers, or ValueError naming the field.
+
+    A list or tuple of m+1 exact non-negative ints passes in one check;
+    anything else takes the entry-by-entry path that names the fault."""
+    if type(exps) in (list, tuple) and len(exps) == m + 1:
+        if all(type(a) is int and a >= 0 for a in exps):
+            return tuple(exps)
     exps = require_shape(exps, (list, tuple), field)
     exps = tuple(require_int(a, f"{field} entry") for a in exps)
     if len(exps) != m + 1 or any(a < 0 for a in exps):
@@ -174,12 +180,12 @@ class CliffordPolynomial:
 
     def _grouped(self):
         """(exps, [(mask, numerator), ...]) in graded-lex monomial order,
-        blades of each monomial by grade, then mask."""
+        blades of each monomial by grade, then mask; one sort over the keys."""
+        nums = self.numerators
         groups: dict[tuple[int, ...], list] = {}
-        for (exps, mask), q in self.numerators.items():
-            groups.setdefault(exps, []).append((mask, q))
-        for exps in sorted(groups, key=grlex_key):
-            yield exps, sorted(groups[exps], key=lambda b: (b[0].bit_count(), b[0]))
+        for key in sorted(nums, key=_term_key):
+            groups.setdefault(key[0], []).append((key[1], nums[key]))
+        return groups.items()
 
     def _coefficient_of(self, blades: list) -> Multivector:
         den = self.denominator
@@ -320,12 +326,16 @@ class CliffordPolynomial:
         return sorted({exps for exps, _ in self.numerators}, key=grlex_key)
 
     def to_json_dict(self) -> dict:
-        """Interchange schema: {"m": m, "terms": [{"exps": [...], "coeff": [...]}]}."""
+        """Interchange schema: {"m": m, "terms": [{"exps": [...], "coeff":
+        [{"blade": [...], "q": "num/den"}, ...]}, ...]}, monomials graded-lex,
+        blades by grade then mask, each "q" reduced.  The generator indices
+        of each distinct mask are found once; every entry gets its own list."""
+        indices = {mask: mask_to_indices(mask) for mask in {mask for _, mask in self.numerators}}
         terms = [
             {
                 "exps": list(exps),
                 "coeff": [
-                    {"blade": list(mask_to_indices(mask)), "q": self._ratio_text(q)}
+                    {"blade": list(indices[mask]), "q": self._ratio_text(q)}
                     for mask, q in blades
                 ],
             }
@@ -338,7 +348,8 @@ class CliffordPolynomial:
         """Read the interchange schema strictly: the top level and each term
         and coeff entry must be objects, "terms", "exps", "coeff" and "blade"
         lists, "m", "exps" and "blade" entries JSON integers and "q" a string
-        "int" or "int/int"; anything else raises ValueError naming the field."""
+        "int" or "int/int"; anything else raises ValueError naming the field.
+        A well-formed "exps" list passes in one check (see `_exponents`)."""
         m, terms = require_fields(data, "top level", "m", "terms")
         context = AlgebraContext(require_int(m, '"m"'))
         coeffs = []

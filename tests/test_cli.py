@@ -166,6 +166,17 @@ def test_output_dir_writes_terms(tmp_path, capsys):
     assert decoded == generate_sequence(SequenceSpec.builtin(2, 0, 2))[2]
 
 
+@pytest.mark.parametrize("command", ["generate", "verify"])
+def test_unusable_output_dir_fails_before_printing(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = [command, "--m", "2", "--k", "1", "--n-max", "1", "--output-dir", str(blocker / "sub")]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: NotADirectoryError")
+
+
 def test_output_dir_from_environment(tmp_path, capsys, monkeypatch):
     outdir = tmp_path / "env_artifacts"
     monkeypatch.setenv(ENV_OUTPUT_DIR, str(outdir))

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -110,6 +111,22 @@ def json_text(value, pad: str = "") -> str:
     return json.dumps(value)
 
 
+@contextmanager
+def _results_in_full():
+    """Lift CPython's limit on int <-> str conversions (4300 digits from
+    3.10.7 on) while results are computed and printed.  Input is read
+    before, under the limit, so a longer number in a file is a usage error;
+    only results built from accepted numbers can pass the limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _resolve_spec(args, parser) -> SequenceSpec:
     try:
         pk = InitialTermSpec(m=args.m, k=args.k, source=args.pk).resolve()
@@ -145,45 +162,49 @@ def _emit_report(report: VerificationReport, args, extra: dict | None = None) ->
 
 def cmd_generate(args, parser) -> int:
     spec = _resolve_spec(args, parser)
-    outdir = _output_dir(args)
-    terms = generate_sequence(spec)
-    if args.format == "json" or outdir is not None:
-        dicts = [term.to_json_dict() for term in terms]
-    if args.format == "json":
-        payload = {
-            "m": spec.m,
-            "k": spec.k,
-            "n_max": spec.n_max,
-            "initial_term": spec.pk.to_json_dict(),
-            "terms": dicts,
-        }
-        print(json_text(payload))
-    elif args.format == "latex":
-        for n in range(spec.n_max + 1):
-            rendered = collected_term_latex(spec.m, spec.k, n, spec.pk if spec.k else None)
-            print(f"n={n}: {rendered}")
-    else:
-        for n, term in enumerate(terms):
-            print(f"n={n}: {term}")
-    if outdir is not None:
-        for n, data in enumerate(dicts):
-            (outdir / f"term_{n}.json").write_text(json_text(data) + "\n")
+    with _results_in_full():
+        outdir = _output_dir(args)
+        terms = generate_sequence(spec)
+        if args.format == "json" or outdir is not None:
+            dicts = [term.to_json_dict() for term in terms]
+        if args.format == "json":
+            payload = {
+                "m": spec.m,
+                "k": spec.k,
+                "n_max": spec.n_max,
+                "initial_term": spec.pk.to_json_dict(),
+                "terms": dicts,
+            }
+            print(json_text(payload))
+        elif args.format == "latex":
+            for n in range(spec.n_max + 1):
+                rendered = collected_term_latex(spec.m, spec.k, n, spec.pk if spec.k else None)
+                print(f"n={n}: {rendered}")
+        else:
+            for n, term in enumerate(terms):
+                print(f"n={n}: {term}")
+        if outdir is not None:
+            for n, data in enumerate(dicts):
+                (outdir / f"term_{n}.json").write_text(json_text(data) + "\n")
     return 0
 
 
 def cmd_verify(args, parser) -> int:
     spec = _resolve_spec(args, parser)
-    terms = generate_sequence(spec)
-    report = verify_sequence(spec, terms)
-    report.extend(verify_axial(spec, terms))
-    report.extend(run_identity_suites(spec.m, args.seed, args.cases))
-    return _emit_report(report, args, extra={"seed": args.seed})
+    with _results_in_full():
+        terms = generate_sequence(spec)
+        report = verify_sequence(spec, terms)
+        report.extend(verify_axial(spec, terms))
+        report.extend(run_identity_suites(spec.m, args.seed, args.cases))
+        return _emit_report(report, args, extra={"seed": args.seed})
 
 
 def cmd_fueter_compare(args, parser) -> int:
     if args.m % 2 == 0:
         parser.error("fueter-compare requires an odd dimension m")
-    return _emit_report(fueter_compare(_resolve_spec(args, parser)), args)
+    spec = _resolve_spec(args, parser)
+    with _results_in_full():
+        return _emit_report(fueter_compare(spec), args)
 
 
 def cmd_validate_pk(args, parser) -> int:
@@ -193,17 +214,13 @@ def cmd_validate_pk(args, parser) -> int:
         candidate = load_initial_term(args.file)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         parser.error(f"cannot read initial term: {exc}")
-    return _emit_report(validate_initial_term(candidate, args.k), args)
+    with _results_in_full():
+        return _emit_report(validate_initial_term(candidate, args.k), args)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Exact numbers are read and written in full: lift CPython's limit on
-    # int <-> str conversions (4300 digits from 3.10.7 on) for this run.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
     try:
         return args.func(args, parser)
     except MonappellError as exc:
@@ -212,9 +229,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -4,13 +4,14 @@ extreme input."""
 
 import io
 import json
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from monappell.algebra import AlgebraContext
 from monappell.cli import json_text, main
@@ -40,17 +41,18 @@ json_values = st.recursive(
 
 
 @given(json_values)
+@example([])
+@example({})
+@example([[]])
+@example({"": {}})
+@example({"a": [{}]})
+@example([[[[[[[[[[[[1]]]]]]]]]]]])
 def test_json_text_matches_the_stdlib(value):
     assert json_text(value) == json.dumps(value, indent=2)
 
 
 @given(st.floats() | st.tuples(st.integers(), texts))
 def test_json_text_other_leaves_match_the_stdlib(value):
-    assert json_text(value) == json.dumps(value, indent=2)
-
-
-@pytest.mark.parametrize("value", [[], {}, [[]], {"": {}}, [[[[[[[[[[[[1]]]]]]]]]]]], {"a": [{}]}])
-def test_json_text_empty_and_nested_containers(value):
     assert json_text(value) == json.dumps(value, indent=2)
 
 
@@ -191,7 +193,7 @@ def _pk_text(edit):
     """The built-in degree-1 term for m=3 as JSON text, after edit(data)."""
     data = builtin_initial_term(CTX3, 1).to_json_dict()
     edit(data)
-    return json.dumps(data)
+    return _spliced(data)
 
 
 def _set(path, value):
@@ -216,10 +218,12 @@ def _set(path, value):
         ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
         ('{"m": 3, "terms": ' + "[" * 100_000 + "]" * 100_000 + "}", "nested too deeply"),
         ('{"m": 3, "terms": [{"coeff": [], "exps": ' + "[" * 500 + "]" * 500 + "}]}", '"exps"'),
+        (_pk_text(_set(("terms", 0, "exps"), [0, BIG, 0, 0])), "4300 digits"),
+        (_pk_text(_set(("terms", 0, "coeff", 0, "q"), f"{BIG}/3")), "4300 digits"),
     ],
     ids=[
         "exps-bool", "exps-negative", "exps-short", "blade-bool", "blade-bool-pair",
-        "deep-top-level", "deep-terms", "nested-exps",
+        "deep-top-level", "deep-terms", "nested-exps", "exps-5000-digits", "q-5000-digits",
     ],
 )
 def test_extreme_interchange_input_is_a_usage_error(content, message):
@@ -229,13 +233,23 @@ def test_extreme_interchange_input_is_a_usage_error(content, message):
         assert message in err
 
 
-def test_exact_witnesses_of_any_size_are_printed():
-    """A 5000-digit exponent and coefficient: the report prints them in full,
-    though CPython refuses str() of such ints by default."""
-    term = {"exps": [0, BIG, 0, 0], "coeff": [{"blade": [], "q": f"{BIG}/3"}]}
-    text = _spliced({"m": 3, "terms": [term]})
-    code, err = _run_on_file(["validate-pk", "--file", "FILE", "--k", "1"], text)
-    assert (code, err) == (1, "")
+def test_results_past_the_digit_limit_are_printed(tmp_path):
+    """Coefficients 1/a and 1/b with 2501-digit a, b = 10^2500 + 1, + 3 are
+    read under CPython's 4300-digit int <-> str limit; the Dirac witness
+    -(a+b)/(ab) has the 5001-digit denominator 10^5000 + 4*10^2500 + 3 and
+    is printed in full, and the limit is back in force afterwards."""
+    a, b = 10**2500 + 1, 10**2500 + 3
+    terms = [
+        {"exps": [0, 1, 0, 0], "coeff": [{"blade": [1], "q": f"1/{a}"}]},
+        {"exps": [0, 0, 1, 0], "coeff": [{"blade": [2], "q": f"1/{b}"}]},
+    ]
+    path = tmp_path / "pk.json"
+    path.write_text(json.dumps({"m": 3, "terms": terms}))
+    limit = sys.get_int_max_str_digits()
+    code, out = _cli_output(["validate-pk", "--file", str(path), "--k", "1"])
+    assert code == 1
+    assert "1" + "0" * 2499 + "4" + "0" * 2499 + "3" in out
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_blades_are_checked_in_every_entry():

@@ -18,6 +18,7 @@ from .coefficients import (
 from .errors import (
     ArgumentTooSmallError,
     ContextMismatchError,
+    DegreeLimitError,
     DependsOnX0Error,
     DimensionTooSmallError,
     EvenDimensionError,

@@ -20,6 +20,7 @@ point is used anywhere.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -33,11 +34,23 @@ Scalar = int | Fraction
 
 _ZERO = Fraction(0)
 
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel = _SHORT.maxtuple = _SHORT.maxlist = _SHORT.maxdict = 80
+_SHORT.maxstring = _SHORT.maxlong = _SHORT.maxother = 80
+
+
+def short_repr(value) -> str:
+    """repr(value), cut to at most 80 characters: a rejected input value can
+    be as large as the file it came from, and a message shows only its start."""
+    text = _SHORT.repr(value)
+    return text if len(text) <= 80 else text[:76] + " ..."
+
+
 def require_int(value, field: str) -> int:
     """Return value if it is a real integer (not a bool or a float), else
     raise ValueError naming the field."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
+        raise ValueError(f"{field} must be an integer, got {short_repr(value)}")
     return value
 
 
@@ -45,7 +58,7 @@ def require_exact(value, field: str) -> Scalar:
     """Return value if it is an int or a Fraction (not a bool or a float),
     else raise ValueError naming the field."""
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise ValueError(f"{field} must be an int or a Fraction, got {value!r}")
+        raise ValueError(f"{field} must be an int or a Fraction, got {short_repr(value)}")
     return value
 
 
@@ -54,7 +67,7 @@ def require_shape(value, kind, field: str):
     for a JSON object), else raise ValueError naming the field."""
     if not isinstance(value, kind):
         shape = "an object" if kind is dict else "a list"
-        raise ValueError(f"{field} must be {shape}, got {value!r}")
+        raise ValueError(f"{field} must be {shape}, got {short_repr(value)}")
     return value
 
 
@@ -82,9 +95,9 @@ def parse_rational(text, field: str) -> Fraction:
     num, slash, den = text.partition("/") if isinstance(text, str) else ("", "", "")
     digits = num[1:] if num[:1] in ("+", "-") else num
     if not all(s.isascii() and s.isdigit() for s in (digits, den if slash else "1")):
-        raise ValueError(f'{field} must be a string "int" or "int/int", got {text!r}')
+        raise ValueError(f'{field} must be a string "int" or "int/int", got {short_repr(text)}')
     if slash and not int(den):
-        raise ValueError(f"{field} has a zero denominator: {text!r}")
+        raise ValueError(f"{field} has a zero denominator: {short_repr(text)}")
     return Fraction(int(num), int(den or 1))
 
 
@@ -115,7 +128,7 @@ def indices_to_mask(indices: list[int] | tuple[int, ...], m: int) -> int:
     mask = 0
     for j in require_shape(indices, (list, tuple), '"blade"'):
         if not 1 <= require_int(j, "blade index") <= m:
-            raise ValueError(f"generator index {j} out of range 1..{m}")
+            raise ValueError(f"generator index {short_repr(j)} out of range 1..{m}")
         bit = 1 << (j - 1)
         if mask & bit:
             raise ValueError(f"repeated generator index {j}")

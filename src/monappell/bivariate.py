@@ -14,9 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import AlgebraContext, Scalar
-from .polynomials import CliffordPolynomial, radius_squared
+from .polynomials import CliffordPolynomial, key_layout, radius_squared
 
 _PLANE = AlgebraContext(1)
+_DECODE = key_layout(1).decode
 _T = CliffordPolynomial.variable(_PLANE, 1)
 
 
@@ -55,7 +56,7 @@ class BivariatePoly:
     def terms(self) -> dict[tuple[int, int], Fraction]:
         """{(a, l): Fraction} view of the coefficients, rebuilt on every access."""
         den = self._poly.denominator
-        return {exps: Fraction(q, den) for (exps, _), q in self._poly.numerators.items()}
+        return {_DECODE(key)[0]: Fraction(q, den) for key, q in self._poly.numerators.items()}
 
     def is_zero(self) -> bool:
         return self._poly.is_zero()

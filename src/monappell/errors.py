@@ -41,5 +41,10 @@ class EvenDimensionError(MonappellError):
     """The Fueter map implemented here requires an odd dimension."""
 
 
+class DegreeLimitError(MonappellError, ValueError):
+    """A monomial degree reaches the limit of the packed exponent fields; a
+    ValueError too, like every other rejected input value."""
+
+
 class ArgumentTooSmallError(MonappellError):
     """Index below the threshold where the Fueter factor is defined."""

@@ -15,7 +15,7 @@ from pathlib import Path
 from .algebra import AlgebraContext
 from .errors import DimensionTooSmallError, InvalidInitialTermError
 from .operators import dirac, require_initial_term
-from .polynomials import CliffordPolynomial, degree_witness, grlex_key, unit_exps
+from .polynomials import CliffordPolynomial, degree_witness, unit_exps
 from .report import VerificationReport
 
 BUILTIN_SOURCE = "builtin"
@@ -45,7 +45,7 @@ def validate_initial_term(p: CliffordPolynomial, k: int) -> VerificationReport:
 
     x0_witness = None
     if p.depends_on_x0():
-        bad = min((e for e, _ in p.numerators if e[0]), key=grlex_key)
+        bad = (p - p.restrict_x0()).sorted_exps()[0]  # the first monomial with x_0
         x0_witness = f"monomial {list(bad)} involves x_0"
     report.add("initial_term_x0_free", params, not p.depends_on_x0(), x0_witness)
 

@@ -14,7 +14,14 @@ from .errors import (
     NonVectorInputError,
     NotMonogenicError,
 )
-from .polynomials import CliffordPolynomial, _collect, _normalized, vector_power
+from .polynomials import (
+    FIELD_MASK,
+    CliffordPolynomial,
+    _collect,
+    _normalized,
+    key_layout,
+    vector_power,
+)
 
 
 def _dirac_terms(numerators: dict, m: int):
@@ -23,13 +30,26 @@ def _dirac_terms(numerators: dict, m: int):
     e_j e_A = (-1)^s e_(A xor j), where s counts the generators of A with
     index at most j (the swaps past smaller ones, and e_j^2 = -1).
     """
-    generators = [(j, 1 << (j - 1), (1 << j) - 1) for j in range(1, m + 1)]
-    for (exps, mask), q in numerators.items():
-        for j, bit, upto in generators:
-            a = exps[j]
+    layout = key_layout(m)
+    generators = [
+        (layout.shifts[j], layout.units[j], 1 << (j - 1), (1 << j) - 1) for j in range(1, m + 1)
+    ]
+    for key, q in numerators.items():
+        for shift, unit, bit, upto in generators:
+            a = key >> shift & FIELD_MASK
             if a:
-                lowered = exps[:j] + (a - 1,) + exps[j + 1 :]
-                yield (lowered, mask ^ bit), (-a * q if (mask & upto).bit_count() & 1 else a * q)
+                yield (key - unit) ^ bit, (-a * q if (key & upto).bit_count() & 1 else a * q)
+
+
+def _laplacian_terms(numerators: dict, m: int):
+    """Contributions of the Laplacian: d^2/dx_i^2 of each term, for i = 0..m."""
+    layout = key_layout(m)
+    variables = [(shift, 2 * unit) for shift, unit in zip(layout.shifts, layout.units)]
+    for key, q in numerators.items():
+        for shift, step in variables:
+            a = key >> shift & FIELD_MASK
+            if a > 1:
+                yield key - step, a * (a - 1) * q
 
 
 def dirac(p: CliffordPolynomial) -> CliffordPolynomial:
@@ -50,13 +70,7 @@ def conj_cauchy_riemann(p: CliffordPolynomial) -> CliffordPolynomial:
 def laplacian(p: CliffordPolynomial) -> CliffordPolynomial:
     """Laplacian in all m+1 variables; factors as the product of the
     Cauchy-Riemann operator with its conjugate."""
-    contributions = (
-        ((exps[:i] + (a - 2,) + exps[i + 1 :], mask), a * (a - 1) * q)
-        for (exps, mask), q in p.numerators.items()
-        for i, a in enumerate(exps)
-        if a > 1
-    )
-    return _collect(p.context, contributions, p.denominator)
+    return _collect(p.context, _laplacian_terms(p.numerators, p.context.m), p.denominator)
 
 
 def hypercomplex_derivative(p: CliffordPolynomial, *, check: bool = True) -> CliffordPolynomial:
@@ -73,7 +87,8 @@ def hypercomplex_derivative(p: CliffordPolynomial, *, check: bool = True) -> Cli
 
 def check_leibniz_scalar(phi: CliffordPolynomial, g: CliffordPolynomial) -> bool:
     """Product rule dirac(phi g) = dirac(phi) g + phi dirac(g) for scalar phi."""
-    if any(mask for _, mask in phi.numerators):
+    mask_bits = key_layout(phi.context.m).mask_bits
+    if any(key & mask_bits for key in phi.numerators):
         raise NonScalarInputError("left factor must have grade-0 coefficients")
     phi._require_same_context(g)
     lhs = dirac(phi * g)
@@ -84,10 +99,12 @@ def check_leibniz_scalar(phi: CliffordPolynomial, g: CliffordPolynomial) -> bool
 def vector_components(f: CliffordPolynomial) -> list[CliffordPolynomial]:
     """Split a grade-1 polynomial sum_j f_j e_j into its scalar components f_j."""
     comps: list[dict] = [{} for _ in range(f.context.m)]
-    for (exps, mask), q in f.numerators.items():
+    mask_bits = key_layout(f.context.m).mask_bits
+    for key, q in f.numerators.items():
+        mask = key & mask_bits
         if mask.bit_count() != 1:
             raise NonVectorInputError("coefficients must be grade 1")
-        comps[mask.bit_length() - 1][exps, 0] = q
+        comps[mask.bit_length() - 1][key - mask] = q
     return [_normalized(f.context, comp, f.denominator) for comp in comps]
 
 

@@ -4,21 +4,26 @@ The variables are real and therefore central; coefficients sit on the
 left of the monomials, which is the convention every left-acting
 operator in this package relies on.
 
-A polynomial is stored flat: integer numerators keyed by (exps, mask),
-the exponent tuple (a_0, ..., a_m) and the blade bit mask, over one
-positive denominator.  The form is canonical (no zero numerator, no
-factor common to all numerators and the denominator, denominator 1 for
-zero), so equality is literal.  Every result is built by `_collect`
-(integer contributions summed by `algebra.accumulate`) or `_normalized`;
-Fractions appear only at the API boundary.  Serialization
-orders monomials graded-lexicographically.
+A polynomial is stored flat: integer numerators over one positive
+denominator, keyed by one packed int per (monomial, blade) (see
+`KeyLayout`), so a product key is an int addition and a derivative a
+subtraction.  Every monomial degree stays below DEGREE_LIMIT, so no
+exponent carries into the next field: the constructor, `from_json_dict`
+and every product check it.
+
+The form is canonical (no zero numerator, no factor common to all
+numerators and the denominator, denominator 1 for zero), so equality is
+literal.  Every result is built by `_collect` (integer contributions
+summed by `algebra.accumulate`) or `_normalized`; Fractions and exponent
+tuples appear only at the API boundary.  Serialization orders monomials
+graded-lexicographically.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm, prod
-from operator import add, neg
 from typing import Iterable
 
 from .algebra import (
@@ -34,20 +39,63 @@ from .algebra import (
     require_fields,
     require_int,
     require_shape,
+    short_repr,
 )
-from .errors import ContextMismatchError
+from .errors import ContextMismatchError, DegreeLimitError
+
+FIELD_BITS = 16
+FIELD_MASK = (1 << FIELD_BITS) - 1
+DEGREE_LIMIT = 1 << FIELD_BITS  # every monomial degree stays below this
 
 
-def grlex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Graded lexicographic sort key: total degree first, then lexicographic
-    with x_0 > x_1 > ... > x_m (so x_0-heavy monomials print first)."""
-    return (sum(exps), tuple(map(neg, exps)))
+def _require_degree(degree: int, what: str) -> None:
+    """Raise DegreeLimitError unless degree fits the packed exponent fields."""
+    if degree >= DEGREE_LIMIT:
+        raise DegreeLimitError(f"{what} degree {degree} is not below the limit {DEGREE_LIMIT}")
 
 
-def _term_key(key: tuple[tuple[int, ...], int]):
-    """Order of (exps, mask) keys: graded-lex monomials, then blades by grade."""
-    exps, mask = key
-    return (grlex_key(exps), mask.bit_count(), mask)
+class KeyLayout:
+    """Packed term keys in m+1 variables: degree, then a_0, ..., a_m, then
+    the blade mask, from the highest bits down.
+
+    `shifts[i]` is the bit offset of the x_i field and `units[i]` the key
+    step of one power of x_i (its field plus the degree field), so
+    d/dx_i lowers a key by subtracting `units[i]`.
+    """
+
+    __slots__ = ("m", "mask_bits", "degree_shift", "shifts", "units", "_flip")
+
+    def __init__(self, m: int):
+        self.m = m
+        self.mask_bits = (1 << m) - 1
+        self.degree_shift = m + FIELD_BITS * (m + 1)
+        self.shifts = tuple(m + FIELD_BITS * (m - i) for i in range(m + 1))
+        self.units = tuple((1 << s) + (1 << self.degree_shift) for s in self.shifts)
+        self._flip = (1 << self.degree_shift) - 1 - self.mask_bits  # every exponent bit
+
+    def encode(self, exps: tuple[int, ...]) -> int:
+        """The key of the monomial x^exps (m+1 non-negative ints) with mask 0;
+        `encode(exps) | mask` is the key of x^exps e_mask."""
+        degree = sum(exps)
+        _require_degree(degree, "monomial")
+        key = degree
+        for a in exps:
+            key = key << FIELD_BITS | a
+        return key << self.m
+
+    def decode(self, key: int) -> tuple[tuple[int, ...], int]:
+        """(exps, mask) of a key."""
+        return tuple(key >> s & FIELD_MASK for s in self.shifts), key & self.mask_bits
+
+    def sort_key(self, key: int) -> tuple[int, int, int]:
+        """Graded-lex monomials (degree up, then x_0 > x_1 > ... > x_m), then
+        blades by grade, then mask: flipping the exponent bits makes the
+        larger exponents sort first within a degree."""
+        mask = key & self.mask_bits
+        return (key ^ self._flip) >> self.m, mask.bit_count(), mask
+
+
+key_layout = cache(KeyLayout)
 
 
 def unit_exps(m: int, i: int) -> tuple[int, ...]:
@@ -71,8 +119,8 @@ def _normalized(context: AlgebraContext, nums: dict, denominator: int) -> Cliffo
 
 
 def _collect(context: AlgebraContext, contributions, denominator: int) -> CliffordPolynomial:
-    """Sum integer contributions ((exps, mask), numerator) per key, over a
-    common denominator."""
+    """Sum integer contributions (key, numerator) per key, over a common
+    denominator."""
     return _normalized(context, accumulate(contributions), denominator)
 
 
@@ -87,54 +135,61 @@ def _exponents(exps, m: int, field: str) -> tuple[int, ...]:
     exps = require_shape(exps, (list, tuple), field)
     exps = tuple(require_int(a, f"{field} entry") for a in exps)
     if len(exps) != m + 1 or any(a < 0 for a in exps):
-        raise ValueError(f"{field} {list(exps)} is not {m + 1} non-negative integers")
+        raise ValueError(f"{field} {short_repr(list(exps))} is not {m + 1} non-negative integers")
     return exps
 
 
 def _from_fractions(context: AlgebraContext, coeffs: list) -> CliffordPolynomial:
-    """Convert [((exps, mask), Fraction), ...] into the flat form, once, at the
+    """Convert [(key, Fraction), ...] into the flat form, once, at the
     boundary; repeated keys are summed."""
     den = lcm(*(q.denominator for _, q in coeffs))
     numerators = [(key, q.numerator * (den // q.denominator)) for key, q in coeffs]
     return _collect(context, numerators, den)
 
 
-def _by_mask(numerators: dict) -> dict[int, list]:
+def _by_mask(numerators: dict, mask_bits: int) -> dict[int, list]:
+    """{mask: [(key without its mask, numerator), ...]}."""
     groups: dict[int, list] = {}
-    for (exps, mask), q in numerators.items():
-        groups.setdefault(mask, []).append((exps, q))
+    for key, q in numerators.items():
+        mask = key & mask_bits
+        groups.setdefault(mask, []).append((key - mask, q))
     return groups
 
 
-def _products(left: dict, right: dict):
+def _products(left: dict, right: dict, mask_bits: int):
     """Contributions of the product left * right, one blade product per pair
-    of masks; the left factor's blade stays on the left."""
-    rights = _by_mask(right)
-    for ma, xs in _by_mask(left).items():
+    of masks; the left factor's blade stays on the left.  Exponents and
+    degrees add as the keys add."""
+    rights = _by_mask(right, mask_bits)
+    for ma, xs in _by_mask(left, mask_bits).items():
         for mb, ys in rights.items():
             sign, mask = blade_product(ma, mb)
             for ea, qa in xs:
                 qa *= sign
+                ea += mask
                 for eb, qb in ys:
-                    yield (tuple(map(add, ea, eb)), mask), qa * qb
+                    yield ea + eb, qa * qb
 
 
 class CliffordPolynomial:
     """Sparse polynomial over R_{0,m} in the m+1 variables x_0..x_m.
 
-    `numerators` maps (exps, mask) to a nonzero int over the positive
-    `denominator`; the constructor takes the {exps: Multivector} form.
+    `numerators` maps packed (monomial, blade) keys (see `KeyLayout`) to
+    nonzero ints over the positive `denominator`; the constructor takes the
+    {exps: Multivector} form and rejects a monomial of degree DEGREE_LIMIT
+    or more with DegreeLimitError.
     """
 
     __slots__ = ("context", "numerators", "denominator")
 
     def __init__(self, context: AlgebraContext, terms: dict[tuple[int, ...], Multivector]):
+        encode = key_layout(context.m).encode
         coeffs = []
         for exps, coeff in terms.items():
-            exps = _exponents(exps, context.m, "exponent")
+            base = encode(_exponents(exps, context.m, "exponent"))
             if coeff.context != context:
                 raise ContextMismatchError("coefficient from a different algebra")
-            coeffs += [((exps, mask), q) for mask, q in coeff.terms.items()]
+            coeffs += [(base | mask, q) for mask, q in coeff.terms.items()]
         poly = _from_fractions(context, coeffs)
         self.context, self.numerators, self.denominator = context, poly.numerators, poly.denominator
 
@@ -178,14 +233,16 @@ class CliffordPolynomial:
         g = gcd(q, self.denominator)
         return f"{q // g}/{self.denominator // g}"
 
-    def _grouped(self):
+    def _grouped(self) -> list[tuple[tuple[int, ...], list]]:
         """(exps, [(mask, numerator), ...]) in graded-lex monomial order,
-        blades of each monomial by grade, then mask; one sort over the keys."""
-        nums = self.numerators
-        groups: dict[tuple[int, ...], list] = {}
-        for key in sorted(nums, key=_term_key):
-            groups.setdefault(key[0], []).append((key[1], nums[key]))
-        return groups.items()
+        blades of each monomial by grade, then mask; one sort over the keys,
+        one decode per distinct monomial."""
+        layout = key_layout(self.context.m)
+        m, mask_bits, nums = layout.m, layout.mask_bits, self.numerators
+        groups: dict[int, list] = {}
+        for key in sorted(nums, key=layout.sort_key):
+            groups.setdefault(key >> m, []).append((key & mask_bits, nums[key]))
+        return [(layout.decode(mono << m)[0], blades) for mono, blades in groups.items()]
 
     def _coefficient_of(self, blades: list) -> Multivector:
         den = self.denominator
@@ -228,8 +285,14 @@ class CliffordPolynomial:
     def __mul__(self, other):
         if isinstance(other, CliffordPolynomial):
             self._require_same_context(other)
+            a, b = self.numerators, other.numerators
+            layout = key_layout(self.context.m)
+            if a and b:  # degree is the top field: the largest key has the largest degree
+                _require_degree(
+                    (max(a) >> layout.degree_shift) + (max(b) >> layout.degree_shift), "product"
+                )
             den = self.denominator * other.denominator
-            return _collect(self.context, _products(self.numerators, other.numerators), den)
+            return _collect(self.context, _products(a, b, layout.mask_bits), den)
         if isinstance(other, Multivector):
             # right multiplication: coefficients pick up `other` on the right
             return self * CliffordPolynomial.constant(self.context, other)
@@ -274,31 +337,38 @@ class CliffordPolynomial:
         """Formal partial derivative with respect to x_i."""
         if not 0 <= i <= self.context.m:
             raise IndexError(f"variable index {i} out of range 0..{self.context.m}")
+        layout = key_layout(self.context.m)
+        shift, unit = layout.shifts[i], layout.units[i]
         nums = {}
-        for (exps, mask), q in self.numerators.items():
-            a = exps[i]
+        for key, q in self.numerators.items():
+            a = key >> shift & FIELD_MASK
             if a:
-                nums[exps[:i] + (a - 1,) + exps[i + 1 :], mask] = a * q
+                nums[key - unit] = a * q
         return _normalized(self.context, nums, self.denominator)
 
     def restrict_x0(self) -> CliffordPolynomial:
         """Substitute x_0 = 0."""
-        kept = {key: q for key, q in self.numerators.items() if not key[0][0]}
+        shift = key_layout(self.context.m).shifts[0]
+        kept = {key: q for key, q in self.numerators.items() if not key >> shift & FIELD_MASK}
         return _normalized(self.context, kept, self.denominator)
 
     def depends_on_x0(self) -> bool:
-        return any(exps[0] for exps, _ in self.numerators)
+        shift = key_layout(self.context.m).shifts[0]
+        return any(key >> shift & FIELD_MASK for key in self.numerators)
 
     def is_homogeneous(self, degree: int) -> bool:
         """True iff every monomial has the given total degree (vacuously for 0)."""
-        return all(sum(exps) == degree for exps, _ in self.numerators)
+        nums, shift = self.numerators, key_layout(self.context.m).degree_shift
+        return not nums or min(nums) >> shift == degree == max(nums) >> shift
 
     def total_degree(self) -> int:
         """Maximal total degree; -1 for the zero polynomial."""
-        return max((sum(exps) for exps, _ in self.numerators), default=-1)
+        nums = self.numerators
+        return max(nums) >> key_layout(self.context.m).degree_shift if nums else -1
 
     def homogeneous_component(self, degree: int) -> CliffordPolynomial:
-        kept = {key: q for key, q in self.numerators.items() if sum(key[0]) == degree}
+        shift = key_layout(self.context.m).degree_shift
+        kept = {key: q for key, q in self.numerators.items() if key >> shift == degree}
         return _normalized(self.context, kept, self.denominator)
 
     def coefficient(self, exps: Iterable[int]) -> Multivector:
@@ -310,27 +380,29 @@ class CliffordPolynomial:
         if len(values) != self.context.m + 1:
             raise ValueError(f"point must have {self.context.m + 1} coordinates")
         # over the common denominator den * prod_i d_i^(top_i), with v_i = n_i / d_i
-        origin = (0,) * len(values)
-        tops = [max((e[i] for e, _ in self.numerators), default=0) for i in range(len(values))]
+        decode = key_layout(self.context.m).decode
+        terms = [(*decode(key), q) for key, q in self.numerators.items()]
+        tops = [max((e[i] for e, _, _ in terms), default=0) for i in range(len(values))]
         contributions = []
-        for (exps, mask), q in self.numerators.items():
+        for exps, mask, q in terms:
             for v, a, top in zip(values, exps, tops):
                 q *= v.numerator**a * v.denominator ** (top - a)
-            contributions.append(((origin, mask), q))
+            contributions.append((mask, q))  # the key of the constant monomial is its mask
         den = self.denominator * prod(v.denominator**top for v, top in zip(values, tops))
-        return _collect(self.context, contributions, den).coefficient(origin)
+        return _collect(self.context, contributions, den).coefficient((0,) * len(values))
 
     # -- serialization ---------------------------------------------------
 
     def sorted_exps(self) -> list[tuple[int, ...]]:
-        return sorted({exps for exps, _ in self.numerators}, key=grlex_key)
+        return [exps for exps, _ in self._grouped()]
 
     def to_json_dict(self) -> dict:
         """Interchange schema: {"m": m, "terms": [{"exps": [...], "coeff":
         [{"blade": [...], "q": "num/den"}, ...]}, ...]}, monomials graded-lex,
         blades by grade then mask, each "q" reduced.  The generator indices
         of each distinct mask are found once; every entry gets its own list."""
-        indices = {mask: mask_to_indices(mask) for mask in {mask for _, mask in self.numerators}}
+        mask_bits = key_layout(self.context.m).mask_bits
+        indices = {mask: mask_to_indices(mask) for mask in {k & mask_bits for k in self.numerators}}
         terms = [
             {
                 "exps": list(exps),
@@ -349,16 +421,18 @@ class CliffordPolynomial:
         and coeff entry must be objects, "terms", "exps", "coeff" and "blade"
         lists, "m", "exps" and "blade" entries JSON integers and "q" a string
         "int" or "int/int"; anything else raises ValueError naming the field.
-        A well-formed "exps" list passes in one check (see `_exponents`)."""
+        A well-formed "exps" list passes in one check (see `_exponents`); one
+        of degree DEGREE_LIMIT or more raises DegreeLimitError."""
         m, terms = require_fields(data, "top level", "m", "terms")
         context = AlgebraContext(require_int(m, '"m"'))
+        encode = key_layout(context.m).encode
         coeffs = []
         for item in require_shape(terms, list, '"terms"'):
             exps, coeff = require_fields(item, '"terms" entry', "exps", "coeff")
-            exps = _exponents(exps, context.m, '"exps"')
+            base = encode(_exponents(exps, context.m, '"exps"'))
             for entry in require_shape(coeff, list, '"coeff"'):
                 blade, q = require_fields(entry, '"coeff" entry', "blade", "q")
-                key = (exps, indices_to_mask(blade, context.m))
+                key = base | indices_to_mask(blade, context.m)
                 coeffs.append((key, parse_rational(q, '"q"')))
         return _from_fractions(context, coeffs)
 
@@ -418,8 +492,9 @@ def first_difference(p: CliffordPolynomial, q: CliffordPolynomial) -> str | None
     diff = p - q
     if diff.is_zero():
         return None
-    key = min(diff.numerators, key=_term_key)
-    exps, mask = key
+    layout = key_layout(diff.context.m)
+    key = min(diff.numerators, key=layout.sort_key)
+    exps, mask = layout.decode(key)
     return (
         f"monomial {list(exps)}, blade {list(mask_to_indices(mask))}: "
         f"difference {diff._ratio_text(diff.numerators[key])}"
@@ -428,7 +503,9 @@ def first_difference(p: CliffordPolynomial, q: CliffordPolynomial) -> str | None
 
 def degree_witness(p: CliffordPolynomial, degree: int) -> str | None:
     """Describe the graded-lex-first monomial of p not of the given degree, or None."""
-    for exps in p.sorted_exps():
-        if sum(exps) != degree:
-            return f"monomial {list(exps)} has degree {sum(exps)}, expected {degree}"
-    return None
+    if p.is_homogeneous(degree):
+        return None
+    layout = key_layout(p.context.m)
+    shift = layout.degree_shift
+    key = min((key for key in p.numerators if key >> shift != degree), key=layout.sort_key)
+    return f"monomial {list(layout.decode(key)[0])} has degree {key >> shift}, expected {degree}"

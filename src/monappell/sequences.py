@@ -28,10 +28,11 @@ from .errors import ContextMismatchError, NotAxialFormError
 from .initial_terms import builtin_initial_term
 from .operators import dirac, require_initial_term
 from .polynomials import (
+    FIELD_MASK,
     CliffordPolynomial,
     _normalized,
-    _term_key,
     degree_witness,
+    key_layout,
     vector_power,
     vector_variable,
 )
@@ -175,9 +176,12 @@ def axial_decompose(p: CliffordPolynomial, k: int, pk: CliffordPolynomial) -> Ax
     profiles: tuple[dict, dict] = ({}, {})  # A, then b_reduced: {(j, half): h}
     # (power of x_0, degree of the x_0-free rest) -> that component, x_0 removed
     strata: dict[tuple[int, int], dict] = {}
-    for (exps, mask), q in p.numerators.items():
-        rest = (0,) + exps[1:]
-        strata.setdefault((exps[0], sum(rest)), {})[rest, mask] = q
+    layout = key_layout(ctx.m)
+    shift, unit, degree_shift = layout.shifts[0], layout.units[0], layout.degree_shift
+    for key, q in p.numerators.items():
+        j = key >> shift & FIELD_MASK
+        rest = key - j * unit
+        strata.setdefault((j, rest >> degree_shift), {})[rest] = q
     xv = vector_variable(ctx)
     references = [pk]  # x̲^i P_k, one factor x̲ more per entry
     for (j, degree), bucket in sorted(strata.items()):
@@ -198,8 +202,10 @@ def axial_decompose(p: CliffordPolynomial, k: int, pk: CliffordPolynomial) -> Ax
 
 
 def _scalar_ratio(target: CliffordPolynomial, reference: CliffordPolynomial) -> Fraction:
-    """The rational h with target = h * reference, or NotAxialFormError."""
-    pivot = min(reference.numerators, key=_term_key)
+    """The rational h with target = h * reference, or NotAxialFormError.
+    Any key of the nonzero reference serves as the pivot: the candidate h
+    is then checked on every term."""
+    pivot = min(reference.numerators)
     ratio = Fraction(
         target.numerators.get(pivot, 0) * reference.denominator,
         target.denominator * reference.numerators[pivot],

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from monappell import cli, fueter
+from monappell import cli, fueter, polynomials
 from monappell.algebra import AlgebraContext
 from monappell.cli import ENV_OUTPUT_DIR, main
 from monappell.initial_terms import builtin_initial_term
@@ -134,6 +134,16 @@ def test_internal_error_names_the_exception_type(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: TypeError: unsupported operand\n"
+
+
+def test_product_past_the_degree_limit_exits_two(capsys, monkeypatch):
+    """A product whose degree reaches the limit stops the run with exit 2
+    and names the limit; nothing is printed.  The limit is lowered here so
+    that a small run reaches it."""
+    monkeypatch.setattr(polynomials, "DEGREE_LIMIT", 4)
+    code, out, err = run_cli(capsys, ["generate", "--m", "3", "--k", "1", "--n-max", "5"])
+    assert (code, out) == (2, "")
+    assert "not below the limit 4" in err
 
 
 def test_usage_errors_exit_two():

@@ -2,10 +2,11 @@
 
 The reference below is the straightforward representation {exps: {mask:
 Fraction}} with one accumulate loop per operation.  It is kept here, in
-the tests only, as the oracle the flat (exps, mask) -> int kernel must
-agree with exactly.  Multivectors ({mask: Fraction}) and (x_0, t) profiles
-({(a, l): Fraction}), which both build their results through the shared
-accumulate kernel, are checked against plain dict-of-Fraction loops too.
+the tests only, as the oracle the flat kernel (an int numerator per
+packed (monomial, blade) key) must agree with exactly.  Multivectors
+({mask: Fraction}) and (x_0, t) profiles ({(a, l): Fraction}), which both
+build their results through the shared accumulate kernel, are checked
+against plain dict-of-Fraction loops too.
 """
 
 import copy
@@ -16,10 +17,18 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from monappell import polynomials as kernel
 from monappell.algebra import AlgebraContext, Multivector, blade_product
 from monappell.bivariate import BivariatePoly
 from monappell.operators import dirac, laplacian
-from monappell.polynomials import CliffordPolynomial, first_difference, vector_variable
+from monappell.errors import DegreeLimitError
+from monappell.polynomials import (
+    DEGREE_LIMIT,
+    CliffordPolynomial,
+    first_difference,
+    key_layout,
+    vector_variable,
+)
 from monappell.sequences import SequenceSpec, sequence_term_explicit
 from strategies import multivectors, polynomials, rationals
 
@@ -200,7 +209,7 @@ def test_corrupted_numerator_is_caught_with_a_witness():
     corrupted.numerators = dict(term.numerators)
     corrupted.numerators[key] += 1
     assert corrupted != term
-    exps, mask = key
+    exps, mask = key_layout(3).decode(key)
     witness = first_difference(corrupted, term)
     blade = [j + 1 for j in range(mask.bit_length()) if mask >> j & 1]
     delta = Fraction(1, term.denominator)
@@ -299,3 +308,95 @@ def test_evaluate_rejects_float_and_bool_coordinates(bad):
         BivariatePoly({(1, 0): 1}).evaluate(bad, 0)
     with pytest.raises(ValueError, match="point coordinate"):
         BivariatePoly({(0, 1): 1}).evaluate(0, bad)
+
+
+# -- packed keys: layout, order and the degree guard --------------------------
+
+
+def _exps_near_the_limit(m: int):
+    """m+1 small exponents, or ones whose total degree is DEGREE_LIMIT - 1,
+    the largest a key holds, with up to all of it in one field."""
+    small = st.lists(st.integers(0, 4), min_size=m + 1, max_size=m + 1)
+
+    def fill(pair):
+        exps, i = pair
+        exps[i] += DEGREE_LIMIT - 1 - sum(exps)
+        return exps
+
+    return small | st.tuples(small, st.integers(0, m)).map(fill)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_packed_keys_round_trip(data):
+    m = data.draw(st.integers(1, 16))
+    exps = tuple(data.draw(_exps_near_the_limit(m)))
+    mask = data.draw(st.integers(0, (1 << m) - 1))
+    layout = key_layout(m)
+    key = layout.encode(exps) | mask
+    assert layout.decode(key) == (exps, mask)
+    assert key >> layout.degree_shift == sum(exps)
+    for i, unit in enumerate(layout.units):
+        if exps[i]:
+            lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+            assert layout.decode(key - unit) == (lowered, mask)
+
+
+def _grlex_order(item):
+    """The order of (exps, mask) terms before keys were packed: graded-lex
+    monomials (x_0 > x_1 > ... > x_m), then blades by grade, then mask."""
+    exps, mask = item
+    return (sum(exps), tuple(-a for a in exps)), mask.bit_count(), mask
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_packed_key_order_is_the_graded_lex_order(data):
+    m = data.draw(st.integers(1, 6))
+    items = data.draw(
+        st.lists(
+            st.tuples(_exps_near_the_limit(m).map(tuple), st.integers(0, (1 << m) - 1)),
+            unique=True,
+            max_size=30,
+        )
+    )
+    layout = key_layout(m)
+    keys = [layout.encode(exps) | mask for exps, mask in items]
+    assert [layout.decode(key) for key in sorted(keys, key=layout.sort_key)] == sorted(
+        items, key=_grlex_order
+    )
+
+
+@pytest.mark.parametrize("exps", [(DEGREE_LIMIT, 0, 0, 0), (0, DEGREE_LIMIT // 2, 0, DEGREE_LIMIT // 2)])
+def test_monomial_at_the_degree_limit_is_rejected(exps):
+    ctx = AlgebraContext(3)
+    with pytest.raises(DegreeLimitError, match=f"limit {DEGREE_LIMIT}"):
+        CliffordPolynomial.monomial(ctx, exps, ctx.one())
+    below = tuple(a - 1 if a else 0 for a in exps)
+    assert list(CliffordPolynomial.monomial(ctx, below, ctx.one()).terms) == [below]
+
+
+def _half_powers():
+    ctx = AlgebraContext(3)
+    half = DEGREE_LIMIT // 2
+    return ctx, CliffordPolynomial.monomial(ctx, (0, half, 0, 0), ctx.one()), half
+
+
+def test_product_past_the_degree_limit_raises():
+    ctx, p, half = _half_powers()
+    q = CliffordPolynomial.monomial(ctx, (0, half - 1, 0, 0), ctx.e(1))
+    assert list((p * q).terms) == [(0, DEGREE_LIMIT - 1, 0, 0)]
+    with pytest.raises(DegreeLimitError, match=f"limit {DEGREE_LIMIT}"):
+        p * p
+    with pytest.raises(DegreeLimitError):
+        (p + CliffordPolynomial.one(ctx)) * p  # the highest degree counts, not the first term
+
+
+def test_product_guard_negative_control(monkeypatch):
+    """Without the guard, x_1^(L/2) * x_1^(L/2) overflows the x_1 field and
+    carries into x_0: the result reads as x_0, not as x_1^L."""
+    ctx, p, half = _half_powers()
+    monkeypatch.setattr(kernel, "DEGREE_LIMIT", 1 << 40)
+    product = p * p
+    assert list(product.terms) == [(1, 0, 0, 0)]
+    assert list(product.terms) != [(0, 2 * half, 0, 0)]

@@ -16,7 +16,7 @@ from hypothesis import example, given
 from monappell.algebra import AlgebraContext
 from monappell.cli import json_text, main
 from monappell.initial_terms import builtin_initial_term
-from monappell.polynomials import CliffordPolynomial
+from monappell.polynomials import DEGREE_LIMIT, CliffordPolynomial
 
 CTX3 = AlgebraContext(3)
 
@@ -220,10 +220,13 @@ def _set(path, value):
         ('{"m": 3, "terms": [{"coeff": [], "exps": ' + "[" * 500 + "]" * 500 + "}]}", '"exps"'),
         (_pk_text(_set(("terms", 0, "exps"), [0, BIG, 0, 0])), "4300 digits"),
         (_pk_text(_set(("terms", 0, "coeff", 0, "q"), f"{BIG}/3")), "4300 digits"),
+        (_pk_text(_set(("terms", 0, "exps"), [0, DEGREE_LIMIT, 0, 0])), f"limit {DEGREE_LIMIT}"),
+        (_pk_text(_set(("terms", 0, "exps"), [0, DEGREE_LIMIT - 1, 1, 0])), f"limit {DEGREE_LIMIT}"),
     ],
     ids=[
         "exps-bool", "exps-negative", "exps-short", "blade-bool", "blade-bool-pair",
         "deep-top-level", "deep-terms", "nested-exps", "exps-5000-digits", "q-5000-digits",
+        "exps-degree-limit", "exps-degree-limit-split",
     ],
 )
 def test_extreme_interchange_input_is_a_usage_error(content, message):
@@ -231,6 +234,17 @@ def test_extreme_interchange_input_is_a_usage_error(content, message):
         code, err = _run_on_file(argv, content)
         assert code == 2
         assert message in err
+
+
+def test_long_rejected_values_are_cut_short():
+    """A rejection message shows the start of the offending value, not all
+    of it: a 3000-entry "exps" list gives a short line naming the field."""
+    content = _pk_text(_set(("terms", 0, "exps"), list(range(3000))))
+    for argv in _readers(1):
+        code, err = _run_on_file(argv, content)
+        assert code == 2
+        assert '"exps" [0, 1, 2,' in err and "is not 4 non-negative integers" in err
+        assert len(err.encode()) < 400
 
 
 def test_results_past_the_digit_limit_are_printed(tmp_path):

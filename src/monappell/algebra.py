@@ -13,9 +13,9 @@ type, while polynomials (and the (x_0, t) profiles built on them) keep
 integer numerators over one denominator.  The map is kept canonical --
 zero coefficients are never stored -- so two multivectors are equal
 exactly when their term maps are equal.  `accumulate` is the one sparse
-"sum per key, drop zeros" loop of the package; Multivector arithmetic and
-the polynomial kernel both build their results with it.  No floating
-point is used anywhere.
+"sum per key, drop zeros" loop of the package and `_products` its one
+product loop; Multivector arithmetic and the polynomial kernel both build
+their results with them.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -80,6 +80,14 @@ def require_fields(value, field: str, *keys: str) -> tuple:
         raise ValueError(f'missing field "{exc.args[0]}" in {field}') from None
 
 
+def require_same_context(a, b) -> None:
+    """Raise ContextMismatchError unless a and b live in the same algebra."""
+    if a.context != b.context:
+        raise ContextMismatchError(
+            f"mixed algebra dimensions m={a.context.m} and m={b.context.m}"
+        )
+
+
 def accumulate(contributions: Iterable[tuple]) -> dict:
     """Sum (key, value) pairs per key and drop the keys whose sum is zero."""
     acc: dict = {}
@@ -116,6 +124,32 @@ def blade_product(a: int, b: int) -> tuple[int, int]:
     if (a & b).bit_count() & 1:
         sign = -sign
     return sign, a ^ b
+
+
+def _by_mask(terms: dict, mask_bits: int) -> dict[int, list]:
+    """{mask: [(key without its mask, value), ...]} for keys that carry a
+    blade mask in their low bits (a bare mask is the key of a multivector)."""
+    groups: dict[int, list] = {}
+    for key, q in terms.items():
+        mask = key & mask_bits
+        groups.setdefault(mask, []).append((key - mask, q))
+    return groups
+
+
+def _products(left: dict, right: dict, mask_bits: int):
+    """Contributions (key, value) of the product left * right, one blade
+    product per pair of masks; the left factor's blade stays on the left.
+    The rest of each key adds: exponents and degrees of packed polynomial
+    keys, nothing for the bare masks of a multivector."""
+    rights = _by_mask(right, mask_bits)
+    for ma, xs in _by_mask(left, mask_bits).items():
+        for mb, ys in rights.items():
+            sign, mask = blade_product(ma, mb)
+            for ea, qa in xs:
+                qa *= sign
+                ea += mask
+                for eb, qb in ys:
+                    yield ea + eb, qa * qb
 
 
 def mask_to_indices(mask: int) -> tuple[int, ...]:
@@ -201,12 +235,6 @@ class Multivector:
         out.context, out.terms = context, terms
         return out
 
-    def _require_same_context(self, other: Multivector) -> None:
-        if self.context != other.context:
-            raise ContextMismatchError(
-                f"mixed algebra dimensions m={self.context.m} and m={other.context.m}"
-            )
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -222,7 +250,7 @@ class Multivector:
     def __add__(self, other: Multivector) -> Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
-        self._require_same_context(other)
+        require_same_context(self, other)
         both = chain(self.terms.items(), other.terms.items())
         return Multivector._of(self.context, accumulate(both))
 
@@ -236,13 +264,8 @@ class Multivector:
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
-            self._require_same_context(other)
-            products = (
-                (mask, sign * qa * qb)
-                for ma, qa in self.terms.items()
-                for mb, qb in other.terms.items()
-                for sign, mask in (blade_product(ma, mb),)
-            )
+            require_same_context(self, other)
+            products = _products(self.terms, other.terms, self.context.blade_count - 1)
             return Multivector._of(self.context, accumulate(products))
         if isinstance(other, (int, Fraction)):
             return self._scaled(Fraction(other))

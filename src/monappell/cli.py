@@ -190,6 +190,8 @@ def cmd_generate(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    if args.cases < 0:
+        parser.error("cases must be non-negative")
     spec = _resolve_spec(args, parser)
     with _results_in_full():
         terms = generate_sequence(spec)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .algebra import Multivector, mask_to_indices
+from .algebra import Multivector, blade_label
 from .coefficients import expansion_coefficient
 from .polynomials import CliffordPolynomial
 
@@ -19,11 +19,7 @@ def fraction_latex(q: Fraction) -> str:
 
 
 def blade_latex(mask: int) -> str:
-    indices = mask_to_indices(mask)
-    if not indices:
-        return ""
-    sep = "," if indices[-1] > 9 else ""
-    return "e_{" + sep.join(str(j) for j in indices) + "}"
+    return "e_{" + blade_label(mask)[1:] + "}" if mask else ""
 
 
 def _scaled_latex(q: Fraction, body: str) -> str:

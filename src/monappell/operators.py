@@ -7,6 +7,7 @@ convention used throughout the package.
 
 from __future__ import annotations
 
+from .algebra import require_same_context
 from .coefficients import lowering_factor
 from .errors import (
     InvalidInitialTermError,
@@ -90,7 +91,7 @@ def check_leibniz_scalar(phi: CliffordPolynomial, g: CliffordPolynomial) -> bool
     mask_bits = key_layout(phi.context.m).mask_bits
     if any(key & mask_bits for key in phi.numerators):
         raise NonScalarInputError("left factor must have grade-0 coefficients")
-    phi._require_same_context(g)
+    require_same_context(phi, g)
     lhs = dirac(phi * g)
     rhs = dirac(phi) * g + phi * dirac(g)
     return lhs == rhs
@@ -114,7 +115,7 @@ def check_leibniz_vector(f: CliffordPolynomial, g: CliffordPolynomial) -> bool:
     dirac(f g) = dirac(f) g - f dirac(g) - 2 sum_j f_j d/dx_j g
     """
     comps = vector_components(f)
-    f._require_same_context(g)
+    require_same_context(f, g)
     lhs = dirac(f * g)
     rhs = dirac(f) * g - f * dirac(g)
     for j, fj in enumerate(comps, start=1):

@@ -30,14 +30,15 @@ from .algebra import (
     AlgebraContext,
     Multivector,
     Scalar,
+    _products,
     accumulate,
-    blade_product,
     indices_to_mask,
     mask_to_indices,
     parse_rational,
     require_exact,
     require_fields,
     require_int,
+    require_same_context,
     require_shape,
     short_repr,
 )
@@ -147,30 +148,6 @@ def _from_fractions(context: AlgebraContext, coeffs: list) -> CliffordPolynomial
     return _collect(context, numerators, den)
 
 
-def _by_mask(numerators: dict, mask_bits: int) -> dict[int, list]:
-    """{mask: [(key without its mask, numerator), ...]}."""
-    groups: dict[int, list] = {}
-    for key, q in numerators.items():
-        mask = key & mask_bits
-        groups.setdefault(mask, []).append((key - mask, q))
-    return groups
-
-
-def _products(left: dict, right: dict, mask_bits: int):
-    """Contributions of the product left * right, one blade product per pair
-    of masks; the left factor's blade stays on the left.  Exponents and
-    degrees add as the keys add."""
-    rights = _by_mask(right, mask_bits)
-    for ma, xs in _by_mask(left, mask_bits).items():
-        for mb, ys in rights.items():
-            sign, mask = blade_product(ma, mb)
-            for ea, qa in xs:
-                qa *= sign
-                ea += mask
-                for eb, qb in ys:
-                    yield ea + eb, qa * qb
-
-
 class CliffordPolynomial:
     """Sparse polynomial over R_{0,m} in the m+1 variables x_0..x_m.
 
@@ -250,18 +227,12 @@ class CliffordPolynomial:
 
     # -- ring structure ------------------------------------------------
 
-    def _require_same_context(self, other: CliffordPolynomial) -> None:
-        if self.context != other.context:
-            raise ContextMismatchError(
-                f"mixed algebra dimensions m={self.context.m} and m={other.context.m}"
-            )
-
     def is_zero(self) -> bool:
         return not self.numerators
 
     def _combined(self, other: CliffordPolynomial, sign: int) -> CliffordPolynomial:
         """self + sign * other over the least common denominator."""
-        self._require_same_context(other)
+        require_same_context(self, other)
         da, db = self.denominator, other.denominator
         den = lcm(da, db)
         sa, sb = den // da, sign * (den // db)
@@ -284,7 +255,7 @@ class CliffordPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, CliffordPolynomial):
-            self._require_same_context(other)
+            require_same_context(self, other)
             a, b = self.numerators, other.numerators
             layout = key_layout(self.context.m)
             if a and b:  # degree is the top field: the largest key has the largest degree

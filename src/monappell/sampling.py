@@ -10,22 +10,25 @@ from .errors import DimensionTooSmallError
 from .polynomials import CliffordPolynomial, unit_exps
 
 
-def random_rational(rng: random.Random, max_abs: int = 6, max_den: int = 4) -> Fraction:
-    return Fraction(rng.randint(-max_abs, max_abs), rng.randint(1, max_den))
+MAX_ABS, MAX_DEN = 6, 4  # numerators in -6..6 over denominators 1..4
+MULTIVECTOR_TERMS = 3
+POLYNOMIAL_TERMS, POLYNOMIAL_DEGREE = 4, 3
+
+
+def random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-MAX_ABS, MAX_ABS), rng.randint(1, MAX_DEN))
 
 
 def random_multivector(
-    rng: random.Random,
-    context: AlgebraContext,
-    max_terms: int = 3,
-    grades: tuple[int, ...] | None = None,
+    rng: random.Random, context: AlgebraContext, grades: tuple[int, ...] | None = None
 ) -> Multivector:
     if grades is None:
         masks = range(context.blade_count)
     else:
         masks = [mk for mk in range(context.blade_count) if mk.bit_count() in grades]
     draws = [
-        (rng.choice(list(masks)), random_rational(rng)) for _ in range(rng.randint(1, max_terms))
+        (rng.choice(list(masks)), random_rational(rng))
+        for _ in range(rng.randint(1, MULTIVECTOR_TERMS))
     ]
     return Multivector(context, accumulate(draws))
 
@@ -33,31 +36,29 @@ def random_multivector(
 def random_polynomial(
     rng: random.Random,
     context: AlgebraContext,
-    max_terms: int = 4,
-    max_degree: int = 3,
     include_x0: bool = True,
     grades: tuple[int, ...] | None = None,
 ) -> CliffordPolynomial:
     total = CliffordPolynomial.zero(context)
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, POLYNOMIAL_TERMS)):
         exps = [0] * (context.m + 1)
-        for _ in range(rng.randint(0, max_degree)):
+        for _ in range(rng.randint(0, POLYNOMIAL_DEGREE)):
             exps[rng.randint(0 if include_x0 else 1, context.m)] += 1
         coeff = random_multivector(rng, context, grades=grades)
         total = total + CliffordPolynomial(context, {tuple(exps): coeff})
     return total
 
 
-def random_scalar_polynomial(rng: random.Random, context: AlgebraContext, **kw) -> CliffordPolynomial:
-    return random_polynomial(rng, context, grades=(0,), **kw)
+def random_scalar_polynomial(rng: random.Random, context: AlgebraContext) -> CliffordPolynomial:
+    return random_polynomial(rng, context, grades=(0,))
 
 
-def random_vector_polynomial(rng: random.Random, context: AlgebraContext, **kw) -> CliffordPolynomial:
-    return random_polynomial(rng, context, grades=(1,), **kw)
+def random_vector_polynomial(rng: random.Random, context: AlgebraContext) -> CliffordPolynomial:
+    return random_polynomial(rng, context, grades=(1,))
 
 
-def random_x0_free_polynomial(rng: random.Random, context: AlgebraContext, **kw) -> CliffordPolynomial:
-    return random_polynomial(rng, context, include_x0=False, **kw)
+def random_x0_free_polynomial(rng: random.Random, context: AlgebraContext) -> CliffordPolynomial:
+    return random_polynomial(rng, context, include_x0=False)
 
 
 def random_initial_term(rng: random.Random, context: AlgebraContext, k: int) -> CliffordPolynomial:

@@ -217,18 +217,6 @@ def _scalar_ratio(target: CliffordPolynomial, reference: CliffordPolynomial) -> 
     return ratio
 
 
-def _vekua_residuals(pair: AxialPair) -> tuple[BivariatePoly, BivariatePoly]:
-    b = pair.b_reduced
-    first = (
-        pair.a.d_dx0()
-        - b
-        - 2 * b.d_dt().times_t()
-        - (2 * pair.k + pair.m - 1) * b
-    )
-    second = b.d_dx0() + 2 * pair.a.d_dt()
-    return first, second
-
-
 def vekua_check(pair: AxialPair) -> bool:
     """Vekua-type system for the axial profiles, written in (x_0, t):
 
@@ -240,7 +228,11 @@ def vekua_check(pair: AxialPair) -> bool:
 
 
 def vekua_witness(pair: AxialPair) -> str | None:
-    first, second = _vekua_residuals(pair)
+    """The residuals of the two Vekua equations (see `vekua_check`), or
+    None when both vanish."""
+    a, b = pair.a, pair.b_reduced
+    first = a.d_dx0() - b - 2 * b.d_dt().times_t() - (2 * pair.k + pair.m - 1) * b
+    second = b.d_dx0() + 2 * a.d_dt()
     if first.is_zero() and second.is_zero():
         return None
     return f"residuals: ({first}; {second})"

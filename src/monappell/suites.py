@@ -21,6 +21,8 @@ from .sampling import (
     random_x0_free_polynomial,
 )
 
+K_MAX, N_MAX = 2, 4  # the largest initial degree and power of the power-rule suite
+
 
 def _suite(names, m: int, seed: int, cases: int, check) -> VerificationReport:
     """Run check(rng, context), which returns one verdict per identity name,
@@ -56,12 +58,10 @@ def leibniz_vector_suite(m: int, seed: int, cases: int) -> VerificationReport:
     return _suite(["leibniz_vector"], m, seed, cases, check)
 
 
-def power_rule_suite(
-    m: int, seed: int, cases: int, k_max: int = 2, n_max: int = 4
-) -> VerificationReport:
+def power_rule_suite(m: int, seed: int, cases: int) -> VerificationReport:
     def check(rng, context):
-        k = rng.randint(0, k_max) if m >= 2 else 0
-        n = rng.randint(1, n_max)
+        k = rng.randint(0, K_MAX) if m >= 2 else 0
+        n = rng.randint(1, N_MAX)
         return [check_dirac_power_rule(n, random_initial_term(rng, context, k), k)]
 
     return _suite(["dirac_power_rule"], m, seed, cases, check)

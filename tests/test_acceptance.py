@@ -10,13 +10,8 @@ import pytest
 
 from monappell.algebra import AlgebraContext
 from monappell.ck import ck_extend, is_monogenic
-from monappell.fueter import (
-    check_fueter_appell_match,
-    check_fueter_identity,
-    check_fueter_vanishing,
-    fueter_map,
-)
-from monappell.initial_terms import builtin_initial_term, validate_initial_term
+from monappell.fueter import fueter_compare, fueter_map
+from monappell.initial_terms import validate_initial_term
 from monappell.operators import hypercomplex_derivative
 from monappell.polynomials import (
     CliffordPolynomial,
@@ -44,6 +39,7 @@ SEED = 20240809
 
 FUETER_MS = (3, 5)
 FUETER_KS = (0, 1, 2)
+FUETER_N_MAX = 5
 
 
 def _record(name: str, passed: bool, detail: str = "") -> None:
@@ -150,43 +146,57 @@ def test_criterion_7_axial_vekua(grid):
     _record("7 axial decomposition round-trip and Vekua system on the grid", ok)
 
 
-def test_criterion_8_fueter_vanishing():
-    ok = True
-    for m in FUETER_MS:
-        ctx = AlgebraContext(m)
-        for k in FUETER_KS:
-            if not check_fueter_vanishing(builtin_initial_term(ctx, k), k).all_passed:
-                ok = False
+@pytest.fixture(scope="module")
+def fueter_reports():
+    """One fueter_compare report per odd (m, k) cell: vanishing below the
+    threshold 2k+m-1, the CK identity at threshold..threshold+FUETER_N_MAX
+    and the sequence match at n = 0..FUETER_N_MAX, each image built once."""
+    return {
+        (m, k): fueter_compare(SequenceSpec.builtin(m, k, FUETER_N_MAX))
+        for m in FUETER_MS
+        for k in FUETER_KS
+    }
+
+
+def _fueter_entries(fueter_reports, identity: str, n_range) -> tuple[bool, list]:
+    """The entries of one identity, and whether every one passed and they
+    cover exactly n in n_range(m, k) for every cell."""
+    entries = [
+        entry
+        for report in fueter_reports.values()
+        for entry in report.entries
+        if entry.identity == identity
+    ]
+    covered = sorted((e.params["m"], e.params["k"], e.params["n"]) for e in entries)
+    expected = sorted((m, k, n) for m, k in fueter_reports for n in n_range(m, k))
+    return covered == expected and all(entry.passed for entry in entries), entries
+
+
+def test_criterion_8_fueter_vanishing(fueter_reports):
+    ok, _ = _fueter_entries(
+        fueter_reports, "fueter_vanishing", lambda m, k: range(2 * k + m - 1)
+    )
     _record("8 Fueter images vanish below the threshold power", ok)
 
 
-def test_criterion_9_fueter_ck_identity():
+def test_criterion_9_fueter_ck_identity(fueter_reports):
     ok = True
     anchor = fueter_map(2, CliffordPolynomial.one(AlgebraContext(3)), 0)
     if anchor != CliffordPolynomial.constant(AlgebraContext(3), -4):
         ok = False
-    for m in FUETER_MS:
-        ctx = AlgebraContext(m)
-        for k in FUETER_KS:
-            pk = builtin_initial_term(ctx, k)
-            for n in range(2 * k + m - 1, 2 * k + m + 5):
-                if not check_fueter_identity(n, pk, k).all_passed:
-                    ok = False
-    _record("9 Fueter/CK proportionality on the odd-dimension grid (anchor -4)", ok)
+    passed, _ = _fueter_entries(
+        fueter_reports,
+        "fueter_ck_identity",
+        lambda m, k: range(2 * k + m - 1, 2 * k + m + FUETER_N_MAX),
+    )
+    _record("9 Fueter/CK proportionality on the odd-dimension grid (anchor -4)", ok and passed)
 
 
-def test_criterion_10_fueter_matches_sequence():
-    ok = True
-    recorded = []
-    for m in FUETER_MS:
-        for k in FUETER_KS:
-            spec = SequenceSpec.builtin(m, k, 4)
-            for n in range(5):
-                report = check_fueter_appell_match(spec, n)
-                if not report.all_passed:
-                    ok = False
-                recorded.append(report.entries[0].params["lambda"])
-    if not all(recorded):
+def test_criterion_10_fueter_matches_sequence(fueter_reports):
+    ok, entries = _fueter_entries(
+        fueter_reports, "fueter_appell_match", lambda m, k: range(FUETER_N_MAX + 1)
+    )
+    if not all(Fraction(entry.params["lambda"]) for entry in entries):
         ok = False
     _record("10 Fueter images match sequence terms at the computed multiple", ok)
 

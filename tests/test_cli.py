@@ -107,6 +107,15 @@ def test_fueter_compare_rejects_even_dimension(capsys):
     assert excinfo.value.code == 2
 
 
+def test_verify_rejects_negative_cases(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--m", "2", "--k", "1", "--n-max", "1", "--cases", "-1"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cases must be non-negative" in captured.err
+
+
 def test_validate_pk_accepts_builtin(tmp_path, capsys):
     term = builtin_initial_term(CTX3, 2)
     path = tmp_path / "pk.json"

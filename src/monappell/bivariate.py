@@ -14,10 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import AlgebraContext, Scalar
-from .polynomials import CliffordPolynomial, key_layout, radius_squared
+from .polynomials import CliffordPolynomial, radius_squared
 
 _PLANE = AlgebraContext(1)
-_DECODE = key_layout(1).decode
 _T = CliffordPolynomial.variable(_PLANE, 1)
 
 
@@ -55,8 +54,7 @@ class BivariatePoly:
     @property
     def terms(self) -> dict[tuple[int, int], Fraction]:
         """{(a, l): Fraction} view of the coefficients, rebuilt on every access."""
-        den = self._poly.denominator
-        return {_DECODE(key)[0]: Fraction(q, den) for key, q in self._poly.numerators.items()}
+        return {exps: coeff.scalar_part() for exps, coeff in self._poly.terms.items()}
 
     def is_zero(self) -> bool:
         return self._poly.is_zero()
@@ -104,15 +102,17 @@ class BivariatePoly:
 
     def to_clifford(self, context: AlgebraContext) -> CliffordPolynomial:
         """Substitute t = x_1^2 + ... + x_m^2, yielding a scalar-coefficient
-        polynomial in m+1 variables."""
+        polynomial in m+1 variables: one product per power of t, lowest first."""
+        by_power: dict[int, dict] = {}  # l -> {x_0 exponents: coefficient of t^l}
+        for (a, l), q in self.terms.items():
+            by_power.setdefault(l, {})[(a,) + (0,) * context.m] = context.scalar(q)
         rsq = radius_squared(context)
         powers = [CliffordPolynomial.one(context)]  # |x̲|^(2l), one factor more per entry
         out = CliffordPolynomial.zero(context)
-        for (a, l), q in self.terms.items():
+        for l in sorted(by_power):
             while len(powers) <= l:
                 powers.append(powers[-1] * rsq)
-            x0a = CliffordPolynomial.monomial(context, (a,) + (0,) * context.m, context.scalar(q))
-            out = out + x0a * powers[l]
+            out = out + CliffordPolynomial(context, by_power[l]) * powers[l]
         return out
 
     def __str__(self) -> str:

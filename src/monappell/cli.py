@@ -131,7 +131,7 @@ def _resolve_spec(args, parser) -> SequenceSpec:
     try:
         pk = InitialTermSpec(m=args.m, k=args.k, source=args.pk).resolve()
         return SequenceSpec(m=args.m, k=args.k, pk=pk, n_max=args.n_max)
-    except (MonappellError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (MonappellError, ValueError, OSError) as exc:
         parser.error(str(exc))
 
 
@@ -190,8 +190,8 @@ def cmd_generate(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    if args.cases < 0:
-        parser.error("cases must be non-negative")
+    if args.cases < 1:
+        parser.error("cases must be at least 1")
     spec = _resolve_spec(args, parser)
     with _results_in_full():
         terms = generate_sequence(spec)
@@ -214,7 +214,7 @@ def cmd_validate_pk(args, parser) -> int:
         parser.error("k must be non-negative")
     try:
         candidate = load_initial_term(args.file)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         parser.error(f"cannot read initial term: {exc}")
     with _results_in_full():
         return _emit_report(validate_initial_term(candidate, args.k), args)

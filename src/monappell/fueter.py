@@ -10,12 +10,11 @@ hence a known rational multiple of a sequence term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .bivariate import BivariatePoly
 from .ck import ck_extend
-from .coefficients import double_factorial, fueter_factor, lowering_product
+from .coefficients import double_factorial, fueter_factor, restriction_coefficient
 from .errors import EvenDimensionError
 from .operators import laplacian, require_initial_term
 from .polynomials import CliffordPolynomial, vector_power
@@ -115,9 +114,7 @@ def check_fueter_appell_match(spec: SequenceSpec, n: int) -> VerificationReport:
 def _match_report(spec: SequenceSpec, n: int, image: CliffordPolynomial) -> VerificationReport:
     m, k = spec.m, spec.k
     shifted = n + 2 * k + m - 1
-    lam = Fraction(
-        fueter_scale(m, k, shifted) * lowering_product(m, k, n), factorial(n)
-    )
+    lam = fueter_scale(m, k, shifted) / restriction_coefficient(m, k, n)
     rhs = lam * sequence_term_explicit(spec, n)
     params = {"m": m, "k": k, "n": n, "lambda": f"{lam.numerator}/{lam.denominator}"}
     report = VerificationReport()

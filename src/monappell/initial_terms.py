@@ -1,4 +1,4 @@
-"""Built-in initial terms P_k and the validation gate for user-supplied ones.
+"""Built-in initial terms P_k and the loading of user-supplied ones.
 
 The built-in family is the k-th power of x_1 - e_12 x_2, a degree-1
 element annihilated by the Dirac operator that generates a commutative,
@@ -14,9 +14,9 @@ from pathlib import Path
 
 from .algebra import AlgebraContext
 from .errors import DimensionTooSmallError, InvalidInitialTermError
-from .operators import dirac, require_initial_term
-from .polynomials import CliffordPolynomial, degree_witness, unit_exps
-from .report import VerificationReport
+from .operators import require_initial_term
+from .operators import validate_initial_term  # re-exported
+from .polynomials import CliffordPolynomial, unit_exps
 
 BUILTIN_SOURCE = "builtin"
 
@@ -35,25 +35,6 @@ def builtin_initial_term(context: AlgebraContext, k: int) -> CliffordPolynomial:
         context, unit_exps(context.m, 2), context.blade((1, 2))
     )
     return base**k
-
-
-def validate_initial_term(p: CliffordPolynomial, k: int) -> VerificationReport:
-    """Report the three defining checks: no x_0, homogeneous of degree k,
-    Dirac-annihilated.  Failures are recorded, not raised."""
-    report = VerificationReport()
-    params = {"m": p.context.m, "k": k}
-
-    x0_witness = None
-    if p.depends_on_x0():
-        bad = (p - p.restrict_x0()).sorted_exps()[0]  # the first monomial with x_0
-        x0_witness = f"monomial {list(bad)} involves x_0"
-    report.add("initial_term_x0_free", params, not p.depends_on_x0(), x0_witness)
-
-    report.add("initial_term_homogeneous", params, p.is_homogeneous(k), degree_witness(p, k))
-
-    zero = CliffordPolynomial.zero(p.context)
-    report.add_equal("initial_term_dirac_kernel", params, dirac(p), zero)
-    return report
 
 
 def load_initial_term(path: str | Path) -> CliffordPolynomial:

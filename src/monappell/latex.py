@@ -54,15 +54,15 @@ def polynomial_latex(p: CliffordPolynomial) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for exps, blades in p._grouped():
+    for exps, coeff in p.terms.items():
         mono = _monomial_latex(exps)
-        if len(blades) > 1:
-            body = r"\left(" + multivector_latex(p._coefficient_of(blades)) + r"\right)"
+        if len(coeff.terms) > 1:
+            body = r"\left(" + multivector_latex(coeff) + r"\right)"
             parts.append(body + (" " + mono if mono else ""))
         else:
-            (mask, num), = blades
+            (mask, q), = coeff.terms.items()
             body = " ".join(piece for piece in (mono, blade_latex(mask)) if piece)
-            parts.append(_scaled_latex(Fraction(num, p.denominator), body))
+            parts.append(_scaled_latex(q, body))
     return " + ".join(parts).replace("+ -", "- ")
 
 

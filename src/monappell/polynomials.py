@@ -17,6 +17,9 @@ literal.  Every result is built by `_collect` (integer contributions
 summed by `algebra.accumulate`) or `_normalized`; Fractions and exponent
 tuples appear only at the API boundary.  Serialization orders monomials
 graded-lexicographically.
+
+Only this module knows the key layout: the kernels that walk the keys
+live here, and other modules read the `terms` view.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .algebra import (
     require_shape,
     short_repr,
 )
-from .errors import ContextMismatchError, DegreeLimitError
+from .errors import ContextMismatchError, DegreeLimitError, NonVectorInputError
 
 FIELD_BITS = 16
 FIELD_MASK = (1 << FIELD_BITS) - 1
@@ -203,7 +206,11 @@ class CliffordPolynomial:
     @property
     def terms(self) -> dict[tuple[int, ...], Multivector]:
         """{exps: Multivector} view of the coefficients, rebuilt on every access."""
-        return {exps: self._coefficient_of(blades) for exps, blades in self._grouped()}
+        context, den = self.context, self.denominator
+        return {
+            exps: Multivector._of(context, {mask: Fraction(q, den) for mask, q in blades})
+            for exps, blades in self._grouped()
+        }
 
     def _ratio_text(self, q: int) -> str:
         """The reduced fraction q / denominator as "num/den"."""
@@ -220,10 +227,6 @@ class CliffordPolynomial:
         for key in sorted(nums, key=layout.sort_key):
             groups.setdefault(key >> m, []).append((key & mask_bits, nums[key]))
         return [(layout.decode(mono << m)[0], blades) for mono, blades in groups.items()]
-
-    def _coefficient_of(self, blades: list) -> Multivector:
-        den = self.denominator
-        return Multivector._of(self.context, {mask: Fraction(q, den) for mask, q in blades})
 
     # -- ring structure ------------------------------------------------
 
@@ -411,19 +414,94 @@ class CliffordPolynomial:
         if not self.numerators:
             return "0"
         parts = []
-        for exps, blades in self._grouped():
+        for exps, coeff in self.terms.items():
             mono = " ".join(
                 f"x{i}" if a == 1 else f"x{i}^{a}" for i, a in enumerate(exps) if a
             )
-            coeff = str(self._coefficient_of(blades))
-            if mono:
-                parts.append(f"({coeff}) {mono}")
-            else:
-                parts.append(f"({coeff})")
+            parts.append(f"({coeff}) {mono}" if mono else f"({coeff})")
         return " + ".join(parts)
 
     def __repr__(self) -> str:
         return f"CliffordPolynomial(m={self.context.m}: {self})"
+
+
+# -- kernels on the packed keys: the operators and the axial split -------
+
+
+def _dirac_terms(numerators: dict, m: int):
+    """Contributions of dirac: e_j times d/dx_j of each term, e_j on the left.
+
+    e_j e_A = (-1)^s e_(A xor j), where s counts the generators of A with
+    index at most j (the swaps past smaller ones, and e_j^2 = -1).
+    """
+    layout = key_layout(m)
+    generators = [
+        (layout.shifts[j], layout.units[j], 1 << (j - 1), (1 << j) - 1) for j in range(1, m + 1)
+    ]
+    for key, q in numerators.items():
+        for shift, unit, bit, upto in generators:
+            a = key >> shift & FIELD_MASK
+            if a:
+                yield (key - unit) ^ bit, (-a * q if (key & upto).bit_count() & 1 else a * q)
+
+
+def _laplacian_terms(numerators: dict, m: int):
+    """Contributions of the Laplacian: d^2/dx_i^2 of each term, for i = 0..m."""
+    layout = key_layout(m)
+    variables = [(shift, 2 * unit) for shift, unit in zip(layout.shifts, layout.units)]
+    for key, q in numerators.items():
+        for shift, step in variables:
+            a = key >> shift & FIELD_MASK
+            if a > 1:
+                yield key - step, a * (a - 1) * q
+
+
+def dirac(p: CliffordPolynomial) -> CliffordPolynomial:
+    """Dirac operator sum_j e_j d/dx_j (left action)."""
+    return _collect(p.context, _dirac_terms(p.numerators, p.context.m), p.denominator)
+
+
+def laplacian(p: CliffordPolynomial) -> CliffordPolynomial:
+    """Laplacian in all m+1 variables; factors as the product of the
+    Cauchy-Riemann operator with its conjugate."""
+    return _collect(p.context, _laplacian_terms(p.numerators, p.context.m), p.denominator)
+
+
+def vector_components(f: CliffordPolynomial) -> list[CliffordPolynomial]:
+    """Split a grade-1 polynomial sum_j f_j e_j into its scalar components f_j."""
+    comps: list[dict] = [{} for _ in range(f.context.m)]
+    mask_bits = key_layout(f.context.m).mask_bits
+    for key, q in f.numerators.items():
+        mask = key & mask_bits
+        if mask.bit_count() != 1:
+            raise NonVectorInputError("coefficients must be grade 1")
+        comps[mask.bit_length() - 1][key - mask] = q
+    return [_normalized(f.context, comp, f.denominator) for comp in comps]
+
+
+def x0_strata(p: CliffordPolynomial) -> dict[tuple[int, int], CliffordPolynomial]:
+    """{(j, degree): the x_0-free part}: p as the sum over the keys of
+    x_0^j times that part, each part homogeneous of the given degree."""
+    layout = key_layout(p.context.m)
+    shift, unit, degree_shift = layout.shifts[0], layout.units[0], layout.degree_shift
+    strata: dict[tuple[int, int], dict] = {}
+    for key, q in p.numerators.items():
+        j = key >> shift & FIELD_MASK
+        rest = key - j * unit
+        strata.setdefault((j, rest >> degree_shift), {})[rest] = q
+    return {jd: _normalized(p.context, nums, p.denominator) for jd, nums in strata.items()}
+
+
+def scalar_ratio(target: CliffordPolynomial, reference: CliffordPolynomial) -> Fraction | None:
+    """The rational h with target = h * reference for a nonzero reference,
+    or None.  Any key of the reference serves as the pivot: the candidate h
+    is then checked on every term."""
+    pivot = min(reference.numerators)
+    ratio = Fraction(
+        target.numerators.get(pivot, 0) * reference.denominator,
+        target.denominator * reference.numerators[pivot],
+    )
+    return ratio if target == ratio * reference else None
 
 
 def vector_variable(context: AlgebraContext) -> CliffordPolynomial:

@@ -28,13 +28,12 @@ from .errors import ContextMismatchError, NotAxialFormError
 from .initial_terms import builtin_initial_term
 from .operators import dirac, require_initial_term
 from .polynomials import (
-    FIELD_MASK,
     CliffordPolynomial,
-    _normalized,
     degree_witness,
-    key_layout,
+    scalar_ratio,
     vector_power,
     vector_variable,
+    x0_strata,
 )
 from .report import VerificationReport
 
@@ -174,18 +173,9 @@ def axial_decompose(p: CliffordPolynomial, k: int, pk: CliffordPolynomial) -> Ax
     require_initial_term(pk, k)
     ctx = p.context
     profiles: tuple[dict, dict] = ({}, {})  # A, then b_reduced: {(j, half): h}
-    # (power of x_0, degree of the x_0-free rest) -> that component, x_0 removed
-    strata: dict[tuple[int, int], dict] = {}
-    layout = key_layout(ctx.m)
-    shift, unit, degree_shift = layout.shifts[0], layout.units[0], layout.degree_shift
-    for key, q in p.numerators.items():
-        j = key >> shift & FIELD_MASK
-        rest = key - j * unit
-        strata.setdefault((j, rest >> degree_shift), {})[rest] = q
     xv = vector_variable(ctx)
     references = [pk]  # x̲^i P_k, one factor x̲ more per entry
-    for (j, degree), bucket in sorted(strata.items()):
-        component = _normalized(ctx, bucket, p.denominator)
+    for (j, degree), component in sorted(x0_strata(p).items()):
         i = degree - k
         if i < 0:
             raise NotAxialFormError(
@@ -193,28 +183,16 @@ def axial_decompose(p: CliffordPolynomial, k: int, pk: CliffordPolynomial) -> Ax
             )
         while len(references) <= i:
             references.append(xv * references[-1])
-        ratio = _scalar_ratio(component, references[i])
+        ratio = scalar_ratio(component, references[i])
+        if ratio is None:
+            raise NotAxialFormError(
+                "homogeneous component is not a rational multiple of x̲^i times the initial term"
+            )
         half, odd = divmod(i, 2)
         # each stratum (j, degree) lands on its own key (j, half)
         profiles[odd][j, half] = -ratio if half % 2 else ratio
     a, b_reduced = map(BivariatePoly, profiles)
     return AxialPair(a=a, b_reduced=b_reduced, k=k, m=ctx.m, pk=pk)
-
-
-def _scalar_ratio(target: CliffordPolynomial, reference: CliffordPolynomial) -> Fraction:
-    """The rational h with target = h * reference, or NotAxialFormError.
-    Any key of the nonzero reference serves as the pivot: the candidate h
-    is then checked on every term."""
-    pivot = min(reference.numerators)
-    ratio = Fraction(
-        target.numerators.get(pivot, 0) * reference.denominator,
-        target.denominator * reference.numerators[pivot],
-    )
-    if target != ratio * reference:
-        raise NotAxialFormError(
-            "homogeneous component is not a rational multiple of x̲^i times the initial term"
-        )
-    return ratio
 
 
 def vekua_check(pair: AxialPair) -> bool:

@@ -107,13 +107,16 @@ def test_fueter_compare_rejects_even_dimension(capsys):
     assert excinfo.value.code == 2
 
 
-def test_verify_rejects_negative_cases(capsys):
+@pytest.mark.parametrize("cases", [-1, 0])
+def test_verify_rejects_negative_cases(capsys, cases):
+    """A suite that draws no case checks nothing, so fewer than one case is
+    a usage error rather than a run of vacuous PASS lines."""
     with pytest.raises(SystemExit) as excinfo:
-        main(["verify", "--m", "2", "--k", "1", "--n-max", "1", "--cases", "-1"])
+        main(["verify", "--m", "2", "--k", "1", "--n-max", "1", "--cases", str(cases)])
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "cases must be non-negative" in captured.err
+    assert "cases must be at least 1" in captured.err
 
 
 def test_validate_pk_accepts_builtin(tmp_path, capsys):
@@ -132,6 +135,27 @@ def test_validate_pk_rejects_non_monogenic(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["validate-pk", "--file", str(path), "--k", "1"])
     assert code == 1
     assert "FAIL initial_term_dirac_kernel" in out
+
+
+def test_zero_initial_term_fails_both_commands(tmp_path, capsys):
+    """validate-pk and generate --pk share one P_k gate: the zero polynomial
+    fails validation (exit 1) and is a usage error as an initial term (exit 2)."""
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"m": 3, "terms": []}))
+    code, out, _ = run_cli(capsys, ["validate-pk", "--file", str(path), "--k", "3"])
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS initial_term_x0_free [m=3, k=3]",
+        "FAIL initial_term_homogeneous [m=3, k=3]  witness: the zero polynomial has no degree",
+        "PASS initial_term_dirac_kernel [m=3, k=3]",
+        "FAILED: 2/3 checks passed",
+    ]
+    with pytest.raises(SystemExit) as excinfo:
+        main(["generate", "--m", "3", "--k", "3", "--n-max", "1", "--pk", str(path)])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "initial_term_homogeneous: the zero polynomial has no degree" in captured.err
 
 
 def test_internal_error_names_the_exception_type(capsys, monkeypatch):

@@ -10,8 +10,11 @@ against plain dict-of-Fraction loops too.
 """
 
 import copy
+import io
+import tokenize
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -400,3 +403,40 @@ def test_product_guard_negative_control(monkeypatch):
     product = p * p
     assert list(product.terms) == [(1, 0, 0, 0)]
     assert list(product.terms) != [(0, 2 * half, 0, 0)]
+
+
+# Names of the packed key layout and of the flat form; only polynomials.py
+# may use them (algebra._products gets the mask width as a parameter).
+LAYOUT_NAMES = {
+    "FIELD_MASK", "key_layout", "KeyLayout", "_normalized", "_collect", "_grouped",
+    "_coefficient_of",
+}
+
+
+def layout_uses(source: str) -> list[str]:
+    """The layout names in source code, and each read of `.numerators`;
+    comments and strings do not count."""
+    found, previous = [], None
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.NAME:
+            if token.string in LAYOUT_NAMES:
+                found.append(token.string)
+            elif token.string == "numerators" and previous == ".":
+                found.append(".numerators")
+        if token.type not in (tokenize.NL, tokenize.COMMENT):
+            previous = token.string
+    return found
+
+
+def test_only_polynomials_knows_the_key_layout():
+    src = Path(kernel.__file__).parent
+    modules = sorted(path for path in src.glob("*.py") if path.name != "polynomials.py")
+    assert len(modules) > 10
+    uses = {path.name: layout_uses(path.read_text(encoding="utf-8")) for path in modules}
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_layout_scan_negative_control():
+    leaky = "from .polynomials import key_layout\nq = p.numerators  # numerators\n"
+    assert layout_uses(leaky) == ["key_layout", ".numerators"]
+    assert layout_uses('"""p.numerators and key_layout in prose"""\n') == []

@@ -23,6 +23,7 @@ from monappell.operators import (
     hypercomplex_derivative,
     laplacian,
     require_initial_term,
+    validate_initial_term,
     vector_components,
 )
 from monappell.polynomials import (
@@ -191,6 +192,30 @@ def test_require_initial_term_gate():
         require_initial_term(CliffordPolynomial.zero(CTX3), 0)
     with pytest.raises(InvalidInitialTermError):
         require_initial_term(CliffordPolynomial.variable(CTX3, 0), 1)
+
+
+def _gate_candidates():
+    x1e1 = CliffordPolynomial.monomial(CTX3, unit_exps(3, 1), CTX3.e(1))
+    yield from (builtin_initial_term(CTX3, k) for k in range(4))
+    yield CliffordPolynomial.zero(CTX3)
+    yield CliffordPolynomial.variable(CTX3, 0)
+    yield x1e1
+    yield builtin_initial_term(CTX3, 2) + builtin_initial_term(CTX3, 1)  # not homogeneous
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_require_initial_term_agrees_with_validator(k):
+    """One list of P_k conditions: the gate raises exactly when the report
+    fails, and names the report's first failed entry with its witness."""
+    for candidate in _gate_candidates():
+        report = validate_initial_term(candidate, k)
+        if report.all_passed:
+            require_initial_term(candidate, k)
+            continue
+        first = report.failures()[0]
+        with pytest.raises(InvalidInitialTermError) as excinfo:
+            require_initial_term(candidate, k)
+        assert str(excinfo.value) == f"initial term fails {first.identity}: {first.witness}"
 
 
 @pytest.mark.parametrize("m", [2, 3])

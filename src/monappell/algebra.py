@@ -7,15 +7,14 @@ The algebra is generated by e_1, ..., e_m subject to
 
 A basis blade e_A with A = {j_1 < ... < j_g} is stored as an integer bit
 mask (bit j-1 set iff generator j occurs); the empty mask is the identity
-element.  A multivector is a sparse map from blade masks to
-`fractions.Fraction` coefficients: it is the Fraction-valued boundary
-type, while polynomials (and the (x_0, t) profiles built on them) keep
-integer numerators over one denominator.  The map is kept canonical --
-zero coefficients are never stored -- so two multivectors are equal
-exactly when their term maps are equal.  `accumulate` is the one sparse
-"sum per key, drop zeros" loop of the package and `_products` its one
-product loop; Multivector arithmetic and the polynomial kernel both build
-their results with them.  No floating point is used anywhere.
+element.  This module holds the blade product, the dimension
+(`AlgebraContext`) and the exact-input guards.  A `Multivector` is the
+constant polynomial: it keeps the flat form of `polynomials.py` (integer
+numerators over one positive denominator, keyed by blade mask), so it is
+defined there and re-exported here.  `accumulate` is the one sparse "sum
+per key, drop zeros" loop of the package and `_products` its one product
+loop; multivectors and polynomials both build their results with them.
+No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable
 
 from .errors import ContextMismatchError
@@ -31,8 +29,6 @@ from .errors import ContextMismatchError
 MAX_DIMENSION = 16
 
 Scalar = int | Fraction
-
-_ZERO = Fraction(0)
 
 _SHORT = reprlib.Repr()
 _SHORT.maxlevel = _SHORT.maxtuple = _SHORT.maxlist = _SHORT.maxdict = 80
@@ -210,135 +206,5 @@ class AlgebraContext:
         return Multivector(self, {indices_to_mask(indices, self.m): 1})
 
 
-class Multivector:
-    """Sparse element of R_{0,m}; instances are treated as immutable.
-
-    Blade masks must be ints and coefficients ints or Fractions; floats
-    and bools are rejected rather than converted.
-    """
-
-    __slots__ = ("context", "terms")
-
-    def __init__(self, context: AlgebraContext, terms: dict[int, Scalar]):
-        limit = 1 << context.m
-        for mask, coeff in terms.items():
-            if not 0 <= require_int(mask, "blade mask") < limit:
-                raise ValueError(f"blade mask {mask:#x} out of range for m={context.m}")
-            require_exact(coeff, "coefficient")
-        self.context = context
-        self.terms = {mask: Fraction(coeff) for mask, coeff in terms.items() if coeff}
-
-    @classmethod
-    def _of(cls, context: AlgebraContext, terms: dict[int, Fraction]) -> Multivector:
-        """Wrap terms that are already canonical: in-range masks, nonzero Fractions."""
-        out = cls.__new__(cls)
-        out.context, out.terms = context, terms
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_scalar(self) -> bool:
-        return all(mask == 0 for mask in self.terms)
-
-    def scalar_part(self) -> Fraction:
-        return self.terms.get(0, _ZERO)
-
-    def grades(self) -> set[int]:
-        return {mask.bit_count() for mask in self.terms}
-
-    def __add__(self, other: Multivector) -> Multivector:
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        require_same_context(self, other)
-        both = chain(self.terms.items(), other.terms.items())
-        return Multivector._of(self.context, accumulate(both))
-
-    def __neg__(self) -> Multivector:
-        return Multivector._of(self.context, {mask: -q for mask, q in self.terms.items()})
-
-    def __sub__(self, other: Multivector) -> Multivector:
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Multivector):
-            require_same_context(self, other)
-            products = _products(self.terms, other.terms, self.context.blade_count - 1)
-            return Multivector._of(self.context, accumulate(products))
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(Fraction(other))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        # Scalars are central, so left scaling equals right scaling.
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(Fraction(other))
-        return NotImplemented
-
-    def _scaled(self, q: Fraction) -> Multivector:
-        terms = {mask: q * c for mask, c in self.terms.items()} if q else {}
-        return Multivector._of(self.context, terms)
-
-    def conjugate(self) -> Multivector:
-        """Clifford conjugation: reverse factor order and negate each generator.
-
-        On a grade-g blade this is the sign (-1)^(g(g+1)/2).
-        """
-        flipped = {}
-        for mask, q in self.terms.items():
-            g = mask.bit_count()
-            flipped[mask] = -q if g % 4 in (1, 2) else q
-        return Multivector._of(self.context, flipped)
-
-    def grade_projection(self, g: int) -> Multivector:
-        if not 0 <= g <= self.context.m:
-            raise ValueError(f"grade {g} out of range 0..{self.context.m}")
-        kept = {mask: q for mask, q in self.terms.items() if mask.bit_count() == g}
-        return Multivector._of(self.context, kept)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self.context == other.context and self.terms == other.terms
-
-    __hash__ = None  # mutable-dict backed; not hashable
-
-    def sorted_masks(self) -> list[int]:
-        return sorted(self.terms, key=lambda mk: (mk.bit_count(), mk))
-
-    def to_json(self) -> list[dict]:
-        """Interchange form: [{"blade": [indices], "coeff": "num/den"}, ...]."""
-        out = []
-        for mask in self.sorted_masks():
-            q = self.terms[mask]
-            out.append(
-                {"blade": list(mask_to_indices(mask)), "coeff": f"{q.numerator}/{q.denominator}"}
-            )
-        return out
-
-    @classmethod
-    def from_json(cls, context: AlgebraContext, data: Iterable[dict]) -> Multivector:
-        fields = (require_fields(item, "multivector entry", "blade", "coeff") for item in data)
-        pairs = ((indices_to_mask(b, context.m), parse_rational(c, '"coeff"')) for b, c in fields)
-        return cls._of(context, accumulate(pairs))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mask in self.sorted_masks():
-            q = self.terms[mask]
-            if mask == 0:
-                parts.append(str(q))
-            elif q == 1:
-                parts.append(blade_label(mask))
-            elif q == -1:
-                parts.append("-" + blade_label(mask))
-            else:
-                parts.append(f"{q}*{blade_label(mask)}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self) -> str:
-        return f"Multivector(m={self.context.m}: {self})"
+# Defined beside the flat form it shares; imported last, as polynomials.py imports this module.
+from .polynomials import Multivector  # noqa: E402

@@ -36,7 +36,8 @@ def _scaled_latex(q: Fraction, body: str) -> str:
 def multivector_latex(a: Multivector) -> str:
     if a.is_zero():
         return "0"
-    parts = [_scaled_latex(a.terms[mask], blade_latex(mask)) for mask in a.sorted_masks()]
+    terms = a.terms
+    parts = [_scaled_latex(terms[mask], blade_latex(mask)) for mask in a.sorted_masks()]
     return " + ".join(parts).replace("+ -", "- ")
 
 

@@ -1,13 +1,15 @@
-"""Polynomials in x_0, ..., x_m with multivector coefficients.
+"""Polynomials in x_0, ..., x_m with multivector coefficients, and the
+multivectors themselves as their degree-0 case.
 
 The variables are real and therefore central; coefficients sit on the
 left of the monomials, which is the convention every left-acting
 operator in this package relies on.
 
-A polynomial is stored flat: integer numerators over one positive
-denominator, keyed by one packed int per (monomial, blade) (see
-`KeyLayout`), so a product key is an int addition and a derivative a
-subtraction.  Every monomial degree stays below DEGREE_LIMIT, so no
+Both are stored flat: integer numerators over one positive denominator,
+keyed by one packed int per (monomial, blade) (see `KeyLayout`), so a
+product key is an int addition and a derivative a subtraction.  A
+multivector's keys are bare blade masks, the keys of the constant
+monomial.  Every monomial degree stays below DEGREE_LIMIT, so no
 exponent carries into the next field: the constructor, `from_json_dict`
 and every product check it.
 
@@ -15,8 +17,8 @@ The form is canonical (no zero numerator, no factor common to all
 numerators and the denominator, denominator 1 for zero), so equality is
 literal.  Every result is built by `_collect` (integer contributions
 summed by `algebra.accumulate`) or `_normalized`; Fractions and exponent
-tuples appear only at the API boundary.  Serialization orders monomials
-graded-lexicographically.
+tuples appear only at the API boundary (the `terms` views and the
+readers).  Serialization orders monomials graded-lexicographically.
 
 Only this module knows the key layout: the kernels that walk the keys
 live here, and other modules read the `terms` view.
@@ -31,10 +33,10 @@ from typing import Iterable
 
 from .algebra import (
     AlgebraContext,
-    Multivector,
     Scalar,
     _products,
     accumulate,
+    blade_label,
     indices_to_mask,
     mask_to_indices,
     parse_rational,
@@ -107,9 +109,9 @@ def unit_exps(m: int, i: int) -> tuple[int, ...]:
     return tuple(1 if t == i else 0 for t in range(m + 1))
 
 
-def _normalized(context: AlgebraContext, nums: dict, denominator: int) -> CliffordPolynomial:
-    """The canonical polynomial nums / denominator, for nonzero nums and a
-    positive denominator: common factors divided out."""
+def _normalized(context: AlgebraContext, nums: dict, denominator: int, cls=None):
+    """The canonical nums / denominator (nonzero nums, positive denominator,
+    common factors divided out) as a `cls`, CliffordPolynomial by default."""
     if not nums:
         denominator = 1
     elif denominator != 1:
@@ -117,15 +119,41 @@ def _normalized(context: AlgebraContext, nums: dict, denominator: int) -> Cliffo
         if g != 1:
             nums = {key: q // g for key, q in nums.items()}
             denominator //= g
-    poly = CliffordPolynomial.__new__(CliffordPolynomial)
-    poly.context, poly.numerators, poly.denominator = context, nums, denominator
-    return poly
+    out = object.__new__(cls or CliffordPolynomial)
+    out.context, out.numerators, out.denominator = context, nums, denominator
+    return out
 
 
-def _collect(context: AlgebraContext, contributions, denominator: int) -> CliffordPolynomial:
+def _collect(context: AlgebraContext, contributions, denominator: int, cls=None):
     """Sum integer contributions (key, numerator) per key, over a common
     denominator."""
-    return _normalized(context, accumulate(contributions), denominator)
+    return _normalized(context, accumulate(contributions), denominator, cls)
+
+
+def _combined(a, b, sign: int):
+    """a + sign * b over the least common denominator, for two values of one type."""
+    require_same_context(a, b)
+    den = lcm(a.denominator, b.denominator)
+    sa, sb = den // a.denominator, sign * (den // b.denominator)
+    contributions = [(key, sa * q) for key, q in a.numerators.items()]
+    contributions += [(key, sb * q) for key, q in b.numerators.items()]
+    return _collect(a.context, contributions, den, type(a))
+
+
+def _scaled(a, q: Scalar):
+    """q * a for an int or Fraction q (scalars are central)."""
+    nums = {key: q.numerator * c for key, c in a.numerators.items()} if q else {}
+    return _normalized(a.context, nums, a.denominator * q.denominator, type(a))
+
+
+def _equal(a, b) -> bool:
+    return (a.context, a.denominator, a.numerators) == (b.context, b.denominator, b.numerators)
+
+
+def _ratio_text(q: int, denominator: int) -> str:
+    """The reduced fraction q / denominator as "num/den"."""
+    g = gcd(q, denominator)
+    return f"{q // g}/{denominator // g}"
 
 
 def _exponents(exps, m: int, field: str) -> tuple[int, ...]:
@@ -143,12 +171,130 @@ def _exponents(exps, m: int, field: str) -> tuple[int, ...]:
     return exps
 
 
-def _from_fractions(context: AlgebraContext, coeffs: list) -> CliffordPolynomial:
-    """Convert [(key, Fraction), ...] into the flat form, once, at the
-    boundary; repeated keys are summed."""
+def _from_fractions(context: AlgebraContext, coeffs: list, cls=None):
+    """Convert [(key, int or Fraction), ...] into the flat form, once, at
+    the boundary; repeated keys are summed."""
     den = lcm(*(q.denominator for _, q in coeffs))
     numerators = [(key, q.numerator * (den // q.denominator)) for key, q in coeffs]
-    return _collect(context, numerators, den)
+    return _collect(context, numerators, den, cls)
+
+
+class Multivector:
+    """Element of R_{0,m}: the flat form of a constant polynomial.
+
+    `numerators` maps blade masks to nonzero ints over the positive
+    `denominator`; instances are treated as immutable.  The constructor
+    takes {mask: int or Fraction}; floats and bools are rejected rather
+    than converted.
+    """
+
+    __slots__ = ("context", "numerators", "denominator")
+
+    def __init__(self, context: AlgebraContext, terms: dict[int, Scalar]):
+        limit = 1 << context.m
+        for mask, coeff in terms.items():
+            if not 0 <= require_int(mask, "blade mask") < limit:
+                raise ValueError(f"blade mask {mask:#x} out of range for m={context.m}")
+            require_exact(coeff, "coefficient")
+        flat = _from_fractions(context, list(terms.items()), Multivector)
+        self.context, self.numerators, self.denominator = context, flat.numerators, flat.denominator
+
+    @property
+    def terms(self) -> dict[int, Fraction]:
+        """{mask: Fraction} view of the coefficients, rebuilt on every access."""
+        return {mask: Fraction(q, self.denominator) for mask, q in self.numerators.items()}
+
+    def is_zero(self) -> bool:
+        return not self.numerators
+
+    def is_scalar(self) -> bool:
+        return all(mask == 0 for mask in self.numerators)
+
+    def scalar_part(self) -> Fraction:
+        return Fraction(self.numerators.get(0, 0), self.denominator)
+
+    def __add__(self, other: Multivector) -> Multivector:
+        if not isinstance(other, Multivector):
+            return NotImplemented
+        return _combined(self, other, 1)
+
+    def __neg__(self) -> Multivector:
+        return _scaled(self, -1)
+
+    def __sub__(self, other: Multivector) -> Multivector:
+        if not isinstance(other, Multivector):
+            return NotImplemented
+        return _combined(self, other, -1)
+
+    def __mul__(self, other):
+        if isinstance(other, Multivector):
+            require_same_context(self, other)
+            den = self.denominator * other.denominator
+            products = _products(self.numerators, other.numerators, self.context.blade_count - 1)
+            return _collect(self.context, products, den, Multivector)
+        if isinstance(other, (int, Fraction)):
+            return _scaled(self, other)
+        return NotImplemented
+
+    def __rmul__(self, other):
+        # Scalars are central, so left scaling equals right scaling.
+        return _scaled(self, other) if isinstance(other, (int, Fraction)) else NotImplemented
+
+    def conjugate(self) -> Multivector:
+        """Clifford conjugation: reverse factor order and negate each generator.
+
+        On a grade-g blade this is the sign (-1)^(g(g+1)/2).
+        """
+        nums = self.numerators
+        flipped = {mk: -q if mk.bit_count() % 4 in (1, 2) else q for mk, q in nums.items()}
+        return _normalized(self.context, flipped, self.denominator, Multivector)
+
+    def grade_projection(self, g: int) -> Multivector:
+        if not 0 <= g <= self.context.m:
+            raise ValueError(f"grade {g} out of range 0..{self.context.m}")
+        kept = {mask: q for mask, q in self.numerators.items() if mask.bit_count() == g}
+        return _normalized(self.context, kept, self.denominator, Multivector)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Multivector):
+            return NotImplemented
+        return _equal(self, other)
+
+    __hash__ = None  # mutable-dict backed; not hashable
+
+    def sorted_masks(self) -> list[int]:
+        return sorted(self.numerators, key=lambda mk: (mk.bit_count(), mk))
+
+    def to_json(self) -> list[dict]:
+        """Interchange form: [{"blade": [indices], "coeff": "num/den"}, ...]."""
+        den = self.denominator
+        return [
+            {"blade": list(mask_to_indices(mk)), "coeff": _ratio_text(self.numerators[mk], den)}
+            for mk in self.sorted_masks()
+        ]
+
+    @classmethod
+    def from_json(cls, context: AlgebraContext, data: Iterable[dict]) -> Multivector:
+        fields = (require_fields(item, "multivector entry", "blade", "coeff") for item in data)
+        pairs = [(indices_to_mask(b, context.m), parse_rational(c, '"coeff"')) for b, c in fields]
+        return _from_fractions(context, pairs, Multivector)
+
+    def __str__(self) -> str:
+        terms, parts = self.terms, []
+        for mask in self.sorted_masks():
+            q = terms[mask]
+            if mask == 0:
+                parts.append(str(q))
+            elif q == 1:
+                parts.append(blade_label(mask))
+            elif q == -1:
+                parts.append("-" + blade_label(mask))
+            else:
+                parts.append(f"{q}*{blade_label(mask)}")
+        return " + ".join(parts).replace("+ -", "- ") or "0"
+
+    def __repr__(self) -> str:
+        return f"Multivector(m={self.context.m}: {self})"
 
 
 class CliffordPolynomial:
@@ -167,10 +313,13 @@ class CliffordPolynomial:
         coeffs = []
         for exps, coeff in terms.items():
             base = encode(_exponents(exps, context.m, "exponent"))
+            if not isinstance(coeff, Multivector):
+                raise ValueError(f"coefficient must be a Multivector, got {short_repr(coeff)}")
             if coeff.context != context:
                 raise ContextMismatchError("coefficient from a different algebra")
-            coeffs += [(base | mask, q) for mask, q in coeff.terms.items()]
-        poly = _from_fractions(context, coeffs)
+            coeffs += [(base | mask, q, coeff.denominator) for mask, q in coeff.numerators.items()]
+        den = lcm(*(d for _, _, d in coeffs))  # one denominator for every coefficient
+        poly = _normalized(context, {key: q * (den // d) for key, q, d in coeffs}, den)
         self.context, self.numerators, self.denominator = context, poly.numerators, poly.denominator
 
     # -- constructors -------------------------------------------------
@@ -208,14 +357,9 @@ class CliffordPolynomial:
         """{exps: Multivector} view of the coefficients, rebuilt on every access."""
         context, den = self.context, self.denominator
         return {
-            exps: Multivector._of(context, {mask: Fraction(q, den) for mask, q in blades})
+            exps: _normalized(context, dict(blades), den, Multivector)
             for exps, blades in self._grouped()
         }
-
-    def _ratio_text(self, q: int) -> str:
-        """The reduced fraction q / denominator as "num/den"."""
-        g = gcd(q, self.denominator)
-        return f"{q // g}/{self.denominator // g}"
 
     def _grouped(self) -> list[tuple[tuple[int, ...], list]]:
         """(exps, [(mask, numerator), ...]) in graded-lex monomial order,
@@ -233,28 +377,18 @@ class CliffordPolynomial:
     def is_zero(self) -> bool:
         return not self.numerators
 
-    def _combined(self, other: CliffordPolynomial, sign: int) -> CliffordPolynomial:
-        """self + sign * other over the least common denominator."""
-        require_same_context(self, other)
-        da, db = self.denominator, other.denominator
-        den = lcm(da, db)
-        sa, sb = den // da, sign * (den // db)
-        contributions = [(key, sa * q) for key, q in self.numerators.items()]
-        contributions += [(key, sb * q) for key, q in other.numerators.items()]
-        return _collect(self.context, contributions, den)
-
     def __add__(self, other: CliffordPolynomial) -> CliffordPolynomial:
         if not isinstance(other, CliffordPolynomial):
             return NotImplemented
-        return self._combined(other, 1)
+        return _combined(self, other, 1)
 
     def __neg__(self) -> CliffordPolynomial:
-        return self._scaled(Fraction(-1))
+        return _scaled(self, -1)
 
     def __sub__(self, other: CliffordPolynomial) -> CliffordPolynomial:
         if not isinstance(other, CliffordPolynomial):
             return NotImplemented
-        return self._combined(other, -1)
+        return _combined(self, other, -1)
 
     def __mul__(self, other):
         if isinstance(other, CliffordPolynomial):
@@ -271,7 +405,7 @@ class CliffordPolynomial:
             # right multiplication: coefficients pick up `other` on the right
             return self * CliffordPolynomial.constant(self.context, other)
         if isinstance(other, (int, Fraction)):
-            return self._scaled(Fraction(other))
+            return _scaled(self, other)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -279,12 +413,8 @@ class CliffordPolynomial:
             # left multiplication: `other` acts on each coefficient from the left
             return CliffordPolynomial.constant(self.context, other) * self
         if isinstance(other, (int, Fraction)):
-            return self._scaled(Fraction(other))
+            return _scaled(self, other)
         return NotImplemented
-
-    def _scaled(self, q: Fraction) -> CliffordPolynomial:
-        nums = {key: q.numerator * c for key, c in self.numerators.items()} if q else {}
-        return _normalized(self.context, nums, self.denominator * q.denominator)
 
     def __pow__(self, n: int) -> CliffordPolynomial:
         if n < 0:
@@ -297,11 +427,7 @@ class CliffordPolynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CliffordPolynomial):
             return NotImplemented
-        return (
-            self.context == other.context
-            and self.denominator == other.denominator
-            and self.numerators == other.numerators
-        )
+        return _equal(self, other)
 
     __hash__ = None
 
@@ -340,13 +466,17 @@ class CliffordPolynomial:
         nums = self.numerators
         return max(nums) >> key_layout(self.context.m).degree_shift if nums else -1
 
-    def homogeneous_component(self, degree: int) -> CliffordPolynomial:
-        shift = key_layout(self.context.m).degree_shift
-        kept = {key: q for key, q in self.numerators.items() if key >> shift == degree}
-        return _normalized(self.context, kept, self.denominator)
-
     def coefficient(self, exps: Iterable[int]) -> Multivector:
-        return self.terms.get(tuple(exps), self.context.zero())
+        """The coefficient of x^exps, read from that monomial's keys only;
+        zero if exps is not a monomial of the polynomial."""
+        layout = key_layout(self.context.m)
+        try:
+            mono = layout.encode(_exponents(tuple(exps), layout.m, "exps")) >> layout.m
+        except ValueError:  # wrong length, negative or inexact: no monomial has it
+            mono = -1
+        m, mask_bits = layout.m, layout.mask_bits
+        blades = {key & mask_bits: q for key, q in self.numerators.items() if key >> m == mono}
+        return _normalized(self.context, blades, self.denominator, Multivector)
 
     def evaluate(self, point: Iterable[Scalar]) -> Multivector:
         """Exact substitution of a rational point (x_0, ..., x_m)."""
@@ -363,7 +493,7 @@ class CliffordPolynomial:
                 q *= v.numerator**a * v.denominator ** (top - a)
             contributions.append((mask, q))  # the key of the constant monomial is its mask
         den = self.denominator * prod(v.denominator**top for v, top in zip(values, tops))
-        return _collect(self.context, contributions, den).coefficient((0,) * len(values))
+        return _collect(self.context, contributions, den, Multivector)
 
     # -- serialization ---------------------------------------------------
 
@@ -381,7 +511,7 @@ class CliffordPolynomial:
             {
                 "exps": list(exps),
                 "coeff": [
-                    {"blade": list(indices[mask]), "q": self._ratio_text(q)}
+                    {"blade": list(indices[mask]), "q": _ratio_text(q, self.denominator)}
                     for mask, q in blades
                 ],
             }
@@ -546,7 +676,7 @@ def first_difference(p: CliffordPolynomial, q: CliffordPolynomial) -> str | None
     exps, mask = layout.decode(key)
     return (
         f"monomial {list(exps)}, blade {list(mask_to_indices(mask))}: "
-        f"difference {diff._ratio_text(diff.numerators[key])}"
+        f"difference {_ratio_text(diff.numerators[key], diff.denominator)}"
     )
 
 

@@ -3,10 +3,11 @@
 The reference below is the straightforward representation {exps: {mask:
 Fraction}} with one accumulate loop per operation.  It is kept here, in
 the tests only, as the oracle the flat kernel (an int numerator per
-packed (monomial, blade) key) must agree with exactly.  Multivectors
-({mask: Fraction}) and (x_0, t) profiles ({(a, l): Fraction}), which both
-build their results through the shared accumulate kernel, are checked
-against plain dict-of-Fraction loops too.
+packed (monomial, blade) key) must agree with exactly.  Multivectors, the
+degree-0 case of that kernel (an int numerator per blade mask), and
+(x_0, t) profiles, scalar polynomials on R_{0,1}, are checked through
+their Fraction `terms` views against plain dict-of-Fraction loops too,
+and every result must be in the canonical flat form.
 """
 
 import copy
@@ -267,11 +268,36 @@ def _monomial_product(ka, kb):
 def test_multivector_arithmetic_matches_reference(m, data):
     ctx = AlgebraContext(m)
     a, b = data.draw(multivectors(ctx, max_terms=5)), data.draw(multivectors(ctx, max_terms=5))
+    c, g = data.draw(rationals), data.draw(st.integers(0, m))
     assert (a + b).terms == ref_sparse_sum(a.terms, b.terms)
     assert (a - b).terms == ref_sparse_sum(a.terms, b.terms, -1)
     assert (a * b).terms == ref_sparse_product(a.terms, b.terms, blade_product)
-    for result in (a + b, a - b, a * b):
+    scaled = {mask: c * q for mask, q in a.terms.items()} if c else {}
+    assert (c * a).terms == scaled and (a * c).terms == scaled
+    signs = {mask: -1 if mask.bit_count() % 4 in (1, 2) else 1 for mask in a.terms}
+    assert a.conjugate().terms == {mask: signs[mask] * q for mask, q in a.terms.items()}
+    graded = {mask: q for mask, q in a.terms.items() if mask.bit_count() == g}
+    assert a.grade_projection(g).terms == graded
+    rebuilt = Multivector(ctx, a.terms)
+    loaded = Multivector.from_json(ctx, a.to_json())
+    assert rebuilt == a and loaded == a
+    results = (a + b, a - b, a * b, c * a, a * c, -a, a.conjugate(), a.grade_projection(g))
+    for result in results + (rebuilt, loaded):
         assert all(isinstance(q, Fraction) and q for q in result.terms.values())
+        assert_canonical(result)
+
+
+def test_multivector_and_polynomial_do_not_mix():
+    """Both carry numerators over a denominator, so a shared helper that
+    skipped the type check would mix them silently."""
+    ctx = AlgebraContext(3)
+    mv = Multivector(ctx, {0: Fraction(1, 2), 5: 3})
+    p = CliffordPolynomial.constant(ctx, mv)
+    assert (p.numerators, p.denominator) == (mv.numerators, mv.denominator)
+    for mixed in (lambda: mv + p, lambda: p + mv, lambda: mv - p, lambda: p - mv):
+        with pytest.raises(TypeError):
+            mixed()
+    assert not mv == p and not p == mv
 
 
 profile_terms = st.dictionaries(

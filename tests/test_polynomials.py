@@ -15,6 +15,7 @@ from monappell.polynomials import (
     vector_power,
     vector_variable,
 )
+from monappell.sequences import SequenceSpec, sequence_term_explicit
 from strategies import polynomials, rational_points, rationals
 
 CTX3 = AlgebraContext(3)
@@ -160,6 +161,21 @@ def test_first_difference():
     assert witness is not None and "1/2" in witness
 
 
+def test_coefficient_reads_one_monomial():
+    term = sequence_term_explicit(SequenceSpec.builtin(3, 2, 3), 3)
+    terms = term.terms
+    assert len(terms) > 10
+    for exps, coeff in terms.items():
+        assert term.coefficient(exps) == coeff
+        assert term.coefficient(list(exps)) == coeff
+    zero = CTX3.zero()
+    absent = (5, 0, 0, 0)
+    assert absent not in terms
+    for exps in (absent, (0, 0, 0), (0, 0, 0, 0, 0), (1, -1, 2, 3), (0, 1.0, 0, 0)):
+        assert term.coefficient(exps) == zero
+    assert CliffordPolynomial.zero(CTX3).coefficient((0, 0, 0, 0)) == zero
+
+
 def test_invalid_constructions():
     with pytest.raises(ValueError):
         CliffordPolynomial(CTX3, {(0, 1): CTX3.one()})
@@ -169,6 +185,9 @@ def test_invalid_constructions():
         CliffordPolynomial(CTX3, {(0, 0, 0, 0): AlgebraContext(2).one()})
     with pytest.raises(ValueError):
         vector_power(CTX3, -1)
+    for coeff in (0.5, 3, True, None):
+        with pytest.raises(ValueError, match=f"coefficient must be a Multivector, got {coeff!r}"):
+            CliffordPolynomial(CTX3, {(0, 0, 0, 0): coeff})
 
 
 def test_constructor_rejects_inexact_exponents():

@@ -93,16 +93,18 @@ def accumulate(contributions: Iterable[tuple]) -> dict:
     return {key: q for key, q in acc.items() if q}
 
 
-def parse_rational(text, field: str) -> Fraction:
-    """Parse an exact rational written "int" or "int/int"; anything else
-    (a JSON number, a decimal string, a zero denominator) raises ValueError."""
+def parse_ratio(text, field: str) -> tuple[int, int]:
+    """(numerator, positive denominator) of an exact rational written "int"
+    or "int/int", not necessarily reduced; anything else (a JSON number, a
+    decimal string, a zero denominator) raises ValueError."""
     num, slash, den = text.partition("/") if isinstance(text, str) else ("", "", "")
     digits = num[1:] if num[:1] in ("+", "-") else num
-    if not all(s.isascii() and s.isdigit() for s in (digits, den if slash else "1")):
+    if not ((digits + den).isascii() and digits.isdigit() and (den.isdigit() or not slash)):
         raise ValueError(f'{field} must be a string "int" or "int/int", got {short_repr(text)}')
-    if slash and not int(den):
+    d = int(den or 1)
+    if not d:
         raise ValueError(f"{field} has a zero denominator: {short_repr(text)}")
-    return Fraction(int(num), int(den or 1))
+    return int(num), d
 
 
 def blade_product(a: int, b: int) -> tuple[int, int]:

@@ -89,7 +89,8 @@ def json_text(value, pad: str = "") -> str:
     lists, str, int, bool and None; any other leaf goes to json.dumps.
 
     The stdlib's C encoder is used only without indent, so an indented dump
-    runs its pure-Python generators; here each container is one str.join.
+    runs its pure-Python generators; here each container is one str.join, a
+    list of exact ints one join, and a polynomial term entry one template.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -106,9 +107,28 @@ def json_text(value, pad: str = "") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = (json_text(v, inner) for v in value)
+        exact_ints = set(map(type, value)) <= {int}  # no bool: its repr is not JSON
+        items = map(int.__repr__, value) if exact_ints else _items(value, inner)
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     return json.dumps(value)
+
+
+def _items(values, pad: str):
+    """json_text(v, pad) for each v of values; a polynomial term entry (keys
+    exactly "exps" and "coeff", this a non-empty list of dicts with keys exactly
+    "blade" and "q") is written from a template, json_text writing its values."""
+    p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
+    entry = '{\n%s"exps": %%s,\n%s"coeff": [\n%s%%s\n%s]\n%s}' % (p1, p1, p2, p1, pad)
+    coeff, sep = '{\n%s"blade": %%s,\n%s"q": %%s\n%s}' % (p3, p3, p2), ",\n" + p2
+    for v in values:
+        coeffs = v.get("coeff") if type(v) is dict and tuple(v) == ("exps", "coeff") else None
+        if type(coeffs) is list and coeffs and all(
+            type(c) is dict and tuple(c) == ("blade", "q") for c in coeffs
+        ):
+            texts = (coeff % (json_text(c["blade"], p3), json_text(c["q"], p3)) for c in coeffs)
+            yield entry % (json_text(v["exps"], p1), sep.join(texts))
+        else:
+            yield json_text(v, pad)
 
 
 @contextmanager

@@ -16,7 +16,7 @@ from .bivariate import BivariatePoly
 from .ck import ck_extend
 from .coefficients import double_factorial, fueter_factor, restriction_coefficient
 from .errors import EvenDimensionError
-from .operators import laplacian, require_initial_term
+from .operators import _gate_once, laplacian
 from .polynomials import CliffordPolynomial, vector_power
 from .report import VerificationReport
 from .sequences import AxialPair, SequenceSpec, sequence_term_explicit
@@ -51,7 +51,7 @@ def complex_monomial_parts(n: int) -> HolomorphicPair:
 
 def axial_embedding(pair: HolomorphicPair, pk: CliffordPolynomial, k: int) -> CliffordPolynomial:
     """(u + x̲ v_reduced) P_k with t substituted by |x̲|^2."""
-    require_initial_term(pk, k)
+    _gate_once(pk, k)
     return AxialPair(a=pair.u, b_reduced=pair.v_reduced, k=k, m=pk.context.m, pk=pk).reconstruct()
 
 

@@ -26,6 +26,7 @@ live here, and other modules read the `terms` view.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, prod
@@ -39,7 +40,7 @@ from .algebra import (
     blade_label,
     indices_to_mask,
     mask_to_indices,
-    parse_rational,
+    parse_ratio,
     require_exact,
     require_fields,
     require_int,
@@ -69,7 +70,7 @@ class KeyLayout:
     d/dx_i lowers a key by subtracting `units[i]`.
     """
 
-    __slots__ = ("m", "mask_bits", "degree_shift", "shifts", "units", "_flip")
+    __slots__ = ("m", "mask_bits", "degree_shift", "shifts", "units", "_flip", "_fields")
 
     def __init__(self, m: int):
         self.m = m
@@ -78,20 +79,20 @@ class KeyLayout:
         self.shifts = tuple(m + FIELD_BITS * (m - i) for i in range(m + 1))
         self.units = tuple((1 << s) + (1 << self.degree_shift) for s in self.shifts)
         self._flip = (1 << self.degree_shift) - 1 - self.mask_bits  # every exponent bit
+        self._fields = struct.Struct(">" + "H" * (m + 2))  # degree, a_0, ..., a_m
 
     def encode(self, exps: tuple[int, ...]) -> int:
         """The key of the monomial x^exps (m+1 non-negative ints) with mask 0;
         `encode(exps) | mask` is the key of x^exps e_mask."""
         degree = sum(exps)
-        _require_degree(degree, "monomial")
-        key = degree
-        for a in exps:
-            key = key << FIELD_BITS | a
-        return key << self.m
+        _require_degree(degree, "monomial")  # so every field fits its 16 bits
+        return int.from_bytes(self._fields.pack(degree, *exps), "big") << self.m
 
     def decode(self, key: int) -> tuple[tuple[int, ...], int]:
-        """(exps, mask) of a key."""
-        return tuple(key >> s & FIELD_MASK for s in self.shifts), key & self.mask_bits
+        """(exps, mask) of a key; the degree field is not read, so one that
+        outgrew its 16 bits (possible only past the degree checks) is harmless."""
+        fields = ((key & self._flip) >> self.m).to_bytes(self._fields.size, "big")
+        return self._fields.unpack(fields)[1:], key & self.mask_bits
 
     def sort_key(self, key: int) -> tuple[int, int, int]:
         """Graded-lex monomials (degree up, then x_0 > x_1 > ... > x_m), then
@@ -162,7 +163,7 @@ def _exponents(exps, m: int, field: str) -> tuple[int, ...]:
     A list or tuple of m+1 exact non-negative ints passes in one check;
     anything else takes the entry-by-entry path that names the fault."""
     if type(exps) in (list, tuple) and len(exps) == m + 1:
-        if all(type(a) is int and a >= 0 for a in exps):
+        if set(map(type, exps)) == {int} and min(exps) >= 0:
             return tuple(exps)
     exps = require_shape(exps, (list, tuple), field)
     exps = tuple(require_int(a, f"{field} entry") for a in exps)
@@ -171,12 +172,11 @@ def _exponents(exps, m: int, field: str) -> tuple[int, ...]:
     return exps
 
 
-def _from_fractions(context: AlgebraContext, coeffs: list, cls=None):
-    """Convert [(key, int or Fraction), ...] into the flat form, once, at
-    the boundary; repeated keys are summed."""
-    den = lcm(*(q.denominator for _, q in coeffs))
-    numerators = [(key, q.numerator * (den // q.denominator)) for key, q in coeffs]
-    return _collect(context, numerators, den, cls)
+def _from_ratios(context: AlgebraContext, coeffs: list, cls=None):
+    """Convert [(key, numerator, positive denominator), ...] into the flat
+    form, once, at the boundary; repeated keys are summed."""
+    den = lcm(*{d for _, _, d in coeffs})
+    return _collect(context, ((key, q * (den // d)) for key, q, d in coeffs), den, cls)
 
 
 class Multivector:
@@ -196,7 +196,8 @@ class Multivector:
             if not 0 <= require_int(mask, "blade mask") < limit:
                 raise ValueError(f"blade mask {mask:#x} out of range for m={context.m}")
             require_exact(coeff, "coefficient")
-        flat = _from_fractions(context, list(terms.items()), Multivector)
+        coeffs = [(mask, q.numerator, q.denominator) for mask, q in terms.items()]
+        flat = _from_ratios(context, coeffs, Multivector)
         self.context, self.numerators, self.denominator = context, flat.numerators, flat.denominator
 
     @property
@@ -276,8 +277,8 @@ class Multivector:
     @classmethod
     def from_json(cls, context: AlgebraContext, data: Iterable[dict]) -> Multivector:
         fields = (require_fields(item, "multivector entry", "blade", "coeff") for item in data)
-        pairs = [(indices_to_mask(b, context.m), parse_rational(c, '"coeff"')) for b, c in fields]
-        return _from_fractions(context, pairs, Multivector)
+        coeffs = [(indices_to_mask(b, context.m), *parse_ratio(c, '"coeff"')) for b, c in fields]
+        return _from_ratios(context, coeffs, Multivector)
 
     def __str__(self) -> str:
         terms, parts = self.terms, []
@@ -306,7 +307,7 @@ class CliffordPolynomial:
     or more with DegreeLimitError.
     """
 
-    __slots__ = ("context", "numerators", "denominator")
+    __slots__ = ("context", "numerators", "denominator", "_gated")  # see require_initial_term
 
     def __init__(self, context: AlgebraContext, terms: dict[tuple[int, ...], Multivector]):
         encode = key_layout(context.m).encode
@@ -362,15 +363,19 @@ class CliffordPolynomial:
         }
 
     def _grouped(self) -> list[tuple[tuple[int, ...], list]]:
-        """(exps, [(mask, numerator), ...]) in graded-lex monomial order,
-        blades of each monomial by grade, then mask; one sort over the keys,
-        one decode per distinct monomial."""
+        """(exps, [(mask, numerator), ...]) in `KeyLayout.sort_key` order: only
+        the distinct monomials are sorted and decoded, and the blades only
+        within a monomial that has more than one."""
         layout = key_layout(self.context.m)
-        m, mask_bits, nums = layout.m, layout.mask_bits, self.numerators
+        m, mask_bits = layout.m, layout.mask_bits
         groups: dict[int, list] = {}
-        for key in sorted(nums, key=layout.sort_key):
-            groups.setdefault(key >> m, []).append((key & mask_bits, nums[key]))
-        return [(layout.decode(mono << m)[0], blades) for mono, blades in groups.items()]
+        for key, q in self.numerators.items():
+            groups.setdefault(key >> m, []).append((key & mask_bits, q))
+        for blades in groups.values():
+            if len(blades) > 1:
+                blades.sort(key=lambda item: (item[0].bit_count(), item[0]))
+        order = sorted(groups, key=(layout._flip >> m).__xor__)
+        return [(layout.decode(mono << m)[0], groups[mono]) for mono in order]
 
     # -- ring structure ------------------------------------------------
 
@@ -537,8 +542,8 @@ class CliffordPolynomial:
             for entry in require_shape(coeff, list, '"coeff"'):
                 blade, q = require_fields(entry, '"coeff" entry', "blade", "q")
                 key = base | indices_to_mask(blade, context.m)
-                coeffs.append((key, parse_rational(q, '"q"')))
-        return _from_fractions(context, coeffs)
+                coeffs.append((key, *parse_ratio(q, '"q"')))
+        return _from_ratios(context, coeffs)
 
     def __str__(self) -> str:
         if not self.numerators:

@@ -26,7 +26,7 @@ from .ck import ck_extend
 from .coefficients import expansion_coefficient, restriction_coefficient
 from .errors import ContextMismatchError, NotAxialFormError
 from .initial_terms import builtin_initial_term
-from .operators import dirac, require_initial_term
+from .operators import _gate_once, dirac, require_initial_term
 from .polynomials import (
     CliffordPolynomial,
     degree_witness,
@@ -170,7 +170,7 @@ def axial_decompose(p: CliffordPolynomial, k: int, pk: CliffordPolynomial) -> Ax
     """
     if pk.context != p.context:
         raise ContextMismatchError("polynomial and initial term from different algebras")
-    require_initial_term(pk, k)
+    _gate_once(pk, k)
     ctx = p.context
     profiles: tuple[dict, dict] = ({}, {})  # A, then b_reduced: {(j, half): h}
     xv = vector_variable(ctx)

@@ -43,6 +43,14 @@ def polynomials(ctx: AlgebraContext, max_terms: int = 3, max_exp: int = 2, inclu
     return items.map(build)
 
 
+def polynomials_any_dimension(dimensions=(1, 3, 10, 12), max_terms: int = 4):
+    """Multi-blade polynomials in AlgebraContext(m), m drawn from dimensions;
+    m >= 10 gives two-digit generator indices."""
+    return st.sampled_from(dimensions).flatmap(
+        lambda m: polynomials(AlgebraContext(m), max_terms=max_terms)
+    )
+
+
 def scalar_polynomials(ctx: AlgebraContext, max_terms: int = 3, max_exp: int = 2):
     term = st.tuples(exponent_tuples(ctx, max_exp), rationals)
     items = st.lists(term, max_size=max_terms)

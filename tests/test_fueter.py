@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from monappell import fueter
+from monappell import fueter, operators
 from monappell.algebra import AlgebraContext
 from monappell.bivariate import BivariatePoly
 from monappell.ck import is_monogenic
-from monappell.errors import ArgumentTooSmallError, EvenDimensionError
+from monappell.errors import ArgumentTooSmallError, EvenDimensionError, InvalidInitialTermError
 from monappell.fueter import (
     HolomorphicPair,
     axial_embedding,
@@ -23,9 +23,10 @@ from monappell.initial_terms import builtin_initial_term
 from monappell.polynomials import (
     CliffordPolynomial,
     radius_squared,
+    unit_exps,
     vector_variable,
 )
-from monappell.sequences import SequenceSpec
+from monappell.sequences import SequenceSpec, axial_decompose, verify_axial
 
 CTX3 = AlgebraContext(3)
 ONE3 = CliffordPolynomial.one(CTX3)
@@ -169,3 +170,34 @@ def test_fueter_compare_negative_control(monkeypatch):
     assert failed == [("fueter_ck_identity", threshold + bad), ("fueter_appell_match", bad)]
     assert all(e.witness for e in entries if not e.passed)
     assert len(entries) == threshold + 2 * (spec.n_max + 1)
+
+
+def test_p_k_is_gated_once_per_spec_and_on_every_public_route(monkeypatch):
+    """A SequenceSpec's P_k passes the gate when the spec is built, and
+    verify_axial and fueter_compare do not run it again; a P_k that has not
+    passed it at degree k is still rejected by every public function that
+    takes one."""
+    spec = SequenceSpec.builtin(3, 1, 1)
+    checks = []
+    original = operators.validate_initial_term
+
+    def counting(pk, k):
+        checks.append(k)
+        return original(pk, k)
+
+    monkeypatch.setattr(operators, "validate_initial_term", counting)
+    assert verify_axial(spec).all_passed and fueter_compare(spec).all_passed
+    assert checks == []
+
+    x1e1 = CliffordPolynomial.monomial(CTX3, unit_exps(3, 1), CTX3.e(1))  # not Dirac-annihilated
+    for pk, k in ((x1e1, 1), (spec.pk, 2)):  # spec.pk passed at degree 1, not 2
+        routes = (
+            lambda: axial_decompose(pk, k, pk),
+            lambda: axial_embedding(complex_monomial_parts(2), pk, k),
+            lambda: fueter_map(2 * k + 2, pk, k),
+            lambda: check_fueter_vanishing(pk, k),
+            lambda: check_fueter_identity(2 * k + 2, pk, k),
+        )
+        for route in routes:
+            with pytest.raises(InvalidInitialTermError):
+                route()

@@ -7,16 +7,19 @@ import json
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
-from monappell.algebra import AlgebraContext
+from monappell.algebra import AlgebraContext, Multivector, indices_to_mask
 from monappell.cli import json_text, main
 from monappell.initial_terms import builtin_initial_term
-from monappell.polynomials import DEGREE_LIMIT, CliffordPolynomial
+from monappell.polynomials import DEGREE_LIMIT, CliffordPolynomial, key_layout
+
+from strategies import polynomials_any_dimension
 
 CTX3 = AlgebraContext(3)
 
@@ -60,6 +63,78 @@ def test_json_text_deep_nesting():
     value = "leaf"
     for depth in range(200):
         value = [value] if depth % 2 else {"k": value}
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+# -- polynomial term entries: the template path and its fallback --------------
+
+CTX10 = AlgebraContext(10)
+# x_0 (1 + 2/3 e_1 e_10 - e_2) + x_10^2 e_3: a scalar blade, a two-digit index
+MULTI_BLADE = CliffordPolynomial(
+    CTX10,
+    {
+        (1,) + (0,) * 10: Multivector(CTX10, {0: 1, 0b1000000001: Fraction(2, 3), 0b10: -1}),
+        (0,) * 10 + (2,): CTX10.e(3),
+    },
+)
+
+
+@given(polynomials_any_dimension())
+@example(MULTI_BLADE)
+@example(CliffordPolynomial.zero(CTX3))
+def test_polynomial_entries_round_trip_and_match_the_stdlib(p):
+    """json_text writes polynomial entries from a template; the output is
+    still json.dumps(..., indent=2), it reads back to p, and its entries
+    follow one sort of every key by `KeyLayout.sort_key`."""
+    data = p.to_json_dict()
+    terms = [data, (2 * p).to_json_dict()]
+    payload = {"m": p.context.m, "k": 0, "initial_term": data, "terms": terms}
+    assert json_text(payload) == json.dumps(payload, indent=2)
+    assert CliffordPolynomial.from_json_dict(data) == p
+    layout = key_layout(p.context.m)
+    oracle = [layout.decode(key) for key in sorted(p.numerators, key=layout.sort_key)]
+    written = [
+        (tuple(term["exps"]), indices_to_mask(entry["blade"], p.context.m))
+        for term in data["terms"]
+        for entry in term["coeff"]
+    ]
+    assert written == oracle
+
+
+def _entry(**changes):
+    entry = {"exps": [0, 1], "coeff": [{"blade": [1], "q": "1/2"}, {"blade": [], "q": "-3/1"}]}
+    return {**entry, **changes}
+
+
+def _blade_q(**changes):
+    return _entry(coeff=[{"blade": [2, 10], "q": "1/1", **changes}])
+
+
+@pytest.mark.parametrize(
+    "near_miss",
+    [
+        {**_entry(), "extra": None},
+        {"coeff": _entry()["coeff"], "exps": [0, 1]},
+        _blade_q(extra=[]),
+        _blade_q(q=5),
+        _blade_q(q=None),
+        _entry(exps=[0, True]),
+        _blade_q(blade=[True]),
+        _entry(exps=(0, 1)),
+        _blade_q(blade=(2, 10)),
+        _entry(coeff=[]),
+        _entry(exps=[]),
+        _entry(exps=[0, 1.5]),
+        _entry(coeff=[[1]]),
+    ],
+    ids=[
+        "extra-key", "keys-reordered", "coeff-extra-key", "int-q", "null-q", "bool-in-exps",
+        "bool-in-blade", "tuple-exps", "tuple-blade", "empty-coeff", "empty-exps",
+        "float-in-exps", "coeff-entry-not-an-object",
+    ],
+)
+def test_near_miss_entries_fall_back_and_match_the_stdlib(near_miss):
+    value = {"m": 1, "terms": [near_miss, _entry(), [near_miss]]}
     assert json_text(value) == json.dumps(value, indent=2)
 
 

@@ -14,6 +14,8 @@ numerators over one positive denominator, keyed by blade mask), so it is
 defined there and re-exported here.  `accumulate` is the one sparse "sum
 per key, drop zeros" loop of the package and `_products` its one product
 loop; multivectors and polynomials both build their results with them.
+`scaled_text` and `signed_sum` are the one text writer: every str and
+LaTeX form writes its terms and joins them through them.
 No floating point is used anywhere.
 """
 
@@ -174,6 +176,24 @@ def blade_label(mask: int) -> str:
         return "1"
     sep = "," if indices[-1] > 9 else ""
     return "e" + sep.join(str(j) for j in indices)
+
+
+def scaled_text(q: Scalar, body: str, number=str, times: str = " ") -> str:
+    """q times body as text: a unit q is left implicit, an empty body shows q
+    alone; `number` writes q (str, or LaTeX's fraction_latex) and `times`
+    goes between q and body ("*" before a blade label)."""
+    if not body:
+        return number(q)
+    if q == 1:
+        return body
+    if q == -1:
+        return "-" + body
+    return number(q) + times + body
+
+
+def signed_sum(parts: Iterable[str]) -> str:
+    """The terms joined by " + ", "+ -" folded into "- "; "0" for no term."""
+    return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 @dataclass(frozen=True)

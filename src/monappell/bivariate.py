@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraContext, Scalar
+from .algebra import AlgebraContext, Scalar, scaled_text, signed_sum
 from .polynomials import CliffordPolynomial, radius_squared
 
 _PLANE = AlgebraContext(1)
@@ -116,22 +116,11 @@ class BivariatePoly:
         return out
 
     def __str__(self) -> str:
-        terms = self.terms
-        if not terms:
-            return "0"
         parts = []
-        for (a, l) in sorted(terms):
-            q = terms[(a, l)]
+        for (a, l), q in sorted(self.terms.items()):
             mono = " ".join(v if e == 1 else f"{v}^{e}" for v, e in (("x0", a), ("t", l)) if e)
-            if not mono:
-                parts.append(str(q))
-            elif q == 1:
-                parts.append(mono)
-            elif q == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{q} {mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+            parts.append(scaled_text(q, mono))
+        return signed_sum(parts)
 
     def __repr__(self) -> str:
         return f"BivariatePoly({self})"

@@ -198,7 +198,7 @@ def cmd_generate(args, parser) -> int:
             print(json_text(payload))
         elif args.format == "latex":
             for n in range(spec.n_max + 1):
-                rendered = collected_term_latex(spec.m, spec.k, n, spec.pk if spec.k else None)
+                rendered = collected_term_latex(spec.m, spec.k, n, spec.pk)
                 print(f"n={n}: {rendered}")
         else:
             for n, term in enumerate(terms):

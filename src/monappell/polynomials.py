@@ -46,7 +46,9 @@ from .algebra import (
     require_int,
     require_same_context,
     require_shape,
+    scaled_text,
     short_repr,
+    signed_sum,
 )
 from .errors import ContextMismatchError, DegreeLimitError, NonVectorInputError
 
@@ -147,6 +149,20 @@ def _scaled(a, q: Scalar):
     return _normalized(a.context, nums, a.denominator * q.denominator, type(a))
 
 
+def _product(a, b, cls=None):
+    """a * b as a `cls`, CliffordPolynomial by default, a's blades on the
+    left.  a and b may each be a polynomial or a multivector: a bare mask is
+    the degree-0 key of the constant monomial, so it multiplies as it is."""
+    require_same_context(a, b)
+    x, y = a.numerators, b.numerators
+    layout = key_layout(a.context.m)
+    if x and y:  # degree is the top field: the largest key has the largest degree
+        shift = layout.degree_shift
+        _require_degree((max(x) >> shift) + (max(y) >> shift), "product")
+    den = a.denominator * b.denominator
+    return _collect(a.context, _products(x, y, layout.mask_bits), den, cls)
+
+
 def _equal(a, b) -> bool:
     return (a.context, a.denominator, a.numerators) == (b.context, b.denominator, b.numerators)
 
@@ -155,6 +171,14 @@ def _ratio_text(q: int, denominator: int) -> str:
     """The reduced fraction q / denominator as "num/den"."""
     g = gcd(q, denominator)
     return f"{q // g}/{denominator // g}"
+
+
+def _blades_text(blades, denominator: int) -> str:
+    """The text of the sum of q/denominator e_mask over (mask, q) pairs."""
+    return signed_sum(
+        scaled_text(Fraction(q, denominator), blade_label(mask) if mask else "", times="*")
+        for mask, q in blades
+    )
 
 
 def _exponents(exps, m: int, field: str) -> tuple[int, ...]:
@@ -229,10 +253,7 @@ class Multivector:
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
-            require_same_context(self, other)
-            den = self.denominator * other.denominator
-            products = _products(self.numerators, other.numerators, self.context.blade_count - 1)
-            return _collect(self.context, products, den, Multivector)
+            return _product(self, other, Multivector)
         if isinstance(other, (int, Fraction)):
             return _scaled(self, other)
         return NotImplemented
@@ -281,18 +302,8 @@ class Multivector:
         return _from_ratios(context, coeffs, Multivector)
 
     def __str__(self) -> str:
-        terms, parts = self.terms, []
-        for mask in self.sorted_masks():
-            q = terms[mask]
-            if mask == 0:
-                parts.append(str(q))
-            elif q == 1:
-                parts.append(blade_label(mask))
-            elif q == -1:
-                parts.append("-" + blade_label(mask))
-            else:
-                parts.append(f"{q}*{blade_label(mask)}")
-        return " + ".join(parts).replace("+ -", "- ") or "0"
+        nums = self.numerators
+        return _blades_text(((mk, nums[mk]) for mk in self.sorted_masks()), self.denominator)
 
     def __repr__(self) -> str:
         return f"Multivector(m={self.context.m}: {self})"
@@ -396,27 +407,15 @@ class CliffordPolynomial:
         return _combined(self, other, -1)
 
     def __mul__(self, other):
-        if isinstance(other, CliffordPolynomial):
-            require_same_context(self, other)
-            a, b = self.numerators, other.numerators
-            layout = key_layout(self.context.m)
-            if a and b:  # degree is the top field: the largest key has the largest degree
-                _require_degree(
-                    (max(a) >> layout.degree_shift) + (max(b) >> layout.degree_shift), "product"
-                )
-            den = self.denominator * other.denominator
-            return _collect(self.context, _products(a, b, layout.mask_bits), den)
-        if isinstance(other, Multivector):
-            # right multiplication: coefficients pick up `other` on the right
-            return self * CliffordPolynomial.constant(self.context, other)
+        if isinstance(other, (CliffordPolynomial, Multivector)):
+            return _product(self, other)
         if isinstance(other, (int, Fraction)):
             return _scaled(self, other)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, Multivector):
-            # left multiplication: `other` acts on each coefficient from the left
-            return CliffordPolynomial.constant(self.context, other) * self
+        if isinstance(other, Multivector):  # `other` acts on each coefficient from the left
+            return _product(other, self)
         if isinstance(other, (int, Fraction)):
             return _scaled(self, other)
         return NotImplemented
@@ -546,15 +545,11 @@ class CliffordPolynomial:
         return _from_ratios(context, coeffs)
 
     def __str__(self) -> str:
-        if not self.numerators:
-            return "0"
         parts = []
-        for exps, coeff in self.terms.items():
-            mono = " ".join(
-                f"x{i}" if a == 1 else f"x{i}^{a}" for i, a in enumerate(exps) if a
-            )
-            parts.append(f"({coeff}) {mono}" if mono else f"({coeff})")
-        return " + ".join(parts)
+        for exps, blades in self._grouped():
+            mono = "".join(f" x{i}" if a == 1 else f" x{i}^{a}" for i, a in enumerate(exps) if a)
+            parts.append(f"({_blades_text(blades, self.denominator)}){mono}")
+        return signed_sum(parts)
 
     def __repr__(self) -> str:
         return f"CliffordPolynomial(m={self.context.m}: {self})"

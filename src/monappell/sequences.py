@@ -26,7 +26,7 @@ from .ck import ck_extend
 from .coefficients import expansion_coefficient, restriction_coefficient
 from .errors import ContextMismatchError, NotAxialFormError
 from .initial_terms import builtin_initial_term
-from .operators import _gate_once, dirac, require_initial_term
+from .operators import _gate_once, dirac
 from .polynomials import (
     CliffordPolynomial,
     degree_witness,
@@ -54,7 +54,7 @@ class SequenceSpec:
             raise ContextMismatchError(
                 f"initial term lives in m={self.pk.context.m}, spec says m={self.m}"
             )
-        require_initial_term(self.pk, self.k)
+        _gate_once(self.pk, self.k)  # a resolved InitialTermSpec has passed it already
 
     @property
     def context(self) -> AlgebraContext:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from monappell import cli, fueter, polynomials
+from monappell import cli, fueter, operators, polynomials
 from monappell.algebra import AlgebraContext
 from monappell.cli import ENV_OUTPUT_DIR, main
 from monappell.initial_terms import builtin_initial_term
@@ -28,6 +28,21 @@ def test_generate_latex(capsys):
         "n=0: 1",
         r"n=1: x_0 + \frac{1}{3} \underline{x}",
         r"n=2: x_0^{2} + \frac{2}{3} x_0 \underline{x} + \frac{1}{3} \underline{x}^{2}",
+    ]
+
+
+def test_generate_latex_shows_a_constant_initial_term_other_than_one(capsys, tmp_path):
+    path = tmp_path / "p0.json"
+    p0 = {"m": 3, "terms": [{"exps": [0, 0, 0, 0], "coeff": [{"blade": [1], "q": "2"}]}]}
+    path.write_text(json.dumps(p0))
+    argv = ["generate", "--m", "3", "--k", "0", "--n-max", "2", "--pk", str(path)]
+    code, out, _ = run_cli(capsys, argv + ["--format", "latex"])
+    assert code == 0
+    assert out.strip().splitlines() == [
+        r"n=0: 2 e_{1}",
+        r"n=1: \left(x_0 + \frac{1}{3} \underline{x}\right)\left(2 e_{1}\right)",
+        r"n=2: \left(x_0^{2} + \frac{2}{3} x_0 \underline{x} + \frac{1}{3} \underline{x}^{2}\right)"
+        r"\left(2 e_{1}\right)",
     ]
 
 
@@ -99,6 +114,22 @@ def test_fueter_compare_builds_each_image_once(capsys, monkeypatch):
     assert code == 0
     threshold, n_max = 2 * 1 + 3 - 1, 2
     assert sorted(calls) == list(range(threshold + n_max + 1))
+
+
+def test_cli_runs_the_initial_term_checks_once(capsys, monkeypatch):
+    """The P_k gated by InitialTermSpec.resolve() is not checked again by
+    SequenceSpec or by the Fueter route."""
+    calls = []
+    original = operators.validate_initial_term
+
+    def counting(p, k):
+        calls.append(k)
+        return original(p, k)
+
+    monkeypatch.setattr(operators, "validate_initial_term", counting)
+    code, _, _ = run_cli(capsys, ["fueter-compare", "--m", "3", "--k", "1", "--n-max", "1"])
+    assert code == 0
+    assert calls == [1]
 
 
 def test_fueter_compare_rejects_even_dimension(capsys):

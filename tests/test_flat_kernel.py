@@ -25,7 +25,7 @@ from monappell import polynomials as kernel
 from monappell.algebra import AlgebraContext, Multivector, blade_product
 from monappell.bivariate import BivariatePoly
 from monappell.operators import dirac, laplacian
-from monappell.errors import DegreeLimitError
+from monappell.errors import ContextMismatchError, DegreeLimitError
 from monappell.polynomials import (
     DEGREE_LIMIT,
     CliffordPolynomial,
@@ -298,6 +298,24 @@ def test_multivector_and_polynomial_do_not_mix():
         with pytest.raises(TypeError):
             mixed()
     assert not mv == p and not p == mv
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_multivector_operands_multiply_on_their_own_keys(m, data):
+    """A multivector's bare masks are the keys of the constant monomial, so
+    it multiplies a polynomial on either side as its constant() would."""
+    ctx = AlgebraContext(m)
+    p, a = data.draw(polynomials(ctx)), data.draw(multivectors(ctx, max_terms=4))
+    constant = CliffordPolynomial.constant(ctx, a)
+    for product, reference in ((p * a, p * constant), (a * p, constant * p)):
+        assert product == reference
+        assert_canonical(product)
+    stranger = AlgebraContext(m + 1).one()
+    for mixed in (lambda: p * stranger, lambda: stranger * p):
+        with pytest.raises(ContextMismatchError):
+            mixed()
 
 
 profile_terms = st.dictionaries(

@@ -14,8 +14,8 @@ numerators over one positive denominator, keyed by blade mask), so it is
 defined there and re-exported here.  `accumulate` is the one sparse "sum
 per key, drop zeros" loop of the package and `_products` its one product
 loop; multivectors and polynomials both build their results with them.
-`scaled_text` and `signed_sum` are the one text writer: every str and
-LaTeX form writes its terms and joins them through them.
+The one text writer is `scaled_text` (one term) and `signed_sum` (the
+sum of terms): every str and LaTeX form of the package goes through it.
 No floating point is used anywhere.
 """
 

@@ -11,9 +11,7 @@ element.  This module holds the blade product, the dimension
 (`AlgebraContext`) and the exact-input guards.  A `Multivector` is the
 constant polynomial: it keeps the flat form of `polynomials.py` (integer
 numerators over one positive denominator, keyed by blade mask), so it is
-defined there and re-exported here.  `accumulate` is the one sparse "sum
-per key, drop zeros" loop of the package and `_products` its one product
-loop; multivectors and polynomials both build their results with them.
+defined there, with the sum and product loops, and re-exported here.
 The one text writer is `scaled_text` (one term) and `signed_sum` (the
 sum of terms): every str and LaTeX form of the package goes through it.
 No floating point is used anywhere.
@@ -86,15 +84,6 @@ def require_same_context(a, b) -> None:
         )
 
 
-def accumulate(contributions: Iterable[tuple]) -> dict:
-    """Sum (key, value) pairs per key and drop the keys whose sum is zero."""
-    acc: dict = {}
-    get = acc.get
-    for key, q in contributions:
-        acc[key] = q + get(key, 0)  # q first: Fraction + int takes Fraction's fast path
-    return {key: q for key, q in acc.items() if q}
-
-
 def parse_ratio(text, field: str) -> tuple[int, int]:
     """(numerator, positive denominator) of an exact rational written "int"
     or "int/int", not necessarily reduced; anything else (a JSON number, a
@@ -124,32 +113,6 @@ def blade_product(a: int, b: int) -> tuple[int, int]:
     if (a & b).bit_count() & 1:
         sign = -sign
     return sign, a ^ b
-
-
-def _by_mask(terms: dict, mask_bits: int) -> dict[int, list]:
-    """{mask: [(key without its mask, value), ...]} for keys that carry a
-    blade mask in their low bits (a bare mask is the key of a multivector)."""
-    groups: dict[int, list] = {}
-    for key, q in terms.items():
-        mask = key & mask_bits
-        groups.setdefault(mask, []).append((key - mask, q))
-    return groups
-
-
-def _products(left: dict, right: dict, mask_bits: int):
-    """Contributions (key, value) of the product left * right, one blade
-    product per pair of masks; the left factor's blade stays on the left.
-    The rest of each key adds: exponents and degrees of packed polynomial
-    keys, nothing for the bare masks of a multivector."""
-    rights = _by_mask(right, mask_bits)
-    for ma, xs in _by_mask(left, mask_bits).items():
-        for mb, ys in rights.items():
-            sign, mask = blade_product(ma, mb)
-            for ea, qa in xs:
-                qa *= sign
-                ea += mask
-                for eb, qb in ys:
-                    yield ea + eb, qa * qb
 
 
 def mask_to_indices(mask: int) -> tuple[int, ...]:

@@ -1,9 +1,9 @@
 """Built-in initial terms P_k and the loading of user-supplied ones.
 
-The built-in family is the k-th power of x_1 - e_12 x_2, a degree-1
-element annihilated by the Dirac operator that generates a commutative,
-complex-like subalgebra; its powers are therefore homogeneous monogenic
-of every degree k and exist for all m >= 2.
+The built-in family is the k-th power of x_i - e_ij x_j (i < j, by
+default 1 and 2), a degree-1 element annihilated by the Dirac operator
+that generates a commutative, complex-like subalgebra; its powers are
+therefore homogeneous monogenic of every degree k and exist for m >= 2.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .algebra import AlgebraContext
+from .algebra import AlgebraContext, short_repr
 from .errors import DimensionTooSmallError, InvalidInitialTermError
 from .operators import require_initial_term
 from .operators import validate_initial_term  # re-exported
@@ -21,8 +21,8 @@ from .polynomials import CliffordPolynomial, unit_exps
 BUILTIN_SOURCE = "builtin"
 
 
-def builtin_initial_term(context: AlgebraContext, k: int) -> CliffordPolynomial:
-    """(x_1 - e_12 x_2)^k, or the constant 1 for k = 0."""
+def builtin_initial_term(context: AlgebraContext, k: int, pair=(1, 2)) -> CliffordPolynomial:
+    """(x_i - e_ij x_j)^k for the generator pair (i, j), or 1 for k = 0."""
     if k < 0:
         raise ValueError("degree k must be non-negative")
     if k == 0:
@@ -31,8 +31,11 @@ def builtin_initial_term(context: AlgebraContext, k: int) -> CliffordPolynomial:
         raise DimensionTooSmallError(
             "no built-in initial term of positive degree exists for m = 1"
         )
-    base = CliffordPolynomial.variable(context, 1) - CliffordPolynomial.monomial(
-        context, unit_exps(context.m, 2), context.blade((1, 2))
+    i, j = pair
+    if not 1 <= i < j <= context.m:  # x_j - e_ij x_i is not monogenic
+        raise ValueError(f"generator pair {short_repr(pair)} is not i < j in 1..{context.m}")
+    base = CliffordPolynomial.variable(context, i) - CliffordPolynomial.monomial(
+        context, unit_exps(context.m, j), context.blade((i, j))
     )
     return base**k
 

@@ -15,10 +15,10 @@ and every product check it.
 
 The form is canonical (no zero numerator, no factor common to all
 numerators and the denominator, denominator 1 for zero), so equality is
-literal.  Every result is built by `_collect` (integer contributions
-summed by `algebra.accumulate`) or `_normalized`; Fractions and exponent
-tuples appear only at the API boundary (the `terms` views and the
-readers).  Serialization orders monomials graded-lexicographically.
+literal.  Every result is built by `_normalized` or by `_collect`, the
+one sparse sum loop (`_product` is the one product loop); Fractions and
+exponent tuples appear only at the API boundary (the `terms` views and
+the readers).  Serialization orders monomials graded-lexicographically.
 
 Only this module knows the key layout: the kernels that walk the keys
 live here, and other modules read the `terms` view.
@@ -35,9 +35,8 @@ from typing import Iterable
 from .algebra import (
     AlgebraContext,
     Scalar,
-    _products,
-    accumulate,
     blade_label,
+    blade_product,
     indices_to_mask,
     mask_to_indices,
     parse_ratio,
@@ -129,8 +128,12 @@ def _normalized(context: AlgebraContext, nums: dict, denominator: int, cls=None)
 
 def _collect(context: AlgebraContext, contributions, denominator: int, cls=None):
     """Sum integer contributions (key, numerator) per key, over a common
-    denominator."""
-    return _normalized(context, accumulate(contributions), denominator, cls)
+    denominator, and drop the keys whose sum is zero."""
+    acc: dict = {}
+    get = acc.get
+    for key, q in contributions:
+        acc[key] = q + get(key, 0)
+    return _normalized(context, {key: q for key, q in acc.items() if q}, denominator, cls)
 
 
 def _combined(a, b, sign: int):
@@ -152,15 +155,31 @@ def _scaled(a, q: Scalar):
 def _product(a, b, cls=None):
     """a * b as a `cls`, CliffordPolynomial by default, a's blades on the
     left.  a and b may each be a polynomial or a multivector: a bare mask is
-    the degree-0 key of the constant monomial, so it multiplies as it is."""
+    the degree-0 key of the constant monomial, so it multiplies as it is.
+    One blade product serves each pair of masks; the rest of the keys adds."""
     require_same_context(a, b)
     x, y = a.numerators, b.numerators
     layout = key_layout(a.context.m)
     if x and y:  # degree is the top field: the largest key has the largest degree
         shift = layout.degree_shift
         _require_degree((max(x) >> shift) + (max(y) >> shift), "product")
-    den = a.denominator * b.denominator
-    return _collect(a.context, _products(x, y, layout.mask_bits), den, cls)
+    mask_bits, lefts, rights = layout.mask_bits, {}, {}
+    for groups, nums in ((lefts, x), (rights, y)):
+        for key, q in nums.items():
+            mask = key & mask_bits
+            groups.setdefault(mask, []).append((key - mask, q))
+
+    def contributions():
+        for ma, xs in lefts.items():
+            for mb, ys in rights.items():
+                sign, mask = blade_product(ma, mb)
+                for ea, qa in xs:
+                    qa *= sign
+                    ea += mask
+                    for eb, qb in ys:
+                        yield ea + eb, qa * qb
+
+    return _collect(a.context, contributions(), a.denominator * b.denominator, cls)
 
 
 def _equal(a, b) -> bool:
@@ -296,8 +315,10 @@ class Multivector:
         ]
 
     @classmethod
-    def from_json(cls, context: AlgebraContext, data: Iterable[dict]) -> Multivector:
-        fields = (require_fields(item, "multivector entry", "blade", "coeff") for item in data)
+    def from_json(cls, context: AlgebraContext, data: list[dict]) -> Multivector:
+        """Read the interchange form: a list of entries, else ValueError."""
+        entries = require_shape(data, (list, tuple), "multivector")
+        fields = (require_fields(item, "multivector entry", "blade", "coeff") for item in entries)
         coeffs = [(indices_to_mask(b, context.m), *parse_ratio(c, '"coeff"')) for b, c in fields]
         return _from_ratios(context, coeffs, Multivector)
 
@@ -330,8 +351,7 @@ class CliffordPolynomial:
             if coeff.context != context:
                 raise ContextMismatchError("coefficient from a different algebra")
             coeffs += [(base | mask, q, coeff.denominator) for mask, q in coeff.numerators.items()]
-        den = lcm(*(d for _, _, d in coeffs))  # one denominator for every coefficient
-        poly = _normalized(context, {key: q * (den // d) for key, q, d in coeffs}, den)
+        poly = _from_ratios(context, coeffs)
         self.context, self.numerators, self.denominator = context, poly.numerators, poly.denominator
 
     # -- constructors -------------------------------------------------

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
-from .algebra import AlgebraContext, Multivector, accumulate
+from .algebra import AlgebraContext, Multivector
 from .errors import DimensionTooSmallError
-from .polynomials import CliffordPolynomial, unit_exps
+from .initial_terms import builtin_initial_term
+from .polynomials import CliffordPolynomial
 
 
 MAX_ABS, MAX_DEN = 6, 4  # numerators in -6..6 over denominators 1..4
@@ -22,15 +24,12 @@ def random_rational(rng: random.Random) -> Fraction:
 def random_multivector(
     rng: random.Random, context: AlgebraContext, grades: tuple[int, ...] | None = None
 ) -> Multivector:
-    if grades is None:
-        masks = range(context.blade_count)
-    else:
-        masks = [mk for mk in range(context.blade_count) if mk.bit_count() in grades]
-    draws = [
-        (rng.choice(list(masks)), random_rational(rng))
-        for _ in range(rng.randint(1, MULTIVECTOR_TERMS))
-    ]
-    return Multivector(context, accumulate(draws))
+    masks = [mk for mk in range(context.blade_count) if grades is None or mk.bit_count() in grades]
+    coeffs: Counter = Counter()  # a mask drawn twice sums its rationals
+    for _ in range(rng.randint(1, MULTIVECTOR_TERMS)):
+        mask = rng.choice(masks)
+        coeffs[mask] += random_rational(rng)
+    return Multivector(context, coeffs)
 
 
 def random_polynomial(
@@ -65,8 +64,9 @@ def random_initial_term(rng: random.Random, context: AlgebraContext, k: int) -> 
     """A random valid degree-k initial term.
 
     Degree 0: any nonzero constant multivector.  Degree k >= 1: a small
-    rational combination of powers (x_i - e_ij x_j)^k over random
-    generator pairs, each of which is Dirac-annihilated and homogeneous.
+    rational combination of the powers (x_i - e_ij x_j)^k of
+    `builtin_initial_term` over random generator pairs, each of which is
+    Dirac-annihilated and homogeneous.
     """
     if k == 0:
         constant = random_multivector(rng, context)
@@ -82,12 +82,9 @@ def random_initial_term(rng: random.Random, context: AlgebraContext, k: int) -> 
     ]
     chosen = rng.sample(pairs, min(len(pairs), rng.randint(1, 2)))
     total = CliffordPolynomial.zero(context)
-    for position, (i, j) in enumerate(chosen):
+    for position, pair in enumerate(chosen):
         weight = random_rational(rng)
         if position == 0 and weight == 0:
             weight = Fraction(1)
-        base = CliffordPolynomial.variable(context, i) - CliffordPolynomial.monomial(
-            context, unit_exps(context.m, j), context.blade((i, j))
-        )
-        total = total + weight * base**k
+        total = total + weight * builtin_initial_term(context, k, pair)
     return total

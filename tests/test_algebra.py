@@ -176,3 +176,18 @@ def test_dimension_must_be_a_real_integer():
 def test_multivector_from_json_names_the_missing_field(entry, message):
     with pytest.raises(ValueError, match=message):
         Multivector.from_json(CTX3, [entry])
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (5, "multivector must be a list, got 5"),
+        ({"blade": [1], "coeff": "1"}, "multivector must be a list, got {'blade'"),
+        ("[]", "multivector must be a list"),
+    ],
+)
+def test_multivector_from_json_requires_a_list(data, message):
+    """A non-list is rejected as a whole: an int is not iterated into a
+    TypeError, and a lone entry object is not iterated by its keys."""
+    with pytest.raises(ValueError, match=message):
+        Multivector.from_json(CTX3, data)

@@ -450,10 +450,10 @@ def test_product_guard_negative_control(monkeypatch):
 
 
 # Names of the packed key layout and of the flat form; only polynomials.py
-# may use them (algebra._products gets the mask width as a parameter).
+# may use them.
 LAYOUT_NAMES = {
     "FIELD_MASK", "key_layout", "KeyLayout", "_normalized", "_collect", "_grouped",
-    "_coefficient_of",
+    "_product", "_from_ratios",
 }
 
 
@@ -481,6 +481,6 @@ def test_only_polynomials_knows_the_key_layout():
 
 
 def test_layout_scan_negative_control():
-    leaky = "from .polynomials import key_layout\nq = p.numerators  # numerators\n"
-    assert layout_uses(leaky) == ["key_layout", ".numerators"]
+    leaky = "from .polynomials import key_layout, _product\nq = p.numerators  # numerators\n"
+    assert layout_uses(leaky) == ["key_layout", "_product", ".numerators"]
     assert layout_uses('"""p.numerators and key_layout in prose"""\n') == []

@@ -54,6 +54,22 @@ def test_builtin_rejects_small_dimension():
         builtin_initial_term(CTX3, -1)
 
 
+def test_builtin_on_other_generator_pairs():
+    """Each pair i < j gives a valid P_k; a pair out of order or out of range
+    is rejected (x_2 - e_12 x_1 is not monogenic)."""
+    ctx = AlgebraContext(4)
+    for pair in ((1, 3), (2, 4), (3, 4)):
+        assert validate_initial_term(builtin_initial_term(ctx, 3, pair), 3).all_passed
+    assert not validate_initial_term(
+        CliffordPolynomial.variable(ctx, 2)
+        - CliffordPolynomial.monomial(ctx, unit_exps(4, 1), ctx.blade((1, 2))),
+        1,
+    ).all_passed
+    for pair in ((2, 1), (1, 1), (0, 2), (3, 5)):
+        with pytest.raises(ValueError, match="generator pair"):
+            builtin_initial_term(ctx, 1, pair)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_builtin_passes_validator(m, k):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import AlgebraContext, Scalar, scaled_text, signed_sum
-from .polynomials import CliffordPolynomial, radius_squared
+from .polynomials import CliffordPolynomial, linear_combination, vector_power
 
 _PLANE = AlgebraContext(1)
 _T = CliffordPolynomial.variable(_PLANE, 1)
@@ -102,18 +102,16 @@ class BivariatePoly:
 
     def to_clifford(self, context: AlgebraContext) -> CliffordPolynomial:
         """Substitute t = x_1^2 + ... + x_m^2, yielding a scalar-coefficient
-        polynomial in m+1 variables: one product per power of t, lowest first."""
+        polynomial in m+1 variables: one product per power t^l, by
+        |x̲|^(2l) = (-1)^l x̲^(2l) read from the context's ladder, and one sum."""
         by_power: dict[int, dict] = {}  # l -> {x_0 exponents: coefficient of t^l}
         for (a, l), q in self.terms.items():
             by_power.setdefault(l, {})[(a,) + (0,) * context.m] = context.scalar(q)
-        rsq = radius_squared(context)
-        powers = [CliffordPolynomial.one(context)]  # |x̲|^(2l), one factor more per entry
-        out = CliffordPolynomial.zero(context)
-        for l in sorted(by_power):
-            while len(powers) <= l:
-                powers.append(powers[-1] * rsq)
-            out = out + CliffordPolynomial(context, by_power[l]) * powers[l]
-        return out
+        terms = [
+            ((-1) ** l, CliffordPolynomial(context, x0s) * vector_power(context, 2 * l))
+            for l, x0s in by_power.items()
+        ]
+        return linear_combination(context, terms)
 
     def __str__(self) -> str:
         parts = []

@@ -5,7 +5,8 @@ more variable via the exponential series
 
     sum_j ((-x_0)^j / j!) dirac^j g
 
-which terminates because dirac lowers total degree.
+which terminates because dirac lowers total degree; one
+`linear_combination` sums it, so no partial sum is copied.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import factorial
 
 from .errors import DependsOnX0Error
 from .operators import cauchy_riemann, conj_cauchy_riemann, dirac
-from .polynomials import CliffordPolynomial
+from .polynomials import CliffordPolynomial, linear_combination
 
 
 def ck_extend(g: CliffordPolynomial) -> CliffordPolynomial:
@@ -23,15 +24,14 @@ def ck_extend(g: CliffordPolynomial) -> CliffordPolynomial:
     if g.depends_on_x0():
         raise DependsOnX0Error("initial data must not involve x_0")
     ctx = g.context
-    result = CliffordPolynomial.zero(ctx)
+    terms = []  # ((-1)^j / j!, x_0^j dirac^j g)
     current = g
-    j = 0
     while not current.is_zero():
-        factor = ctx.scalar(Fraction((-1) ** j, factorial(j)))
-        result = result + CliffordPolynomial.monomial(ctx, (j,) + (0,) * ctx.m, factor) * current
+        j = len(terms)
+        x0j = CliffordPolynomial.monomial(ctx, (j,) + (0,) * ctx.m, ctx.one())
+        terms.append((Fraction((-1) ** j, factorial(j)), x0j * current))
         current = dirac(current)
-        j += 1
-    return result
+    return linear_combination(ctx, terms)
 
 
 def is_monogenic(p: CliffordPolynomial) -> bool:
@@ -42,7 +42,11 @@ def is_monogenic(p: CliffordPolynomial) -> bool:
 def check_ck_intertwining(g: CliffordPolynomial) -> bool:
     """Half the conjugate operator on the extension, minus dirac of the
     extension, and the extension of minus dirac of the data all agree."""
-    ext = ck_extend(g)
+    return ck_intertwines(g, ck_extend(g))
+
+
+def ck_intertwines(g: CliffordPolynomial, ext: CliffordPolynomial) -> bool:
+    """`check_ck_intertwining` on an extension ext = ck_extend(g) already built."""
     half_conj = Fraction(1, 2) * conj_cauchy_riemann(ext)
     minus_dirac = -dirac(ext)
     extended_derivative = ck_extend(-dirac(g))

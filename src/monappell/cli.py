@@ -2,8 +2,8 @@
 compare with the Fueter route, and validate user-supplied initial terms.
 
 Exit status: 0 all checks pass, 1 verification failures, 2 usage errors,
-3 internal errors.  Output is deterministic for a fixed configuration
-and seed.
+3 internal errors, 141 (quietly) when the reader closes stdout early.
+Output is deterministic for a fixed configuration and seed.
 """
 
 from __future__ import annotations
@@ -248,6 +248,9 @@ def main(argv: list[str] | None = None) -> int:
     except MonappellError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # what is still buffered goes to devnull, not to a second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

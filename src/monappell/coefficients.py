@@ -1,7 +1,7 @@
 """Integer and rational coefficients used by the sequence construction."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .errors import ArgumentTooSmallError
 
@@ -21,10 +21,7 @@ def lowering_factor(m: int, k: int, n: int) -> int:
 
 def lowering_product(m: int, k: int, n: int) -> int:
     """Product of lowering factors for s = 0..n."""
-    out = 1
-    for s in range(n + 1):
-        out *= lowering_factor(m, k, s)
-    return out
+    return prod(lowering_factor(m, k, s) for s in range(n + 1))
 
 
 def restriction_coefficient(m: int, k: int, n: int) -> Fraction:
@@ -46,11 +43,7 @@ def double_factorial(n: int) -> int:
     """n!! with the conventions 0!! = (-1)!! = 1."""
     if n < -1:
         raise ValueError("double factorial not defined below -1")
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+    return prod(range(n, 1, -2))
 
 
 def fueter_factor(m: int, k: int, n: int) -> int:
@@ -65,9 +58,4 @@ def fueter_factor(m: int, k: int, n: int) -> int:
         raise ArgumentTooSmallError(f"need n >= {floor}, got {n}")
     if n % 2:
         n -= 1
-    out = 1
-    t = n
-    while t > n - floor:
-        out *= t
-        t -= 2
-    return out
+    return prod(range(n, n - floor, -2))  # n (n-2) ... down to n-floor exclusive

@@ -17,6 +17,7 @@ from .polynomials import (
     degree_witness,
     dirac,
     laplacian,
+    linear_combination,
     vector_components,
     vector_power,
 )
@@ -63,10 +64,9 @@ def check_leibniz_vector(f: CliffordPolynomial, g: CliffordPolynomial) -> bool:
     comps = vector_components(f)
     require_same_context(f, g)
     lhs = dirac(f * g)
-    rhs = dirac(f) * g - f * dirac(g)
-    for j, fj in enumerate(comps, start=1):
-        rhs = rhs - 2 * (fj * g.partial_derivative(j))
-    return lhs == rhs
+    terms = [(1, dirac(f) * g), (-1, f * dirac(g))]
+    terms += [(-2, fj * g.partial_derivative(j)) for j, fj in enumerate(comps, start=1)]
+    return lhs == linear_combination(f.context, terms)
 
 
 def validate_initial_term(p: CliffordPolynomial, k: int) -> VerificationReport:

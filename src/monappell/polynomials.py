@@ -20,6 +20,12 @@ one sparse sum loop (`_product` is the one product loop); Fractions and
 exponent tuples appear only at the API boundary (the `terms` views and
 the readers).  Serialization orders monomials graded-lexicographically.
 
+`linear_combination` is the one sum entry point (`+` and `-` are its
+two-operand case): one `_collect` over the least common denominator.
+The powers |x̲|^(2l) of a context form a ladder memoized like
+`key_layout`, each rung one product made once per process; its values
+are shared, as every instance is treated as immutable.
+
 Only this module knows the key layout: the kernels that walk the keys
 live here, and other modules read the `terms` view.
 """
@@ -133,17 +139,24 @@ def _collect(context: AlgebraContext, contributions, denominator: int, cls=None)
     get = acc.get
     for key, q in contributions:
         acc[key] = q + get(key, 0)
-    return _normalized(context, {key: q for key, q in acc.items() if q}, denominator, cls)
+    if 0 in acc.values():  # only a sum that cancelled needs the second dict
+        acc = {key: q for key, q in acc.items() if q}
+    return _normalized(context, acc, denominator, cls)
 
 
-def _combined(a, b, sign: int):
-    """a + sign * b over the least common denominator, for two values of one type."""
-    require_same_context(a, b)
-    den = lcm(a.denominator, b.denominator)
-    sa, sb = den // a.denominator, sign * (den // b.denominator)
-    contributions = [(key, sa * q) for key, q in a.numerators.items()]
-    contributions += [(key, sb * q) for key, q in b.numerators.items()]
-    return _collect(a.context, contributions, den, type(a))
+def linear_combination(context: AlgebraContext, pairs: Iterable[tuple]):
+    """sum weight * operand over (weight, operand) pairs of int or Fraction weights and
+    operands of `context`, by one `_collect` over the least common denominator; the
+    sum is a Multivector only if every operand is one."""
+    pairs = [(require_exact(weight, "weight"), operand) for weight, operand in pairs]
+    if any(x.context != context for _, x in pairs):
+        raise ContextMismatchError(f"an operand is not from the algebra of m={context.m}")
+    only_multivectors = pairs and all(isinstance(x, Multivector) for _, x in pairs)
+    terms = [(w.numerator, x.numerators, w.denominator * x.denominator) for w, x in pairs if w]
+    den = lcm(*(d for _, _, d in terms))
+    scaled = [(q * (den // d), nums) for q, nums, d in terms]
+    contributions = [(key, s * q) for s, nums in scaled for key, q in nums.items()]
+    return _collect(context, contributions, den, Multivector if only_multivectors else None)
 
 
 def _scaled(a, q: Scalar):
@@ -260,7 +273,7 @@ class Multivector:
     def __add__(self, other: Multivector) -> Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
-        return _combined(self, other, 1)
+        return linear_combination(self.context, [(1, self), (1, other)])
 
     def __neg__(self) -> Multivector:
         return _scaled(self, -1)
@@ -268,7 +281,7 @@ class Multivector:
     def __sub__(self, other: Multivector) -> Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
-        return _combined(self, other, -1)
+        return linear_combination(self.context, [(1, self), (-1, other)])
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -416,7 +429,7 @@ class CliffordPolynomial:
     def __add__(self, other: CliffordPolynomial) -> CliffordPolynomial:
         if not isinstance(other, CliffordPolynomial):
             return NotImplemented
-        return _combined(self, other, 1)
+        return linear_combination(self.context, [(1, self), (1, other)])
 
     def __neg__(self) -> CliffordPolynomial:
         return _scaled(self, -1)
@@ -424,7 +437,7 @@ class CliffordPolynomial:
     def __sub__(self, other: CliffordPolynomial) -> CliffordPolynomial:
         if not isinstance(other, CliffordPolynomial):
             return NotImplemented
-        return _combined(self, other, -1)
+        return linear_combination(self.context, [(1, self), (-1, other)])
 
     def __mul__(self, other):
         if isinstance(other, (CliffordPolynomial, Multivector)):
@@ -441,7 +454,7 @@ class CliffordPolynomial:
         return NotImplemented
 
     def __pow__(self, n: int) -> CliffordPolynomial:
-        if n < 0:
+        if require_int(n, "exponent") < 0:
             raise ValueError("negative powers are not defined")
         result = CliffordPolynomial.one(self.context)
         for _ in range(n):
@@ -654,35 +667,41 @@ def scalar_ratio(target: CliffordPolynomial, reference: CliffordPolynomial) -> F
     return ratio if target == ratio * reference else None
 
 
+@cache
 def vector_variable(context: AlgebraContext) -> CliffordPolynomial:
-    """The vector variable: sum_j x_j e_j."""
-    terms = {
-        unit_exps(context.m, j): context.e(j) for j in range(1, context.m + 1)
-    }
+    """The vector variable sum_j x_j e_j, built once per context."""
+    terms = {unit_exps(context.m, j): context.e(j) for j in range(1, context.m + 1)}
     return CliffordPolynomial(context, terms)
+
+
+@cache
+def _radius_ladder(context: AlgebraContext) -> dict[int, CliffordPolynomial]:
+    """{l: |x̲|^(2l)} of one context, memoized like `key_layout`; `vector_power` adds rungs."""
+    m = context.m
+    squares = {tuple(2 * a for a in unit_exps(m, j)): context.one() for j in range(1, m + 1)}
+    return {0: CliffordPolynomial.one(context), 1: CliffordPolynomial(context, squares)}
 
 
 def radius_squared(context: AlgebraContext) -> CliffordPolynomial:
     """|x̲|^2 = x_1^2 + ... + x_m^2, a scalar polynomial."""
-    terms = {}
-    for j in range(1, context.m + 1):
-        exps = tuple(2 if t == j else 0 for t in range(context.m + 1))
-        terms[exps] = context.one()
-    return CliffordPolynomial(context, terms)
+    return _radius_ladder(context)[1]
 
 
 def vector_power(context: AlgebraContext, n: int) -> CliffordPolynomial:
     """n-th power of the vector variable in closed form.
 
-    Even powers are scalar: (sum x_j e_j)^(2l) = (-1)^l |x̲|^(2l); odd
-    powers carry one remaining vector factor.
+    Even powers are scalar: (sum x_j e_j)^(2l) = (-1)^l |x̲|^(2l), read
+    from the ladder; odd powers carry one remaining vector factor.  Rung l
+    is set from rung l-1, so the rungs stay 0..len-1, none read unset.
     """
-    if n < 0:
+    if require_int(n, "power") < 0:
         raise ValueError("negative powers are not defined")
+    _require_degree(n, "vector power")
     half, odd = divmod(n, 2)
-    base = radius_squared(context) ** half
-    if half % 2:
-        base = -base
+    ladder = _radius_ladder(context)
+    for l in range(len(ladder), half + 1):
+        ladder[l] = ladder[l - 1] * ladder[1]
+    base = -ladder[half] if half % 2 else ladder[half]
     return base * vector_variable(context) if odd else base
 
 

@@ -5,11 +5,13 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 
 from .algebra import AlgebraContext, Multivector
 from .errors import DimensionTooSmallError
 from .initial_terms import builtin_initial_term
-from .polynomials import CliffordPolynomial
+from .polynomials import CliffordPolynomial, linear_combination
 
 
 MAX_ABS, MAX_DEN = 6, 4  # numerators in -6..6 over denominators 1..4
@@ -21,15 +23,25 @@ def random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-MAX_ABS, MAX_ABS), rng.randint(1, MAX_DEN))
 
 
-def random_multivector(
-    rng: random.Random, context: AlgebraContext, grades: tuple[int, ...] | None = None
-) -> Multivector:
-    masks = [mk for mk in range(context.blade_count) if grades is None or mk.bit_count() in grades]
-    coeffs: Counter = Counter()  # a mask drawn twice sums its rationals
+@cache
+def _masks(m: int, grades: tuple[int, ...] | None) -> tuple[int, ...]:
+    """The blade masks of R_{0,m} with a grade in grades (every mask for None)."""
+    return tuple(mk for mk in range(1 << m) if grades is None or mk.bit_count() in grades)
+
+
+def _draw_blades(rng: random.Random, masks: tuple[int, ...]) -> Counter:
+    """1..MULTIVECTOR_TERMS (mask, rational) draws; a mask drawn twice sums its rationals."""
+    coeffs: Counter = Counter()
     for _ in range(rng.randint(1, MULTIVECTOR_TERMS)):
         mask = rng.choice(masks)
         coeffs[mask] += random_rational(rng)
-    return Multivector(context, coeffs)
+    return coeffs
+
+
+def random_multivector(
+    rng: random.Random, context: AlgebraContext, grades: tuple[int, ...] | None = None
+) -> Multivector:
+    return Multivector(context, _draw_blades(rng, _masks(context.m, grades)))
 
 
 def random_polynomial(
@@ -38,14 +50,16 @@ def random_polynomial(
     include_x0: bool = True,
     grades: tuple[int, ...] | None = None,
 ) -> CliffordPolynomial:
-    total = CliffordPolynomial.zero(context)
+    """Monomials with `random_multivector` draws, collected per monomial: one build."""
+    masks = _masks(context.m, grades)
+    coeffs: dict[tuple[int, ...], Counter] = {}
     for _ in range(rng.randint(1, POLYNOMIAL_TERMS)):
         exps = [0] * (context.m + 1)
         for _ in range(rng.randint(0, POLYNOMIAL_DEGREE)):
             exps[rng.randint(0 if include_x0 else 1, context.m)] += 1
-        coeff = random_multivector(rng, context, grades=grades)
-        total = total + CliffordPolynomial(context, {tuple(exps): coeff})
-    return total
+        coeffs.setdefault(tuple(exps), Counter()).update(_draw_blades(rng, masks))
+    terms = {exps: Multivector(context, blades) for exps, blades in coeffs.items()}
+    return CliffordPolynomial(context, terms)
 
 
 def random_scalar_polynomial(rng: random.Random, context: AlgebraContext) -> CliffordPolynomial:
@@ -75,16 +89,9 @@ def random_initial_term(rng: random.Random, context: AlgebraContext, k: int) -> 
         return CliffordPolynomial.constant(context, constant)
     if context.m < 2:
         raise DimensionTooSmallError("random initial terms of positive degree need m >= 2")
-    pairs = [
-        (i, j)
-        for i in range(1, context.m + 1)
-        for j in range(i + 1, context.m + 1)
-    ]
+    pairs = list(combinations(range(1, context.m + 1), 2))  # i < j, in lexicographic order
     chosen = rng.sample(pairs, min(len(pairs), rng.randint(1, 2)))
-    total = CliffordPolynomial.zero(context)
-    for position, pair in enumerate(chosen):
-        weight = random_rational(rng)
-        if position == 0 and weight == 0:
-            weight = Fraction(1)
-        total = total + weight * builtin_initial_term(context, k, pair)
-    return total
+    weights = [random_rational(rng) for _ in chosen]
+    weights[0] = weights[0] or Fraction(1)
+    terms = [(w, builtin_initial_term(context, k, pair)) for w, pair in zip(weights, chosen)]
+    return linear_combination(context, terms)

@@ -30,6 +30,7 @@ from .operators import _gate_once, dirac
 from .polynomials import (
     CliffordPolynomial,
     degree_witness,
+    linear_combination,
     scalar_ratio,
     vector_power,
     vector_variable,
@@ -77,14 +78,14 @@ def sequence_term_explicit(spec: SequenceSpec, n: int) -> CliffordPolynomial:
     ctx = spec.context
     xv = vector_variable(ctx)
     power = CliffordPolynomial.one(ctx)  # x̲^(n-j), one factor x̲ more per step
-    h = CliffordPolynomial.zero(ctx)
+    terms = []
     for j in range(n, -1, -1):
         weight = comb(n, j) * expansion_coefficient(spec.m, spec.k, n, j)
-        x0j = CliffordPolynomial.monomial(ctx, (j,) + (0,) * ctx.m, ctx.scalar(weight))
-        h = h + x0j * power
+        x0j = CliffordPolynomial.monomial(ctx, (j,) + (0,) * ctx.m, ctx.one())
+        terms.append((weight, x0j * power))
         if j:
             power = power * xv
-    return h * spec.pk
+    return linear_combination(ctx, terms) * spec.pk
 
 
 def sequence_term_ck(spec: SequenceSpec, n: int) -> CliffordPolynomial:

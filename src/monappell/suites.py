@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from .algebra import AlgebraContext
-from .ck import check_ck_intertwining, ck_extend, is_monogenic
+from .ck import ck_extend, ck_intertwines, is_monogenic
 from .operators import check_dirac_power_rule, check_leibniz_scalar, check_leibniz_vector
 from .report import VerificationReport
 from .sampling import (
@@ -74,7 +74,7 @@ def ck_suite(m: int, seed: int, cases: int) -> VerificationReport:
     def check(rng, context):
         g = random_x0_free_polynomial(rng, context)
         extension = ck_extend(g)
-        return [extension.restrict_x0() == g, is_monogenic(extension), check_ck_intertwining(g)]
+        return [extension.restrict_x0() == g, is_monogenic(extension), ck_intertwines(g, extension)]
 
     return _suite(["ck_restriction", "ck_monogenic", "ck_intertwining"], m, seed, cases, check)
 

@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from monappell import ck, suites
 from monappell.algebra import AlgebraContext
 from monappell.ck import check_ck_intertwining, ck_extend, is_monogenic
 from monappell.errors import DependsOnX0Error
@@ -74,6 +75,22 @@ def test_intertwining_examples():
         pk = builtin_initial_term(CTX3, k)
         for n in (0, 1, 2, 3):
             assert check_ck_intertwining(vector_power(CTX3, n) * pk)
+
+
+def test_ck_suite_extends_each_case_once(monkeypatch):
+    """Per case: the extension of the data, shared by the three checks, and
+    the extension of -dirac(data) that the intertwining compares with."""
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return ck_extend(g)
+
+    monkeypatch.setattr(suites, "ck_extend", counted)
+    monkeypatch.setattr(ck, "ck_extend", counted)
+    report = suites.ck_suite(3, seed=4, cases=5)
+    assert report.all_passed and len(report.entries) == 3
+    assert len(calls) == 2 * 5
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

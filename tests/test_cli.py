@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +202,37 @@ def test_internal_error_names_the_exception_type(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: TypeError: unsupported operand\n"
+
+
+def _generate_into_a_closed_pipe(n_max: int) -> tuple[int, bytes]:
+    """Run `generate --format json` (about 270 kB at n_max = 6) in a fresh
+    interpreter whose reader takes 100 bytes and closes the pipe, as
+    `| head -c 100` does; return the exit status and stderr."""
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = [sys.executable, "-m", "monappell", "generate", "--m", "5", "--k", "2"]
+    argv += ["--n-max", str(n_max), "--format", "json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert len(head) == 100
+    return code, err
+
+
+def test_closed_stdout_pipe_exits_quietly_with_141():
+    code, err = _generate_into_a_closed_pipe(6)
+    assert (code, err) == (141, b"")
+
+
+def test_closed_pipe_negative_control():
+    """Output that fits the pipe buffer is written in full before the reader
+    leaves, so nothing breaks and the run exits 0: the 141 above comes from
+    the closed pipe, not from the command."""
+    code, err = _generate_into_a_closed_pipe(0)
+    assert (code, err) == (0, b"")
 
 
 def test_product_past_the_degree_limit_exits_two(capsys, monkeypatch):

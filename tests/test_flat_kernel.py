@@ -14,7 +14,7 @@ import copy
 import io
 import tokenize
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -31,8 +31,10 @@ from monappell.polynomials import (
     CliffordPolynomial,
     first_difference,
     key_layout,
+    linear_combination,
     vector_variable,
 )
+from monappell.report import VerificationReport
 from monappell.sequences import SequenceSpec, sequence_term_explicit
 from strategies import multivectors, polynomials, rationals
 
@@ -285,6 +287,78 @@ def test_multivector_arithmetic_matches_reference(m, data):
     for result in results + (rebuilt, loaded):
         assert all(isinstance(q, Fraction) and q for q in result.terms.values())
         assert_canonical(result)
+
+
+weights = st.sampled_from([0, 1, -1]) | rationals
+
+
+def binary_fold(zero, pairs):
+    """sum of weight * operand by binary + and - alone."""
+    total = zero
+    for weight, operand in pairs:
+        total = total - (-weight) * operand if weight < 0 else total + weight * operand
+    return total
+
+
+@pytest.mark.parametrize("m", MS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_linear_combination_is_the_fold_of_binary_sums(m, data):
+    """On polynomials and on multivectors, with mixed denominators and zero
+    weights.  Appending the negated first term cancels its keys, and the
+    negation of all terms cancels every key, so the zero filter runs."""
+    ctx = AlgebraContext(m)
+    kind = data.draw(st.sampled_from(["polynomial", "multivector"]))
+    operand = rich_polynomials(ctx) if kind == "polynomial" else multivectors(ctx, max_terms=5)
+    zero = CliffordPolynomial.zero(ctx) if kind == "polynomial" else ctx.zero()
+    pairs = data.draw(st.lists(st.tuples(weights, operand), min_size=1, max_size=5))
+    negated = [(-weight, x) for weight, x in pairs]
+    total = linear_combination(ctx, pairs)
+    partial = linear_combination(ctx, pairs + negated[:1])
+    cancelled = linear_combination(ctx, pairs + negated)
+    assert total == binary_fold(zero, pairs)
+    assert partial == binary_fold(zero, pairs[1:])
+    assert cancelled == zero and cancelled.numerators == {} and cancelled.denominator == 1
+    for result in (total, partial, cancelled):
+        assert type(result) is type(zero)
+        assert_canonical(result)
+
+
+def test_linear_combination_checks_its_operands_and_weights():
+    ctx = AlgebraContext(3)
+    p, mv = CliffordPolynomial.variable(ctx, 1), Multivector(ctx, {0: Fraction(1, 2), 5: 3})
+    stranger = CliffordPolynomial.one(AlgebraContext(2))
+    for context, operands in ((ctx, [p, stranger]), (AlgebraContext(2), [p])):
+        with pytest.raises(ContextMismatchError):
+            linear_combination(context, [(0, x) for x in operands])  # a zero weight too
+    for weight in (0.5, 1.0, True, None):
+        with pytest.raises(ValueError, match="weight must be an int or a Fraction"):
+            linear_combination(ctx, [(1, p), (weight, p)])
+    # a multivector is the constant polynomial, so a mixed sum is a polynomial
+    mixed = linear_combination(ctx, [(1, p), (Fraction(2, 3), mv)])
+    assert mixed == p + Fraction(2, 3) * CliffordPolynomial.constant(ctx, mv)
+    assert linear_combination(ctx, []) == CliffordPolynomial.zero(ctx)
+
+
+def test_one_wrong_weight_fails_with_a_witness():
+    """Negative control: the CK series of x̲^3 with the weight of its x_0 term
+    flipped differs from the series with every weight right, and the failed
+    check names the first differing term."""
+    ctx = AlgebraContext(3)
+    x0, g = CliffordPolynomial.variable(ctx, 0), vector_variable(ctx) ** 3
+    series, current = [], g
+    while not current.is_zero():
+        j = len(series)
+        series.append((Fraction((-1) ** j, factorial(j)), x0**j * current))
+        current = dirac(current)
+    expected = binary_fold(CliffordPolynomial.zero(ctx), series)
+    wrong = [(-weight if j == 1 else weight, x) for j, (weight, x) in enumerate(series)]
+    report = VerificationReport()
+    assert report.add_equal("ck_series", {}, linear_combination(ctx, series), expected).passed
+    entry = report.add_equal("ck_series", {}, linear_combination(ctx, wrong), expected)
+    assert not entry.passed
+    assert entry.witness == first_difference(linear_combination(ctx, wrong), expected)
+    assert entry.witness.startswith("monomial [1, ")
 
 
 def test_multivector_and_polynomial_do_not_mix():

@@ -5,8 +5,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from monappell import polynomials as kernel
+from monappell import sequences
 from monappell.algebra import AlgebraContext
-from monappell.errors import ContextMismatchError
+from monappell.errors import ContextMismatchError, InvalidInitialTermError
+from monappell.initial_terms import builtin_initial_term
+from monappell.operators import require_initial_term
 from monappell.polynomials import (
     CliffordPolynomial,
     first_difference,
@@ -15,7 +19,7 @@ from monappell.polynomials import (
     vector_power,
     vector_variable,
 )
-from monappell.sequences import SequenceSpec, sequence_term_explicit
+from monappell.sequences import SequenceSpec, sequence_term_ck, sequence_term_explicit
 from strategies import polynomials, rational_points, rationals
 
 CTX3 = AlgebraContext(3)
@@ -34,10 +38,72 @@ def test_unit_multiplication():
     assert CliffordPolynomial.one(CTX3) * p == p
 
 
-@pytest.mark.parametrize("n", range(6))
+def fresh_vector_variable(ctx: AlgebraContext) -> CliffordPolynomial:
+    """sum_j x_j e_j built here term by term, outside every memo."""
+    total = CliffordPolynomial.zero(ctx)
+    for j in range(1, ctx.m + 1):
+        total = total + CliffordPolynomial.monomial(ctx, unit_exps(ctx.m, j), ctx.e(j))
+    return total
+
+
+@pytest.mark.parametrize("n", range(10))
 def test_vector_power_matches_repeated_product(n):
+    """The closed form read from the memoized ladder against the memo-free
+    product, for m = 1..6; the second read of each power is a memo hit."""
+    for m in range(1, 7):
+        ctx = AlgebraContext(m)
+        expected = fresh_vector_variable(ctx) ** n
+        assert vector_power(ctx, n) == expected
+        assert vector_power(ctx, n) == expected
+    assert vector_variable(ctx) == fresh_vector_variable(ctx)
+
+
+def test_ladder_entries_survive_their_uses():
+    """Memoized powers are shared values: negating, scaling and multiplying
+    them by P_k, and passing them through the P_0 gate, leaves each memo
+    entry equal to the memo-free product."""
+    xv = fresh_vector_variable(CTX3)
+    pk = builtin_initial_term(CTX3, 2)
+    for n in range(6):
+        value = vector_power(CTX3, n)
+        for use in (-value, Fraction(-3, 2) * value, value * pk, pk * value, value - value):
+            assert use is not value
+        if n == 0:
+            require_initial_term(value, 0)  # the constant 1 is a valid P_0
+        else:
+            with pytest.raises(InvalidInitialTermError):
+                require_initial_term(value, 0)
+        assert vector_power(CTX3, n) == xv**n
+        assert radius_squared(CTX3) == -(xv**2)
+
+
+def test_explicit_route_never_reads_the_ladder(monkeypatch):
+    """The explicit route iterates its own power * x̲, so it stays
+    independent of the closed form the CK route reads."""
+    spec = SequenceSpec.builtin(3, 1, 4)
+    expected = [sequence_term_ck(spec, n) for n in range(5)]
+
+    def forbidden(*args):
+        raise AssertionError("the explicit route read a memoized power")
+
+    monkeypatch.setattr(kernel, "_radius_ladder", forbidden)
+    for module in (kernel, sequences):
+        monkeypatch.setattr(module, "vector_power", forbidden)
+    assert [sequence_term_explicit(spec, n) for n in range(5)] == expected
+    with pytest.raises(AssertionError):  # negative control: the CK route does read it
+        sequence_term_ck(spec, 2)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, Fraction(2), -1])
+def test_powers_take_exact_non_negative_ints(n):
+    """A bool, a float or a Fraction exponent is rejected before any memo is
+    read: 2.0 and Fraction(2) hash as the int 2, whose entry is filled here."""
     xv = vector_variable(CTX3)
-    assert vector_power(CTX3, n) == xv**n
+    assert vector_power(CTX3, 2) == xv**2
+    message = "negative powers" if n == -1 else "must be an integer"
+    for power in (lambda: vector_power(CTX3, n), lambda: xv**n):
+        with pytest.raises(ValueError, match=message):
+            power()
 
 
 def test_partial_derivative_examples():

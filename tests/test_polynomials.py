@@ -52,10 +52,10 @@ def test_vector_power_matches_repeated_product(n):
     product, for m = 1..6; the second read of each power is a memo hit."""
     for m in range(1, 7):
         ctx = AlgebraContext(m)
-        expected = fresh_vector_variable(ctx) ** n
-        assert vector_power(ctx, n) == expected
-        assert vector_power(ctx, n) == expected
-    assert vector_variable(ctx) == fresh_vector_variable(ctx)
+        xv = fresh_vector_variable(ctx)
+        assert vector_variable(ctx) == xv
+        assert vector_power(ctx, n) == xv**n
+        assert vector_power(ctx, n) == xv**n
 
 
 def test_ladder_entries_survive_their_uses():
@@ -74,7 +74,7 @@ def test_ladder_entries_survive_their_uses():
             with pytest.raises(InvalidInitialTermError):
                 require_initial_term(value, 0)
         assert vector_power(CTX3, n) == xv**n
-        assert radius_squared(CTX3) == -(xv**2)
+    assert radius_squared(CTX3) == -(xv**2)
 
 
 def test_explicit_route_never_reads_the_ladder(monkeypatch):

@@ -50,10 +50,14 @@ def require_int(value, field: str) -> int:
     return value
 
 
+def is_exact(value) -> bool:
+    """True iff value is an int or a Fraction (not a bool or a float)."""
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
 def require_exact(value, field: str) -> Scalar:
-    """Return value if it is an int or a Fraction (not a bool or a float),
-    else raise ValueError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+    """Return value if it `is_exact`, else raise ValueError naming the field."""
+    if not is_exact(value):
         raise ValueError(f"{field} must be an int or a Fraction, got {short_repr(value)}")
     return value
 

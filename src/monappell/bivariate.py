@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraContext, Scalar, scaled_text, signed_sum
+from .algebra import AlgebraContext, Scalar, is_exact, scaled_text, signed_sum
 from .polynomials import CliffordPolynomial, linear_combination, vector_power
 
 _PLANE = AlgebraContext(1)
@@ -75,7 +75,7 @@ class BivariatePoly:
     def __mul__(self, other):
         if isinstance(other, BivariatePoly):
             return BivariatePoly._wrap(self._poly * other._poly)
-        if isinstance(other, (int, Fraction)):
+        if is_exact(other):
             return BivariatePoly._wrap(other * self._poly)
         return NotImplemented
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import DependsOnX0Error
-from .operators import cauchy_riemann, conj_cauchy_riemann, dirac
+from .operators import cauchy_riemann, dirac
 from .polynomials import CliffordPolynomial, linear_combination
 
 
@@ -47,7 +47,6 @@ def check_ck_intertwining(g: CliffordPolynomial) -> bool:
 
 def ck_intertwines(g: CliffordPolynomial, ext: CliffordPolynomial) -> bool:
     """`check_ck_intertwining` on an extension ext = ck_extend(g) already built."""
-    half_conj = Fraction(1, 2) * conj_cauchy_riemann(ext)
-    minus_dirac = -dirac(ext)
-    extended_derivative = ck_extend(-dirac(g))
-    return half_conj == minus_dirac == extended_derivative
+    dirac_ext = dirac(ext)  # conj_cauchy_riemann(ext) is d/dx_0 ext - dirac_ext
+    half_conj = Fraction(1, 2) * (ext.partial_derivative(0) - dirac_ext)
+    return half_conj == -dirac_ext == ck_extend(-dirac(g))

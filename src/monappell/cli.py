@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import MonappellError
@@ -84,51 +83,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def json_text(value, pad: str = "") -> str:
-    """json.dumps(value, indent=2), byte for byte, for dicts with str keys,
-    lists, str, int, bool and None; any other leaf goes to json.dumps.
-
-    The stdlib's C encoder is used only without indent, so an indented dump
-    runs its pure-Python generators; here each container is one str.join, a
-    list of exact ints one join, and a polynomial term entry one template.
-    """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or isinstance(value, bool):
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (f"{encode_basestring_ascii(k)}: {json_text(v, inner)}" for k, v in value.items())
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        exact_ints = set(map(type, value)) <= {int}  # no bool: its repr is not JSON
-        items = map(int.__repr__, value) if exact_ints else _items(value, inner)
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    return json.dumps(value)
-
-
-def _items(values, pad: str):
-    """json_text(v, pad) for each v of values; a polynomial term entry (keys
-    exactly "exps" and "coeff", this a non-empty list of dicts with keys exactly
-    "blade" and "q") is written from a template, json_text writing its values."""
-    p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
-    entry = '{\n%s"exps": %%s,\n%s"coeff": [\n%s%%s\n%s]\n%s}' % (p1, p1, p2, p1, pad)
-    coeff, sep = '{\n%s"blade": %%s,\n%s"q": %%s\n%s}' % (p3, p3, p2), ",\n" + p2
-    for v in values:
-        coeffs = v.get("coeff") if type(v) is dict and tuple(v) == ("exps", "coeff") else None
-        if type(coeffs) is list and coeffs and all(
-            type(c) is dict and tuple(c) == ("blade", "q") for c in coeffs
-        ):
-            texts = (coeff % (json_text(c["blade"], p3), json_text(c["q"], p3)) for c in coeffs)
-            yield entry % (json_text(v["exps"], p1), sep.join(texts))
-        else:
-            yield json_text(v, pad)
+def polynomial_text(data: dict, pad: str = "") -> str:
+    """json.dumps(data, indent=2) of a `to_json_dict()` payload, byte for byte,
+    for the payload nested at depth pad (its first line is not indented).
+    The stdlib indents only through its pure-Python encoder; here the fixed
+    schema makes each term and each coeff entry one template."""
+    p1, p2, p3, p4, p5, p6 = (pad + "  " * i for i in range(1, 7))
+    sep2, sep4, sep6 = (",\n" + p for p in (p2, p4, p6))
+    blade = f"[\n{p6}%s\n{p5}]"
+    coeff = f'{{\n{p5}"blade": %s,\n{p5}"q": "%s"\n{p4}}}'
+    term = f'{{\n{p3}"exps": [\n{p4}%s\n{p3}],\n{p3}"coeff": [\n{p4}%s\n{p3}]\n{p2}}}'
+    terms = sep2.join(
+        term % (
+            sep4.join(map(str, t["exps"])),
+            sep4.join(
+                coeff % (blade % sep6.join(map(str, c["blade"])) if c["blade"] else "[]", c["q"])
+                for c in t["coeff"]
+            ),
+        )
+        for t in data["terms"]
+    )
+    body = f"[\n{p2}{terms}\n{p1}]" if data["terms"] else "[]"
+    return f'{{\n{p1}"m": {data["m"]},\n{p1}"terms": {body}\n{pad}}}'
 
 
 @contextmanager
@@ -167,7 +143,7 @@ def _output_dir(args) -> Path | None:
 def _emit_report(report: VerificationReport, args, extra: dict | None = None) -> int:
     outdir = _output_dir(args) if hasattr(args, "output_dir") else None
     if args.format == "json" or outdir is not None:
-        text = json_text({**(extra or {}), **report.to_json()})
+        text = json.dumps({**(extra or {}), **report.to_json()}, indent=2)
     if args.format == "json":
         print(text)
     else:
@@ -188,14 +164,12 @@ def cmd_generate(args, parser) -> int:
         if args.format == "json" or outdir is not None:
             dicts = [term.to_json_dict() for term in terms]
         if args.format == "json":
-            payload = {
-                "m": spec.m,
-                "k": spec.k,
-                "n_max": spec.n_max,
-                "initial_term": spec.pk.to_json_dict(),
-                "terms": dicts,
-            }
-            print(json_text(payload))
+            texts = ",\n    ".join(polynomial_text(data, "    ") for data in dicts)
+            print(
+                f'{{\n  "m": {spec.m},\n  "k": {spec.k},\n  "n_max": {spec.n_max},\n'
+                f'  "initial_term": {polynomial_text(spec.pk.to_json_dict(), "  ")},\n'
+                f'  "terms": [\n    {texts}\n  ]\n}}'
+            )
         elif args.format == "latex":
             for n in range(spec.n_max + 1):
                 rendered = collected_term_latex(spec.m, spec.k, n, spec.pk)
@@ -205,7 +179,7 @@ def cmd_generate(args, parser) -> int:
                 print(f"n={n}: {term}")
         if outdir is not None:
             for n, data in enumerate(dicts):
-                (outdir / f"term_{n}.json").write_text(json_text(data) + "\n")
+                (outdir / f"term_{n}.json").write_text(polynomial_text(data) + "\n")
     return 0
 
 

@@ -9,7 +9,7 @@ term layout; this module composes them.
 
 from __future__ import annotations
 
-from .algebra import require_same_context
+from .algebra import require_int, require_same_context
 from .coefficients import lowering_factor
 from .errors import InvalidInitialTermError, NonScalarInputError, NotMonogenicError
 from .polynomials import (
@@ -72,9 +72,9 @@ def check_leibniz_vector(f: CliffordPolynomial, g: CliffordPolynomial) -> bool:
 def validate_initial_term(p: CliffordPolynomial, k: int) -> VerificationReport:
     """The defining checks of P_k: no x_0, homogeneous of degree k (which
     the zero polynomial is not), Dirac-annihilated.  Failures are recorded,
-    not raised."""
+    not raised; a k that is not an int raises ValueError."""
+    params = {"m": p.context.m, "k": require_int(k, "k")}
     report = VerificationReport()
-    params = {"m": p.context.m, "k": k}
 
     x0_witness = None
     if p.depends_on_x0():

@@ -44,6 +44,7 @@ from .algebra import (
     blade_label,
     blade_product,
     indices_to_mask,
+    is_exact,
     mask_to_indices,
     parse_ratio,
     require_exact,
@@ -286,13 +287,13 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             return _product(self, other, Multivector)
-        if isinstance(other, (int, Fraction)):
+        if is_exact(other):
             return _scaled(self, other)
         return NotImplemented
 
     def __rmul__(self, other):
         # Scalars are central, so left scaling equals right scaling.
-        return _scaled(self, other) if isinstance(other, (int, Fraction)) else NotImplemented
+        return _scaled(self, other) if is_exact(other) else NotImplemented
 
     def conjugate(self) -> Multivector:
         """Clifford conjugation: reverse factor order and negate each generator.
@@ -442,14 +443,14 @@ class CliffordPolynomial:
     def __mul__(self, other):
         if isinstance(other, (CliffordPolynomial, Multivector)):
             return _product(self, other)
-        if isinstance(other, (int, Fraction)):
+        if is_exact(other):
             return _scaled(self, other)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, Multivector):  # `other` acts on each coefficient from the left
             return _product(other, self)
-        if isinstance(other, (int, Fraction)):
+        if is_exact(other):
             return _scaled(self, other)
         return NotImplemented
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .algebra import AlgebraContext
+from .algebra import AlgebraContext, require_int
 from .bivariate import BivariatePoly
 from .ck import ck_extend
 from .coefficients import expansion_coefficient, restriction_coefficient
@@ -49,6 +49,8 @@ class SequenceSpec:
     n_max: int
 
     def __post_init__(self) -> None:
+        for name in ("m", "k", "n_max"):
+            require_int(getattr(self, name), name)
         if self.n_max < 0:
             raise ValueError("n_max must be non-negative")
         if self.pk.context.m != self.m:

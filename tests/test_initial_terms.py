@@ -128,3 +128,11 @@ def test_non_builtin_valid_term_passes():
     )
     report = validate_initial_term(term**2, 2)
     assert report.all_passed
+
+
+@pytest.mark.parametrize("k", [True, 1.0])
+def test_validation_degree_must_be_exact(k):
+    pk = builtin_initial_term(CTX3, 1)
+    assert validate_initial_term(pk, 1).all_passed
+    with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+        validate_initial_term(pk, k)

@@ -1,5 +1,5 @@
-"""The JSON boundary: `cli.json_text` against the stdlib encoder, the JSON
-output of every command, and the interchange reader under malformed and
+"""The JSON boundary: `cli.polynomial_text` against the stdlib encoder, the
+JSON output of every command, and the interchange reader under malformed and
 extreme input."""
 
 import io
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given
 
 from monappell.algebra import AlgebraContext, Multivector, indices_to_mask
-from monappell.cli import json_text, main
+from monappell.cli import main, polynomial_text
 from monappell.initial_terms import builtin_initial_term
 from monappell.polynomials import DEGREE_LIMIT, CliffordPolynomial, key_layout
 
@@ -23,50 +23,11 @@ from strategies import polynomials_any_dimension
 
 CTX3 = AlgebraContext(3)
 
-# -- json_text is json.dumps(..., indent=2) ----------------------------------
-
 texts = st.text(
     st.characters(blacklist_categories=()) | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é€😀')
 )
-json_leaves = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(10**60), max_value=10**60)
-    | texts
-)
-json_values = st.recursive(
-    json_leaves,
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(texts, children, max_size=4),
-    max_leaves=30,
-)
 
-
-@given(json_values)
-@example([])
-@example({})
-@example([[]])
-@example({"": {}})
-@example({"a": [{}]})
-@example([[[[[[[[[[[[1]]]]]]]]]]]])
-def test_json_text_matches_the_stdlib(value):
-    assert json_text(value) == json.dumps(value, indent=2)
-
-
-@given(st.floats() | st.tuples(st.integers(), texts))
-def test_json_text_other_leaves_match_the_stdlib(value):
-    assert json_text(value) == json.dumps(value, indent=2)
-
-
-def test_json_text_deep_nesting():
-    value = "leaf"
-    for depth in range(200):
-        value = [value] if depth % 2 else {"k": value}
-    assert json_text(value) == json.dumps(value, indent=2)
-
-
-# -- polynomial term entries: the template path and its fallback --------------
+# -- polynomial_text is json.dumps(..., indent=2) of a to_json_dict() payload --
 
 CTX10 = AlgebraContext(10)
 # x_0 (1 + 2/3 e_1 e_10 - e_2) + x_10^2 e_3: a scalar blade, a two-digit index
@@ -79,17 +40,18 @@ MULTI_BLADE = CliffordPolynomial(
 )
 
 
-@given(polynomials_any_dimension())
-@example(MULTI_BLADE)
-@example(CliffordPolynomial.zero(CTX3))
-def test_polynomial_entries_round_trip_and_match_the_stdlib(p):
-    """json_text writes polynomial entries from a template; the output is
-    still json.dumps(..., indent=2), it reads back to p, and its entries
-    follow one sort of every key by `KeyLayout.sort_key`."""
+@given(polynomials_any_dimension(tuple(range(1, 11))), st.sampled_from(["", "  ", "    "]))
+@example(MULTI_BLADE, "")
+@example(MULTI_BLADE, "    ")
+@example(CliffordPolynomial.zero(CTX3), "")
+@example(CliffordPolynomial.zero(CTX3), "  ")
+def test_polynomial_entries_round_trip_and_match_the_stdlib(p, pad):
+    """polynomial_text writes a payload from templates; the output is still
+    json.dumps(..., indent=2), re-indented as a value nested at depth pad, it
+    reads back to p, and its entries follow one sort of every key by
+    `KeyLayout.sort_key`."""
     data = p.to_json_dict()
-    terms = [data, (2 * p).to_json_dict()]
-    payload = {"m": p.context.m, "k": 0, "initial_term": data, "terms": terms}
-    assert json_text(payload) == json.dumps(payload, indent=2)
+    assert polynomial_text(data, pad) == json.dumps(data, indent=2).replace("\n", "\n" + pad)
     assert CliffordPolynomial.from_json_dict(data) == p
     layout = key_layout(p.context.m)
     oracle = [layout.decode(key) for key in sorted(p.numerators, key=layout.sort_key)]
@@ -99,43 +61,6 @@ def test_polynomial_entries_round_trip_and_match_the_stdlib(p):
         for entry in term["coeff"]
     ]
     assert written == oracle
-
-
-def _entry(**changes):
-    entry = {"exps": [0, 1], "coeff": [{"blade": [1], "q": "1/2"}, {"blade": [], "q": "-3/1"}]}
-    return {**entry, **changes}
-
-
-def _blade_q(**changes):
-    return _entry(coeff=[{"blade": [2, 10], "q": "1/1", **changes}])
-
-
-@pytest.mark.parametrize(
-    "near_miss",
-    [
-        {**_entry(), "extra": None},
-        {"coeff": _entry()["coeff"], "exps": [0, 1]},
-        _blade_q(extra=[]),
-        _blade_q(q=5),
-        _blade_q(q=None),
-        _entry(exps=[0, True]),
-        _blade_q(blade=[True]),
-        _entry(exps=(0, 1)),
-        _blade_q(blade=(2, 10)),
-        _entry(coeff=[]),
-        _entry(exps=[]),
-        _entry(exps=[0, 1.5]),
-        _entry(coeff=[[1]]),
-    ],
-    ids=[
-        "extra-key", "keys-reordered", "coeff-extra-key", "int-q", "null-q", "bool-in-exps",
-        "bool-in-blade", "tuple-exps", "tuple-blade", "empty-coeff", "empty-exps",
-        "float-in-exps", "coeff-entry-not-an-object",
-    ],
-)
-def test_near_miss_entries_fall_back_and_match_the_stdlib(near_miss):
-    value = {"m": 1, "terms": [near_miss, _entry(), [near_miss]]}
-    assert json_text(value) == json.dumps(value, indent=2)
 
 
 def _cli_output(argv):

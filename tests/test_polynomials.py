@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from monappell import polynomials as kernel
 from monappell import sequences
 from monappell.algebra import AlgebraContext
+from monappell.bivariate import BivariatePoly
 from monappell.errors import ContextMismatchError, InvalidInitialTermError
 from monappell.initial_terms import builtin_initial_term
 from monappell.operators import require_initial_term
@@ -254,6 +255,23 @@ def test_invalid_constructions():
     for coeff in (0.5, 3, True, None):
         with pytest.raises(ValueError, match=f"coefficient must be a Multivector, got {coeff!r}"):
             CliffordPolynomial(CTX3, {(0, 0, 0, 0): coeff})
+
+
+@pytest.mark.parametrize("factor", [True, False, 2.0])
+@pytest.mark.parametrize(
+    "operand",
+    [vector_variable(CTX3), CTX3.one(), CTX3.e(2), BivariatePoly.one()],
+    ids=["polynomial", "one", "e2", "bivariate"],
+)
+def test_scale_factors_must_be_exact(operand, factor):
+    """Scaling takes an int or a Fraction on either side; a bool or a float
+    is a TypeError, not the operand or its zero passed back."""
+    with pytest.raises(TypeError):
+        operand * factor
+    with pytest.raises(TypeError):
+        factor * operand
+    assert operand * 2 == 2 * operand == operand + operand
+    assert operand * Fraction(1, 2) + Fraction(1, 2) * operand == operand
 
 
 def test_constructor_rejects_inexact_exponents():

@@ -141,6 +141,18 @@ def test_sequence_spec_validation():
         sequence_term_explicit(spec, 2)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("m", 3.0), ("k", True), ("k", 1.0), ("n_max", True), ("n_max", 1.0)]
+)
+def test_sequence_spec_integers_must_be_exact(field, value):
+    """A bool or a float spec integer is rejected by name, not accepted into
+    the report params or left to fail deep inside as a bare TypeError."""
+    ctx = AlgebraContext(3)
+    fields = {"m": 3, "k": 1, "pk": builtin_initial_term(ctx, 1), "n_max": 1, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        SequenceSpec(**fields)
+
+
 # -- axial decomposition and the Vekua system ---------------------------------
 
 

@@ -1,7 +1,8 @@
 """Polynomials in the half-plane variables (x_0, t), with t standing for r^2.
 
-The profile functions of axial monogenic polynomials and the real and
-imaginary parts of complex monomials both live here.  Keys are
+The profiles (A, b) of axial polynomials (A + x̲ b) P_k, held by `AxialPair`
+with their Cauchy-Riemann operator and folded by `axial_profiles`, and the
+real and imaginary parts of complex monomials both live here.  Keys are
 (x_0 exponent, t exponent); coefficients are exact rationals.
 
 A profile is a scalar `CliffordPolynomial` on the one-generator algebra
@@ -11,10 +12,13 @@ keys and all of its arithmetic runs on the integer polynomial kernel.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import AlgebraContext, Scalar, is_exact, scaled_text, signed_sum
-from .polynomials import CliffordPolynomial, linear_combination, vector_power
+from .errors import ContextMismatchError
+from .operators import _gate_once
+from .polynomials import CliffordPolynomial, linear_combination, vector_power, vector_variable
 
 _PLANE = AlgebraContext(1)
 _T = CliffordPolynomial.variable(_PLANE, 1)
@@ -122,3 +126,48 @@ class BivariatePoly:
 
     def __repr__(self) -> str:
         return f"BivariatePoly({self})"
+
+
+def axial_profiles(h: dict[tuple[int, int], Scalar]) -> tuple[BivariatePoly, BivariatePoly]:
+    """Fold sum h_{j,i} x_0^j x̲^i into (A, b) of A + x̲ b by x̲^i = (-t)^(i//2) x̲^(i%2)."""
+    profiles: tuple[dict, dict] = ({}, {})  # A, then b; each (j, i) lands on its own (j, i//2)
+    for (j, i), coeff in h.items():
+        half, odd = divmod(i, 2)
+        profiles[odd][j, half] = -coeff if half % 2 else coeff
+    return BivariatePoly(profiles[0]), BivariatePoly(profiles[1])
+
+
+@dataclass
+class AxialPair:
+    """Profile functions of an axial polynomial of initial degree k, such
+    as a sequence term or the Fueter embedding of a complex monomial.
+
+    The source polynomial equals (a + x̲ b_reduced) P_k once t is read as
+    r^2; the odd radial profile is recovered as B = r * b_reduced.  Both
+    profiles are purely scalar by construction.  m must be P_k's dimension,
+    and P_k must pass the initial-term gate at degree k.
+    """
+
+    a: BivariatePoly
+    b_reduced: BivariatePoly
+    k: int
+    m: int
+    pk: CliffordPolynomial
+
+    def __post_init__(self) -> None:
+        if self.m != self.pk.context.m:
+            raise ContextMismatchError(f"pair says m={self.m}, P_k lives in m={self.pk.context.m}")
+        _gate_once(self.pk, self.k)
+
+    def reconstruct(self) -> CliffordPolynomial:
+        ctx = self.pk.context
+        even = self.a.to_clifford(ctx)
+        odd = vector_variable(ctx) * self.b_reduced.to_clifford(ctx)
+        return (even + odd) * self.pk
+
+    def cauchy_riemann(self) -> AxialPair:
+        """Profile form of `operators.cauchy_riemann`: d/dx_0 + dirac maps
+        (A + x̲ b) P_k to (A_0 - 2t b_t - (2k+m) b + x̲ (b_0 + 2 A_t)) P_k."""
+        a, b = self.a, self.b_reduced
+        even = a.d_dx0() - 2 * b.d_dt().times_t() - (2 * self.k + self.m) * b
+        return replace(self, a=even, b_reduced=b.d_dx0() + 2 * a.d_dt())

@@ -1,7 +1,7 @@
 """Integer and rational coefficients used by the sequence construction."""
 
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .errors import ArgumentTooSmallError
 
@@ -37,6 +37,12 @@ def expansion_coefficient(m: int, k: int, n: int, j: int) -> Fraction:
     if not 0 <= j <= n:
         raise ValueError(f"j must satisfy 0 <= j <= {n}, got {j}")
     return restriction_coefficient(m, k, n - j)
+
+
+def explicit_weights(m: int, k: int, n: int) -> list[tuple[int, Fraction]]:
+    """(j, binom(n, j) expansion_coefficient(m, k, n, j)) for j = n..0: the
+    weight of x_0^j x̲^(n-j) in the explicit n-th term, in written order."""
+    return [(j, comb(n, j) * expansion_coefficient(m, k, n, j)) for j in range(n, -1, -1)]
 
 
 def double_factorial(n: int) -> int:

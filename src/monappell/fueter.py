@@ -4,7 +4,8 @@ A power of z = x + iy, read on the half plane as a function of (x_0, r),
 is planted into R^{m+1} as (u + (x̲/r) v) P_k and hit with the Laplacian
 k + (m-1)/2 times.  For odd m the result is monogenic; on monomial
 inputs it is an integer multiple of a Cauchy-Kovalevskaya extension, and
-hence a known rational multiple of a sequence term.
+hence a known rational multiple of a sequence term.  The profiles of z^n
+and their planting come from `bivariate`.
 """
 
 from __future__ import annotations
@@ -12,14 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .bivariate import BivariatePoly
+from .algebra import require_int
+from .bivariate import AxialPair, BivariatePoly, axial_profiles
 from .ck import ck_extend
 from .coefficients import double_factorial, fueter_factor, restriction_coefficient
 from .errors import EvenDimensionError
-from .operators import _gate_once, laplacian
+from .operators import laplacian
 from .polynomials import CliffordPolynomial, vector_power
 from .report import VerificationReport
-from .sequences import AxialPair, SequenceSpec, sequence_term_explicit
+from .sequences import SequenceSpec, sequence_term_explicit
 
 
 @dataclass
@@ -36,22 +38,16 @@ class HolomorphicPair:
 
 
 def complex_monomial_parts(n: int) -> HolomorphicPair:
-    """Binomial expansion of (x_0 + i r)^n split into even/odd parts in r."""
-    if n < 0:
+    """Binomial expansion of (x_0 + i r)^n split into even/odd parts in r:
+    i r folds like x̲, since both square to -t."""
+    if require_int(n, "n") < 0:
         raise ValueError("n must be non-negative")
-    u_terms: dict[tuple[int, int], int] = {}
-    v_terms: dict[tuple[int, int], int] = {}
-    for s in range(n + 1):
-        half, odd = divmod(s, 2)
-        value = comb(n, s) * (-1 if half % 2 else 1)
-        target = v_terms if odd else u_terms
-        target[(n - s, half)] = value
-    return HolomorphicPair(BivariatePoly(u_terms), BivariatePoly(v_terms), n)
+    u, v_reduced = axial_profiles({(n - s, s): comb(n, s) for s in range(n + 1)})
+    return HolomorphicPair(u, v_reduced, n)
 
 
 def axial_embedding(pair: HolomorphicPair, pk: CliffordPolynomial, k: int) -> CliffordPolynomial:
     """(u + x̲ v_reduced) P_k with t substituted by |x̲|^2."""
-    _gate_once(pk, k)
     return AxialPair(a=pair.u, b_reduced=pair.v_reduced, k=k, m=pk.context.m, pk=pk).reconstruct()
 
 

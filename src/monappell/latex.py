@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .algebra import Multivector, blade_label, scaled_text, signed_sum
-from .coefficients import expansion_coefficient
+from .coefficients import explicit_weights
 from .polynomials import CliffordPolynomial
 
 
@@ -56,12 +55,10 @@ def collected_term_latex(m: int, k: int, n: int, pk: CliffordPolynomial | None =
     factor = "1" if pk is None else polynomial_latex(pk)
     if n == 0:
         return factor
-    parts = []
-    for j in range(n, -1, -1):
-        weight = comb(n, j) * expansion_coefficient(m, k, n, j)
-        body = _powers_latex((("x_0", j), (r"\underline{x}", n - j)))
-        parts.append(scaled_text(weight, body, fraction_latex))
-    collected = signed_sum(parts)
+    collected = signed_sum(
+        scaled_text(weight, _powers_latex((("x_0", j), (r"\underline{x}", n - j))), fraction_latex)
+        for j, weight in explicit_weights(m, k, n)
+    )
     if factor == "1":
         return collected
     return r"\left(" + collected + r"\right)\left(" + factor + r"\right)"

@@ -104,7 +104,7 @@ def require_initial_term(pk: CliffordPolynomial, k: int) -> None:
 def _gate_once(pk: CliffordPolynomial, k: int) -> None:
     """require_initial_term, unless pk has passed it at degree k: a spec's P_k,
     gated when the spec is built, is not checked again on every route it takes."""
-    if getattr(pk, "_gated", None) != k:
+    if getattr(pk, "_gated", None) != require_int(k, "k"):  # True == 1, so check k first
         require_initial_term(pk, k)
 
 

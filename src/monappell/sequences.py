@@ -11,19 +11,18 @@ Cauchy-Kovalevskaya extension of x̲^n P_k.  Both routes are implemented
 and their exact agreement is one of the verified identities; the others
 are monogenicity, the Appell derivative step, homogeneity of degree k+n,
 the axial decomposition round-trip, and the Vekua-type system satisfied
-by the axial profiles.
+by the axial profiles (`AxialPair` and its operator live in `bivariate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .algebra import AlgebraContext, require_int
-from .bivariate import BivariatePoly
+from .bivariate import AxialPair, axial_profiles
 from .ck import ck_extend
-from .coefficients import expansion_coefficient, restriction_coefficient
+from .coefficients import explicit_weights, restriction_coefficient
 from .errors import ContextMismatchError, NotAxialFormError
 from .initial_terms import builtin_initial_term
 from .operators import _gate_once, dirac
@@ -70,7 +69,7 @@ class SequenceSpec:
 
 
 def _check_index(spec: SequenceSpec, n: int) -> None:
-    if not 0 <= n <= spec.n_max:
+    if not 0 <= require_int(n, "n") <= spec.n_max:
         raise ValueError(f"n must be in 0..{spec.n_max}, got {n}")
 
 
@@ -81,8 +80,7 @@ def sequence_term_explicit(spec: SequenceSpec, n: int) -> CliffordPolynomial:
     xv = vector_variable(ctx)
     power = CliffordPolynomial.one(ctx)  # x̲^(n-j), one factor x̲ more per step
     terms = []
-    for j in range(n, -1, -1):
-        weight = comb(n, j) * expansion_coefficient(spec.m, spec.k, n, j)
+    for j, weight in explicit_weights(spec.m, spec.k, n):
         x0j = CliffordPolynomial.monomial(ctx, (j,) + (0,) * ctx.m, ctx.one())
         terms.append((weight, x0j * power))
         if j:
@@ -140,32 +138,9 @@ def verify_sequence(
     return report
 
 
-@dataclass
-class AxialPair:
-    """Profile functions of an axial polynomial of initial degree k, such
-    as a sequence term or the Fueter embedding of a complex monomial.
-
-    The source polynomial equals (a + x̲ b_reduced) P_k once t is read as
-    r^2; the odd radial profile is recovered as B = r * b_reduced.  Both
-    profiles are purely scalar by construction.
-    """
-
-    a: BivariatePoly
-    b_reduced: BivariatePoly
-    k: int
-    m: int
-    pk: CliffordPolynomial
-
-    def reconstruct(self) -> CliffordPolynomial:
-        ctx = self.pk.context
-        even = self.a.to_clifford(ctx)
-        odd = vector_variable(ctx) * self.b_reduced.to_clifford(ctx)
-        return (even + odd) * self.pk
-
-
 def axial_decompose(p: CliffordPolynomial, k: int, pk: CliffordPolynomial) -> AxialPair:
     """Write p as (sum_{j,i} h_{j,i} x_0^j x̲^i) P_k with rational h and fold
-    the x̲ powers into the (x_0, t) profiles.
+    the x̲ powers into the (x_0, t) profiles with `axial_profiles`.
 
     Within a fixed power of x_0, the candidate x̲^i P_k pieces live in
     distinct homogeneous degrees, so each h_{j,i} is read off from a single
@@ -175,26 +150,20 @@ def axial_decompose(p: CliffordPolynomial, k: int, pk: CliffordPolynomial) -> Ax
         raise ContextMismatchError("polynomial and initial term from different algebras")
     _gate_once(pk, k)
     ctx = p.context
-    profiles: tuple[dict, dict] = ({}, {})  # A, then b_reduced: {(j, half): h}
-    xv = vector_variable(ctx)
-    references = [pk]  # x̲^i P_k, one factor x̲ more per entry
+    h = {}
     for (j, degree), component in sorted(x0_strata(p).items()):
         i = degree - k
         if i < 0:
             raise NotAxialFormError(
                 f"x_0^{j} slice has degree {degree} below the initial degree {k}"
             )
-        while len(references) <= i:
-            references.append(xv * references[-1])
-        ratio = scalar_ratio(component, references[i])
+        ratio = scalar_ratio(component, vector_power(ctx, i) * pk)
         if ratio is None:
             raise NotAxialFormError(
                 "homogeneous component is not a rational multiple of x̲^i times the initial term"
             )
-        half, odd = divmod(i, 2)
-        # each stratum (j, degree) lands on its own key (j, half)
-        profiles[odd][j, half] = -ratio if half % 2 else ratio
-    a, b_reduced = map(BivariatePoly, profiles)
+        h[j, i] = ratio
+    a, b_reduced = axial_profiles(h)
     return AxialPair(a=a, b_reduced=b_reduced, k=k, m=ctx.m, pk=pk)
 
 
@@ -209,14 +178,12 @@ def vekua_check(pair: AxialPair) -> bool:
 
 
 def vekua_witness(pair: AxialPair) -> str | None:
-    """The residuals of the two Vekua equations (see `vekua_check`), or
-    None when both vanish."""
-    a, b = pair.a, pair.b_reduced
-    first = a.d_dx0() - b - 2 * b.d_dt().times_t() - (2 * pair.k + pair.m - 1) * b
-    second = b.d_dx0() + 2 * a.d_dt()
-    if first.is_zero() and second.is_zero():
+    """The residuals of the two Vekua equations (see `vekua_check`), the
+    profiles of `pair.cauchy_riemann()`, or None when both vanish."""
+    residual = pair.cauchy_riemann()
+    if residual.a.is_zero() and residual.b_reduced.is_zero():
         return None
-    return f"residuals: ({first}; {second})"
+    return f"residuals: ({residual.a}; {residual.b_reduced})"
 
 
 def verify_axial(

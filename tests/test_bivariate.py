@@ -1,10 +1,17 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from monappell.algebra import AlgebraContext
-from monappell.bivariate import BivariatePoly
-from monappell.polynomials import CliffordPolynomial, radius_squared
+from monappell.bivariate import AxialPair, BivariatePoly, axial_profiles
+from monappell.errors import ContextMismatchError, InvalidInitialTermError
+from monappell.operators import cauchy_riemann
+from monappell.polynomials import CliffordPolynomial, radius_squared, vector_power
+from monappell.report import VerificationReport
+from monappell.sampling import random_initial_term
+from monappell.sequences import SequenceSpec, axial_decompose, sequence_term_explicit
 
 CTX3 = AlgebraContext(3)
 
@@ -42,3 +49,66 @@ def test_to_clifford_substitutes_radius_squared():
 def test_rejects_negative_exponents():
     with pytest.raises(ValueError):
         BivariatePoly({(-1, 0): 1})
+
+
+def test_axial_profiles_fold_vector_powers():
+    """x_0^j x̲^i folds as x_0^j (-t)^(i//2) x̲^(i%2), checked against the
+    m-variable powers: sum h x_0^j x̲^i == A + x̲ b once t is |x̲|^2."""
+    h = {(2, 0): 3, (1, 1): Fraction(1, 2), (0, 2): -1, (1, 3): 2, (0, 4): 5, (0, 5): -7}
+    a, b = axial_profiles(h)
+    assert a == BivariatePoly({(2, 0): 3, (0, 1): 1, (0, 2): 5})
+    assert b == BivariatePoly({(1, 0): Fraction(1, 2), (1, 1): -2, (0, 2): -7})
+    x0 = CliffordPolynomial.variable(CTX3, 0)
+    direct = sum(
+        (coeff * (x0**j * vector_power(CTX3, i)) for (j, i), coeff in h.items()),
+        CliffordPolynomial.zero(CTX3),
+    )
+    pair = AxialPair(a=a, b_reduced=b, k=0, m=3, pk=CliffordPolynomial.one(CTX3))
+    assert pair.reconstruct() == direct
+
+
+def test_axial_pair_agrees_with_its_initial_term():
+    """m must be P_k's dimension and k an int at which P_k passes the gate;
+    a pair that disagrees with its own P_k is rejected when it is built."""
+    spec = SequenceSpec.builtin(3, 1, 3)
+    pair = axial_decompose(sequence_term_explicit(spec, 3), spec.k, spec.pk)
+    with pytest.raises(ContextMismatchError, match="pair says m=5, P_k lives in m=3"):
+        replace(pair, m=5)
+    with pytest.raises(ValueError, match="k must be an integer, got True"):
+        replace(pair, k=True)
+    with pytest.raises(InvalidInitialTermError):
+        replace(pair, k=2)  # spec.pk has degree 1
+
+
+def _random_profile(rng: random.Random) -> BivariatePoly:
+    """Three draws of c x_0^a t^l with a <= 2, l <= 1 and c nonzero; never zero."""
+    terms = {}
+    for _ in range(3):
+        coeff = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+        terms[rng.randrange(3), rng.randrange(2)] = coeff
+    return BivariatePoly(terms)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+@pytest.mark.parametrize("k", range(4))
+def test_profile_cauchy_riemann_is_the_full_operator(m, k):
+    """The profile operator against operators.cauchy_riemann on the
+    m-variable expansion, on random profiles and a random P_k.  Negative
+    control: 2k+m-1 or 2k+m+1 in place of 2k+m, that is A_0 - 2t b_t
+    shifted by +b or -b, fails with a first_difference witness."""
+    rng = random.Random(10 * m + k)
+    ctx = AlgebraContext(m)
+    report, controls = VerificationReport(), VerificationReport()
+    for _ in range(3):
+        pk = random_initial_term(rng, ctx, k)
+        pair = AxialPair(a=_random_profile(rng), b_reduced=_random_profile(rng), k=k, m=m, pk=pk)
+        full = cauchy_riemann(pair.reconstruct())
+        image = pair.cauchy_riemann()
+        params = {"m": m, "k": k}
+        report.add_equal("profile_cauchy_riemann", params, full, image.reconstruct())
+        for shift in (pair.b_reduced, -pair.b_reduced):
+            off = replace(image, a=image.a + shift)
+            controls.add_equal("profile_cauchy_riemann", params, full, off.reconstruct())
+    assert report.all_passed, report.failures()
+    assert len(controls.failures()) == len(controls.entries) == 6
+    assert all(entry.witness for entry in controls.entries)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from monappell.algebra import AlgebraContext
 from monappell.bivariate import BivariatePoly
 from monappell.coefficients import restriction_coefficient
 from monappell.errors import ContextMismatchError, InvalidInitialTermError, NotAxialFormError
+from monappell.fueter import complex_monomial_parts, fueter_map
 from monappell.initial_terms import builtin_initial_term
 from monappell.operators import hypercomplex_derivative
 from monappell.polynomials import (
@@ -23,6 +25,7 @@ from monappell.sequences import (
     sequence_term_ck,
     sequence_term_explicit,
     vekua_check,
+    vekua_witness,
     verify_axial,
     verify_sequence,
 )
@@ -200,6 +203,36 @@ def test_vekua_negative_control():
         pk=CliffordPolynomial.one(AlgebraContext(3)),
     )
     assert not vekua_check(pair)
+
+
+def test_vekua_witness_text():
+    """The witness is the two profiles of the pair's Cauchy-Riemann image:
+    A += 2 x0 t and b += t on the m=3, k=1, n=3 term leave (-5 t; 4 x0)."""
+    spec = SequenceSpec.builtin(3, 1, 3)
+    pair = axial_decompose(sequence_term_explicit(spec, 3), spec.k, spec.pk)
+    assert vekua_witness(pair) is None
+    bent = replace(
+        pair,
+        a=pair.a + BivariatePoly.monomial(1, 1, 2),
+        b_reduced=pair.b_reduced + BivariatePoly.monomial(0, 1),
+    )
+    assert vekua_witness(bent) == "residuals: (-5 t; 4 x0)"
+
+
+@pytest.mark.parametrize("n", [True, 1.0, 2.0, Fraction(1)])
+def test_term_indices_are_exact_ints(n):
+    """Both routes, the profiles of z^n and the Fueter map reject a bool, a
+    float or a Fraction index alike instead of reading it as an int."""
+    spec = SequenceSpec.builtin(3, 1, 2)
+    routes = (
+        lambda: sequence_term_explicit(spec, n),
+        lambda: sequence_term_ck(spec, n),
+        lambda: complex_monomial_parts(n),
+        lambda: fueter_map(n, spec.pk, spec.k),
+    )
+    for route in routes:
+        with pytest.raises(ValueError, match="n must be an integer"):
+            route()
 
 
 def test_verify_axial_report():

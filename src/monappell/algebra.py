@@ -7,11 +7,14 @@ The algebra is generated by e_1, ..., e_m subject to
 
 A basis blade e_A with A = {j_1 < ... < j_g} is stored as an integer bit
 mask (bit j-1 set iff generator j occurs); the empty mask is the identity
-element.  This module holds the blade product, the dimension
-(`AlgebraContext`) and the exact-input guards.  A `Multivector` is the
-constant polynomial: it keeps the flat form of `polynomials.py` (integer
-numerators over one positive denominator, keyed by blade mask), so it is
-defined there, with the sum and product loops, and re-exported here.
+element.  The sign of e_a e_b is the parity of popcount(b & R(a)) with
+R(a) = `sign_mask(a)`, one closed form memoized per left mask, which the
+blade product and the polynomial kernels all read.  This module holds
+that rule, the dimension (`AlgebraContext`) and the exact-input guards.
+A `Multivector` is the constant polynomial: it keeps the flat form of
+`polynomials.py` (integer numerators over one positive denominator,
+keyed by blade mask), so it is defined there, with the sum and product
+loops, and re-exported here.
 The one text writer is `scaled_text` (one term) and `signed_sum` (the
 sum of terms): every str and LaTeX form of the package goes through it.
 No floating point is used anywhere.
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable
 
@@ -102,21 +106,26 @@ def parse_ratio(text, field: str) -> tuple[int, int]:
     return int(num), d
 
 
-def blade_product(a: int, b: int) -> tuple[int, int]:
-    """Multiply two basis blades given as bit masks; return (sign, mask).
+@lru_cache(maxsize=1 << MAX_DIMENSION)  # one entry per left mask of R_{0,16} at most
+def sign_mask(a: int) -> int:
+    """R(a): e_a e_b = (-1)^popcount(b & R(a)) e_(a xor b) for every mask b.
 
-    The sign counts the transpositions needed to sort the concatenated
-    generator lists, with one extra flip per shared generator (e_j^2 = -1).
+    R(a) is a XOR the XOR of (1 << i) - 1 over the bits i of a: the parity
+    of popcount(b & ((1 << i) - 1)) counts the generators of b that the
+    generator of bit i passes when the concatenated generator lists are
+    sorted, and the term a adds one flip per shared generator (e_j^2 = -1).
     """
-    swaps = 0
-    t = a >> 1
-    while t:
-        swaps += (t & b).bit_count()
-        t >>= 1
-    sign = -1 if swaps & 1 else 1
-    if (a & b).bit_count() & 1:
-        sign = -sign
-    return sign, a ^ b
+    r, rest = a, a
+    while rest:
+        low = rest & -rest  # the bit 1 << i
+        r ^= low - 1
+        rest ^= low
+    return r
+
+
+def blade_product(a: int, b: int) -> tuple[int, int]:
+    """Multiply two basis blades given as bit masks; return (sign, mask)."""
+    return (-1 if (b & sign_mask(a)).bit_count() & 1 else 1), a ^ b
 
 
 def mask_to_indices(mask: int) -> tuple[int, ...]:

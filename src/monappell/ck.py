@@ -5,8 +5,9 @@ more variable via the exponential series
 
     sum_j ((-x_0)^j / j!) dirac^j g
 
-which terminates because dirac lowers total degree; one
-`linear_combination` sums it, so no partial sum is copied.
+which terminates because dirac lowers total degree; each x_0^j factor is
+a key shift (`times_x0`), and one `linear_combination` sums the series,
+so no partial sum is copied.
 """
 
 from __future__ import annotations
@@ -23,15 +24,13 @@ def ck_extend(g: CliffordPolynomial) -> CliffordPolynomial:
     """Monogenic extension of x_0-free polynomial data."""
     if g.depends_on_x0():
         raise DependsOnX0Error("initial data must not involve x_0")
-    ctx = g.context
     terms = []  # ((-1)^j / j!, x_0^j dirac^j g)
     current = g
     while not current.is_zero():
         j = len(terms)
-        x0j = CliffordPolynomial.monomial(ctx, (j,) + (0,) * ctx.m, ctx.one())
-        terms.append((Fraction((-1) ** j, factorial(j)), x0j * current))
+        terms.append((Fraction((-1) ** j, factorial(j)), current.times_x0(j)))
         current = dirac(current)
-    return linear_combination(ctx, terms)
+    return linear_combination(g.context, terms)
 
 
 def is_monogenic(p: CliffordPolynomial) -> bool:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
-from .algebra import AlgebraContext, short_repr
+from .algebra import AlgebraContext, require_int, short_repr
 from .errors import DimensionTooSmallError, InvalidInitialTermError
 from .operators import require_initial_term
 from .operators import validate_initial_term  # re-exported
@@ -22,8 +23,10 @@ BUILTIN_SOURCE = "builtin"
 
 
 def builtin_initial_term(context: AlgebraContext, k: int, pair=(1, 2)) -> CliffordPolynomial:
-    """(x_i - e_ij x_j)^k for the generator pair (i, j), or 1 for k = 0."""
-    if k < 0:
+    """(x_i - e_ij x_j)^k for the generator pair (i, j), or 1 for k = 0; a k
+    that is not an int (a bool, a float) raises ValueError.  The result may
+    be shared with other callers, as every instance is treated as immutable."""
+    if require_int(k, "k") < 0:
         raise ValueError("degree k must be non-negative")
     if k == 0:
         return CliffordPolynomial.one(context)
@@ -31,9 +34,16 @@ def builtin_initial_term(context: AlgebraContext, k: int, pair=(1, 2)) -> Cliffo
         raise DimensionTooSmallError(
             "no built-in initial term of positive degree exists for m = 1"
         )
-    i, j = pair
+    i, j = (require_int(g, "generator index") for g in pair)
     if not 1 <= i < j <= context.m:  # x_j - e_ij x_i is not monogenic
         raise ValueError(f"generator pair {short_repr(pair)} is not i < j in 1..{context.m}")
+    return _generator_power(context, k, i, j)
+
+
+@lru_cache(maxsize=256)
+def _generator_power(context: AlgebraContext, k: int, i: int, j: int) -> CliffordPolynomial:
+    """(x_i - e_ij x_j)^k, built once per (m, k, pair) while it stays among
+    the 256 most recently used (the power-rule suite draws them per case)."""
     base = CliffordPolynomial.variable(context, i) - CliffordPolynomial.monomial(
         context, unit_exps(context.m, j), context.blade((i, j))
     )

@@ -48,7 +48,7 @@ def hypercomplex_derivative(p: CliffordPolynomial, *, check: bool = True) -> Cli
 
 def check_leibniz_scalar(phi: CliffordPolynomial, g: CliffordPolynomial) -> bool:
     """Product rule dirac(phi g) = dirac(phi) g + phi dirac(g) for scalar phi."""
-    if not all(coeff.is_scalar() for coeff in phi.terms.values()):
+    if not phi.is_scalar():
         raise NonScalarInputError("left factor must have grade-0 coefficients")
     require_same_context(phi, g)
     lhs = dirac(phi * g)

@@ -10,15 +10,20 @@ keyed by one packed int per (monomial, blade) (see `KeyLayout`), so a
 product key is an int addition and a derivative a subtraction.  A
 multivector's keys are bare blade masks, the keys of the constant
 monomial.  Every monomial degree stays below DEGREE_LIMIT, so no
-exponent carries into the next field: the constructor, `from_json_dict`
+exponent carries into the next field: `from_entries`, `from_json_dict`
 and every product check it.
 
-The form is canonical (no zero numerator, no factor common to all
-numerators and the denominator, denominator 1 for zero), so equality is
-literal.  Every result is built by `_normalized` or by `_collect`, the
-one sparse sum loop (`_product` is the one product loop); Fractions and
-exponent tuples appear only at the API boundary (the `terms` views and
-the readers).  Serialization orders monomials graded-lexicographically.
+`from_entries` is the one validated constructor: both classes'
+constructors and the seeded sampler hand it (exps, mask, numerator,
+denominator) entries.  The form is canonical (no zero numerator, no
+factor common to all numerators and the denominator, denominator 1 for
+zero), so equality is literal.  Every result is built by `_normalized`
+or by `_collect`, the one place that drops zero sums; the sums come from
+`_summed` (pairs), `_product` (the one product loop) or the `dirac` and
+`laplacian` loops, which add into their dict directly.  A blade sign is
+one popcount against `algebra.sign_mask`.  Fractions and exponent tuples
+appear only at the API boundary (the `terms` views and the readers).
+Serialization orders monomials graded-lexicographically.
 
 `linear_combination` is the one sum entry point (`+` and `-` are its
 two-operand case): one `_collect` over the least common denominator.
@@ -42,7 +47,6 @@ from .algebra import (
     AlgebraContext,
     Scalar,
     blade_label,
-    blade_product,
     indices_to_mask,
     is_exact,
     mask_to_indices,
@@ -54,6 +58,7 @@ from .algebra import (
     require_shape,
     scaled_text,
     short_repr,
+    sign_mask,
     signed_sum,
 )
 from .errors import ContextMismatchError, DegreeLimitError, NonVectorInputError
@@ -75,10 +80,16 @@ class KeyLayout:
 
     `shifts[i]` is the bit offset of the x_i field and `units[i]` the key
     step of one power of x_i (its field plus the degree field), so
-    d/dx_i lowers a key by subtracting `units[i]`.
+    d/dx_i lowers a key by subtracting `units[i]`.  `dirac_steps` holds
+    (shift, unit, bit, sign mask) per generator e_j and `laplacian_steps`
+    (shift, 2 * unit) per variable x_i: the tables of `dirac` and
+    `laplacian`, built with the layout, once per m.
     """
 
-    __slots__ = ("m", "mask_bits", "degree_shift", "shifts", "units", "_flip", "_fields")
+    __slots__ = (
+        "m", "mask_bits", "degree_shift", "shifts", "units", "dirac_steps", "laplacian_steps",
+        "_flip", "_fields",
+    )
 
     def __init__(self, m: int):
         self.m = m
@@ -86,6 +97,11 @@ class KeyLayout:
         self.degree_shift = m + FIELD_BITS * (m + 1)
         self.shifts = tuple(m + FIELD_BITS * (m - i) for i in range(m + 1))
         self.units = tuple((1 << s) + (1 << self.degree_shift) for s in self.shifts)
+        self.dirac_steps = tuple(
+            (self.shifts[j], self.units[j], 1 << (j - 1), sign_mask(1 << (j - 1)))
+            for j in range(1, m + 1)
+        )
+        self.laplacian_steps = tuple((s, 2 * u) for s, u in zip(self.shifts, self.units))
         self._flip = (1 << self.degree_shift) - 1 - self.mask_bits  # every exponent bit
         self._fields = struct.Struct(">" + "H" * (m + 2))  # degree, a_0, ..., a_m
 
@@ -133,16 +149,22 @@ def _normalized(context: AlgebraContext, nums: dict, denominator: int, cls=None)
     return out
 
 
-def _collect(context: AlgebraContext, contributions, denominator: int, cls=None):
-    """Sum integer contributions (key, numerator) per key, over a common
-    denominator, and drop the keys whose sum is zero."""
-    acc: dict = {}
-    get = acc.get
+def _collect(context: AlgebraContext, sums: dict, denominator: int, cls=None):
+    """The canonical sums / denominator, sums an int numerator per key: the
+    keys whose sum is zero are dropped here, and only here."""
+    if 0 in sums.values():  # only a sum that cancelled needs the second dict
+        sums = {key: q for key, q in sums.items() if q}
+    return _normalized(context, sums, denominator, cls)
+
+
+def _summed(contributions) -> dict:
+    """{key: sum of q} over (key, q) pairs: the sum loop of every kernel
+    but `_product` and the operators, which add into their dict directly."""
+    sums: dict = {}
+    get = sums.get
     for key, q in contributions:
-        acc[key] = q + get(key, 0)
-    if 0 in acc.values():  # only a sum that cancelled needs the second dict
-        acc = {key: q for key, q in acc.items() if q}
-    return _normalized(context, acc, denominator, cls)
+        sums[key] = q + get(key, 0)
+    return sums
 
 
 def linear_combination(context: AlgebraContext, pairs: Iterable[tuple]):
@@ -157,7 +179,8 @@ def linear_combination(context: AlgebraContext, pairs: Iterable[tuple]):
     den = lcm(*(d for _, _, d in terms))
     scaled = [(q * (den // d), nums) for q, nums, d in terms]
     contributions = [(key, s * q) for s, nums in scaled for key, q in nums.items()]
-    return _collect(context, contributions, den, Multivector if only_multivectors else None)
+    cls = Multivector if only_multivectors else None
+    return _collect(context, _summed(contributions), den, cls)
 
 
 def _scaled(a, q: Scalar):
@@ -170,7 +193,8 @@ def _product(a, b, cls=None):
     """a * b as a `cls`, CliffordPolynomial by default, a's blades on the
     left.  a and b may each be a polynomial or a multivector: a bare mask is
     the degree-0 key of the constant monomial, so it multiplies as it is.
-    One blade product serves each pair of masks; the rest of the keys adds."""
+    One sign serves each pair of masks, read from the left mask's
+    `sign_mask`; the rest of the keys adds."""
     require_same_context(a, b)
     x, y = a.numerators, b.numerators
     layout = key_layout(a.context.m)
@@ -183,17 +207,19 @@ def _product(a, b, cls=None):
             mask = key & mask_bits
             groups.setdefault(mask, []).append((key - mask, q))
 
-    def contributions():
-        for ma, xs in lefts.items():
-            for mb, ys in rights.items():
-                sign, mask = blade_product(ma, mb)
-                for ea, qa in xs:
-                    qa *= sign
-                    ea += mask
-                    for eb, qb in ys:
-                        yield ea + eb, qa * qb
-
-    return _collect(a.context, contributions(), a.denominator * b.denominator, cls)
+    sums: dict = {}
+    get = sums.get
+    for ma, xs in lefts.items():
+        r = sign_mask(ma)
+        for mb, ys in rights.items():
+            mask, negate = ma ^ mb, (mb & r).bit_count() & 1
+            for ea, qa in xs:
+                qa = -qa if negate else qa
+                ea += mask
+                for eb, qb in ys:
+                    key = ea + eb
+                    sums[key] = get(key, 0) + qa * qb
+    return _collect(a.context, sums, a.denominator * b.denominator, cls)
 
 
 def _equal(a, b) -> bool:
@@ -233,7 +259,37 @@ def _from_ratios(context: AlgebraContext, coeffs: list, cls=None):
     """Convert [(key, numerator, positive denominator), ...] into the flat
     form, once, at the boundary; repeated keys are summed."""
     den = lcm(*{d for _, _, d in coeffs})
-    return _collect(context, ((key, q * (den // d)) for key, q, d in coeffs), den, cls)
+    return _collect(context, _summed((key, q * (den // d)) for key, q, d in coeffs), den, cls)
+
+
+def from_entries(context: AlgebraContext, entries: Iterable[tuple], cls=None):
+    """The sum of num/den x^exps e_mask over (exps, mask, num, den) entries,
+    as a `cls` (CliffordPolynomial by default; a Multivector has only the
+    constant monomial): the one validated constructor of the flat form.
+
+    Each entry is checked: exps m+1 non-negative ints of total degree below
+    DEGREE_LIMIT (else DegreeLimitError), mask a blade of R_{0,m}, num an
+    int and den a positive int; anything else raises ValueError.  Repeated
+    (exps, mask) pairs are summed, and a zero num still has its exps checked.
+    """
+    m, limit = context.m, 1 << context.m
+    encode, bases, coeffs = key_layout(m).encode, {}, []
+    for exps, mask, num, den in entries:
+        exps = _exponents(exps, m, "exponent")
+        base = bases.get(exps)
+        if base is None:
+            base = bases[exps] = encode(exps)
+        if not (type(mask) is type(num) is type(den) is int and 0 <= mask < limit and den > 0):
+            # the entry-by-entry path names the fault (an int subclass passes it)
+            if not 0 <= require_int(mask, "blade mask") < limit:
+                raise ValueError(f"blade mask {mask:#x} out of range for m={m}")
+            require_int(num, "numerator")
+            if require_int(den, "denominator") < 1:
+                raise ValueError(f"denominator must be positive, got {den}")
+        coeffs.append((base | mask, num, den))
+    if cls is Multivector and any(bases.values()):
+        raise ValueError("a multivector has only the constant monomial")
+    return _from_ratios(context, coeffs, cls)
 
 
 class Multivector:
@@ -248,13 +304,10 @@ class Multivector:
     __slots__ = ("context", "numerators", "denominator")
 
     def __init__(self, context: AlgebraContext, terms: dict[int, Scalar]):
-        limit = 1 << context.m
-        for mask, coeff in terms.items():
-            if not 0 <= require_int(mask, "blade mask") < limit:
-                raise ValueError(f"blade mask {mask:#x} out of range for m={context.m}")
-            require_exact(coeff, "coefficient")
-        coeffs = [(mask, q.numerator, q.denominator) for mask, q in terms.items()]
-        flat = _from_ratios(context, coeffs, Multivector)
+        zero = (0,) * (context.m + 1)
+        coeffs = {mask: require_exact(q, "coefficient") for mask, q in terms.items()}
+        entries = [(zero, mask, q.numerator, q.denominator) for mask, q in coeffs.items()]
+        flat = from_entries(context, entries, Multivector)
         self.context, self.numerators, self.denominator = context, flat.numerators, flat.denominator
 
     @property
@@ -356,16 +409,15 @@ class CliffordPolynomial:
     __slots__ = ("context", "numerators", "denominator", "_gated")  # see require_initial_term
 
     def __init__(self, context: AlgebraContext, terms: dict[tuple[int, ...], Multivector]):
-        encode = key_layout(context.m).encode
-        coeffs = []
+        entries = []
         for exps, coeff in terms.items():
-            base = encode(_exponents(exps, context.m, "exponent"))
             if not isinstance(coeff, Multivector):
                 raise ValueError(f"coefficient must be a Multivector, got {short_repr(coeff)}")
             if coeff.context != context:
                 raise ContextMismatchError("coefficient from a different algebra")
-            coeffs += [(base | mask, q, coeff.denominator) for mask, q in coeff.numerators.items()]
-        poly = _from_ratios(context, coeffs)
+            blades = coeff.numerators.items() or [(0, 0)]  # a zero coefficient's exps are checked too
+            entries += [(exps, mask, q, coeff.denominator) for mask, q in blades]
+        poly = from_entries(context, entries)
         self.context, self.numerators, self.denominator = context, poly.numerators, poly.denominator
 
     # -- constructors -------------------------------------------------
@@ -427,6 +479,11 @@ class CliffordPolynomial:
     def is_zero(self) -> bool:
         return not self.numerators
 
+    def is_scalar(self) -> bool:
+        """True iff every coefficient is grade 0, read from the blade masks."""
+        mask_bits = key_layout(self.context.m).mask_bits
+        return not any(key & mask_bits for key in self.numerators)
+
     def __add__(self, other: CliffordPolynomial) -> CliffordPolynomial:
         if not isinstance(other, CliffordPolynomial):
             return NotImplemented
@@ -484,6 +541,15 @@ class CliffordPolynomial:
                 nums[key - unit] = a * q
         return _normalized(self.context, nums, self.denominator)
 
+    def times_x0(self, j: int) -> CliffordPolynomial:
+        """x_0^j times self: j added to the x_0 field of every key, no product."""
+        if require_int(j, "power") < 0:
+            raise ValueError("negative powers are not defined")
+        _require_degree(self.total_degree() + j, "product")
+        step = j * key_layout(self.context.m).units[0]
+        nums = {key + step: q for key, q in self.numerators.items()}
+        return _normalized(self.context, nums, self.denominator)
+
     def restrict_x0(self) -> CliffordPolynomial:
         """Substitute x_0 = 0."""
         shift = key_layout(self.context.m).shifts[0]
@@ -531,7 +597,7 @@ class CliffordPolynomial:
                 q *= v.numerator**a * v.denominator ** (top - a)
             contributions.append((mask, q))  # the key of the constant monomial is its mask
         den = self.denominator * prod(v.denominator**top for v, top in zip(values, tops))
-        return _collect(self.context, contributions, den, Multivector)
+        return _collect(self.context, _summed(contributions), den, Multivector)
 
     # -- serialization ---------------------------------------------------
 
@@ -592,43 +658,35 @@ class CliffordPolynomial:
 # -- kernels on the packed keys: the operators and the axial split -------
 
 
-def _dirac_terms(numerators: dict, m: int):
-    """Contributions of dirac: e_j times d/dx_j of each term, e_j on the left.
-
-    e_j e_A = (-1)^s e_(A xor j), where s counts the generators of A with
-    index at most j (the swaps past smaller ones, and e_j^2 = -1).
-    """
-    layout = key_layout(m)
-    generators = [
-        (layout.shifts[j], layout.units[j], 1 << (j - 1), (1 << j) - 1) for j in range(1, m + 1)
-    ]
-    for key, q in numerators.items():
-        for shift, unit, bit, upto in generators:
-            a = key >> shift & FIELD_MASK
-            if a:
-                yield (key - unit) ^ bit, (-a * q if (key & upto).bit_count() & 1 else a * q)
-
-
-def _laplacian_terms(numerators: dict, m: int):
-    """Contributions of the Laplacian: d^2/dx_i^2 of each term, for i = 0..m."""
-    layout = key_layout(m)
-    variables = [(shift, 2 * unit) for shift, unit in zip(layout.shifts, layout.units)]
-    for key, q in numerators.items():
-        for shift, step in variables:
-            a = key >> shift & FIELD_MASK
-            if a > 1:
-                yield key - step, a * (a - 1) * q
-
-
 def dirac(p: CliffordPolynomial) -> CliffordPolynomial:
-    """Dirac operator sum_j e_j d/dx_j (left action)."""
-    return _collect(p.context, _dirac_terms(p.numerators, p.context.m), p.denominator)
+    """Dirac operator sum_j e_j d/dx_j (left action), e_j on the left of
+    each term: e_j e_A = (-1)^s e_(A xor j), s = popcount(A & sign_mask(e_j)),
+    the generators of A with index at most j."""
+    sums: dict = {}
+    get, field = sums.get, FIELD_MASK
+    steps = key_layout(p.context.m).dirac_steps
+    for key, q in p.numerators.items():
+        for shift, unit, bit, upto in steps:
+            a = key >> shift & field
+            if a:
+                target = (key - unit) ^ bit
+                sums[target] = get(target, 0) + (-a * q if (key & upto).bit_count() & 1 else a * q)
+    return _collect(p.context, sums, p.denominator)
 
 
 def laplacian(p: CliffordPolynomial) -> CliffordPolynomial:
-    """Laplacian in all m+1 variables; factors as the product of the
-    Cauchy-Riemann operator with its conjugate."""
-    return _collect(p.context, _laplacian_terms(p.numerators, p.context.m), p.denominator)
+    """Laplacian in all m+1 variables, d^2/dx_i^2 of each term for i = 0..m;
+    factors as the product of the Cauchy-Riemann operator with its conjugate."""
+    sums: dict = {}
+    get, field = sums.get, FIELD_MASK
+    steps = key_layout(p.context.m).laplacian_steps
+    for key, q in p.numerators.items():
+        for shift, step in steps:
+            a = key >> shift & field
+            if a > 1:
+                target = key - step
+                sums[target] = get(target, 0) + a * (a - 1) * q
+    return _collect(p.context, sums, p.denominator)
 
 
 def vector_components(f: CliffordPolynomial) -> list[CliffordPolynomial]:

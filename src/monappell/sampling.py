@@ -1,17 +1,22 @@
-"""Seeded random inputs for the property suites (library, CLI, and tests)."""
+"""Seeded random inputs for the property suites (library, CLI, and tests).
+
+Every draw goes straight into the flat form: each blade of each monomial
+is one (exps, mask, numerator, denominator) entry for
+`polynomials.from_entries`, which sums repeated draws and normalizes once.
+The RNG calls and their order are pinned by `tests/test_sampling.py`.
+"""
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .algebra import AlgebraContext, Multivector
+from .algebra import AlgebraContext, Multivector, require_int
 from .errors import DimensionTooSmallError
 from .initial_terms import builtin_initial_term
-from .polynomials import CliffordPolynomial, linear_combination
+from .polynomials import CliffordPolynomial, from_entries, linear_combination
 
 
 MAX_ABS, MAX_DEN = 6, 4  # numerators in -6..6 over denominators 1..4
@@ -25,23 +30,28 @@ def random_rational(rng: random.Random) -> Fraction:
 
 @cache
 def _masks(m: int, grades: tuple[int, ...] | None) -> tuple[int, ...]:
-    """The blade masks of R_{0,m} with a grade in grades (every mask for None)."""
-    return tuple(mk for mk in range(1 << m) if grades is None or mk.bit_count() in grades)
+    """The blade masks of R_{0,m} with a grade in grades (every mask for None);
+    ValueError if grades select none."""
+    masks = tuple(mk for mk in range(1 << m) if grades is None or mk.bit_count() in grades)
+    if not masks:
+        raise ValueError(f"grades {grades!r} select no blade of R_{{0,{m}}}")
+    return masks
 
 
-def _draw_blades(rng: random.Random, masks: tuple[int, ...]) -> Counter:
-    """1..MULTIVECTOR_TERMS (mask, rational) draws; a mask drawn twice sums its rationals."""
-    coeffs: Counter = Counter()
-    for _ in range(rng.randint(1, MULTIVECTOR_TERMS)):
-        mask = rng.choice(masks)
-        coeffs[mask] += random_rational(rng)
-    return coeffs
+def _blade_entries(rng: random.Random, masks: tuple[int, ...], exps: tuple[int, ...]) -> list:
+    """1..MULTIVECTOR_TERMS draws of a mask and a rational (numerator, then
+    denominator), as `from_entries` entries on the monomial exps."""
+    return [
+        (exps, rng.choice(masks), rng.randint(-MAX_ABS, MAX_ABS), rng.randint(1, MAX_DEN))
+        for _ in range(rng.randint(1, MULTIVECTOR_TERMS))
+    ]
 
 
 def random_multivector(
     rng: random.Random, context: AlgebraContext, grades: tuple[int, ...] | None = None
 ) -> Multivector:
-    return Multivector(context, _draw_blades(rng, _masks(context.m, grades)))
+    entries = _blade_entries(rng, _masks(context.m, grades), (0,) * (context.m + 1))
+    return from_entries(context, entries, Multivector)
 
 
 def random_polynomial(
@@ -50,16 +60,16 @@ def random_polynomial(
     include_x0: bool = True,
     grades: tuple[int, ...] | None = None,
 ) -> CliffordPolynomial:
-    """Monomials with `random_multivector` draws, collected per monomial: one build."""
-    masks = _masks(context.m, grades)
-    coeffs: dict[tuple[int, ...], Counter] = {}
+    """1..POLYNOMIAL_TERMS monomials of degree 0..POLYNOMIAL_DEGREE, each with
+    the blade draws of `random_multivector`; a monomial drawn twice sums them."""
+    m, masks = context.m, _masks(context.m, grades)
+    entries = []
     for _ in range(rng.randint(1, POLYNOMIAL_TERMS)):
-        exps = [0] * (context.m + 1)
+        exps = [0] * (m + 1)
         for _ in range(rng.randint(0, POLYNOMIAL_DEGREE)):
-            exps[rng.randint(0 if include_x0 else 1, context.m)] += 1
-        coeffs.setdefault(tuple(exps), Counter()).update(_draw_blades(rng, masks))
-    terms = {exps: Multivector(context, blades) for exps, blades in coeffs.items()}
-    return CliffordPolynomial(context, terms)
+            exps[rng.randint(0 if include_x0 else 1, m)] += 1
+        entries += _blade_entries(rng, masks, tuple(exps))
+    return from_entries(context, entries)
 
 
 def random_scalar_polynomial(rng: random.Random, context: AlgebraContext) -> CliffordPolynomial:
@@ -80,9 +90,10 @@ def random_initial_term(rng: random.Random, context: AlgebraContext, k: int) -> 
     Degree 0: any nonzero constant multivector.  Degree k >= 1: a small
     rational combination of the powers (x_i - e_ij x_j)^k of
     `builtin_initial_term` over random generator pairs, each of which is
-    Dirac-annihilated and homogeneous.
+    Dirac-annihilated and homogeneous.  A k that is not an int raises
+    ValueError before anything is drawn.
     """
-    if k == 0:
+    if require_int(k, "k") == 0:
         constant = random_multivector(rng, context)
         if constant.is_zero():
             constant = context.one()

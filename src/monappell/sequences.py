@@ -138,18 +138,23 @@ def verify_sequence(
     return report
 
 
-def axial_decompose(p: CliffordPolynomial, k: int, pk: CliffordPolynomial) -> AxialPair:
+def axial_decompose(
+    p: CliffordPolynomial, k: int, pk: CliffordPolynomial, *, multiples: dict | None = None
+) -> AxialPair:
     """Write p as (sum_{j,i} h_{j,i} x_0^j x̲^i) P_k with rational h and fold
     the x̲ powers into the (x_0, t) profiles with `axial_profiles`.
 
     Within a fixed power of x_0, the candidate x̲^i P_k pieces live in
     distinct homogeneous degrees, so each h_{j,i} is read off from a single
-    reference coefficient and then verified exactly.
+    reference coefficient and then verified exactly.  `multiples`, if
+    given, is a dict {i: x̲^i P_k} of this pk that the call reads and
+    fills, so calls that share it form each x̲^i P_k once.
     """
     if pk.context != p.context:
         raise ContextMismatchError("polynomial and initial term from different algebras")
     _gate_once(pk, k)
     ctx = p.context
+    multiples = {} if multiples is None else multiples
     h = {}
     for (j, degree), component in sorted(x0_strata(p).items()):
         i = degree - k
@@ -157,7 +162,9 @@ def axial_decompose(p: CliffordPolynomial, k: int, pk: CliffordPolynomial) -> Ax
             raise NotAxialFormError(
                 f"x_0^{j} slice has degree {degree} below the initial degree {k}"
             )
-        ratio = scalar_ratio(component, vector_power(ctx, i) * pk)
+        if i not in multiples:
+            multiples[i] = vector_power(ctx, i) * pk
+        ratio = scalar_ratio(component, multiples[i])
         if ratio is None:
             raise NotAxialFormError(
                 "homogeneous component is not a rational multiple of x̲^i times the initial term"
@@ -189,14 +196,16 @@ def vekua_witness(pair: AxialPair) -> str | None:
 def verify_axial(
     spec: SequenceSpec, terms: list[CliffordPolynomial] | None = None
 ) -> VerificationReport:
-    """Axial decomposition round-trip plus the Vekua system, per term."""
+    """Axial decomposition round-trip plus the Vekua system, per term; the
+    terms share one dict of the x̲^i P_k, so each is formed once."""
     if terms is None:
         terms = generate_sequence(spec)
     report = VerificationReport()
+    multiples: dict = {}
     for n, term in enumerate(terms):
         params = {"m": spec.m, "k": spec.k, "n": n}
         try:
-            pair = axial_decompose(term, spec.k, spec.pk)
+            pair = axial_decompose(term, spec.k, spec.pk, multiples=multiples)
         except NotAxialFormError as exc:
             report.add("axial_reconstruction", params, False, str(exc))
             report.add("vekua_system", params, False, "no decomposition")

@@ -3,7 +3,9 @@
 The reference below is the straightforward representation {exps: {mask:
 Fraction}} with one accumulate loop per operation.  It is kept here, in
 the tests only, as the oracle the flat kernel (an int numerator per
-packed (monomial, blade) key) must agree with exactly.  Multivectors, the
+packed (monomial, blade) key) must agree with exactly; its blade signs
+come from a brute-force sort of the generator lists, not from the
+package's closed-form `sign_mask`.  Multivectors, the
 degree-0 case of that kernel (an int numerator per blade mask), and
 (x_0, t) profiles, scalar polynomials on R_{0,1}, are checked through
 their Fraction `terms` views against plain dict-of-Fraction loops too,
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 
 from monappell import polynomials as kernel
+from monappell import algebra
 from monappell.algebra import AlgebraContext, Multivector, blade_product
 from monappell.bivariate import BivariatePoly
 from monappell.operators import dirac, laplacian
@@ -37,6 +40,58 @@ from monappell.polynomials import (
 from monappell.report import VerificationReport
 from monappell.sequences import SequenceSpec, sequence_term_explicit
 from strategies import multivectors, polynomials, rationals
+
+
+def ref_blade_product(a: int, b: int) -> tuple[int, int]:
+    """e_a e_b by brute force: bubble-sort the concatenated generator lists,
+    one sign flip per swap, then contract each shared generator, e_j e_j = -1."""
+    left = [j + 1 for j in range(a.bit_length()) if a >> j & 1]
+    right = [j + 1 for j in range(b.bit_length()) if b >> j & 1]
+    word, sign = left + right, 1
+    for end in range(len(word) - 1, 0, -1):
+        for i in range(end):
+            if word[i] > word[i + 1]:
+                word[i], word[i + 1] = word[i + 1], word[i]
+                sign = -sign
+    shared = set(left) & set(right)
+    mask = sum(1 << (j - 1) for j in set(left) ^ set(right))
+    return (-1) ** len(shared) * sign, mask
+
+
+def sign_witness() -> tuple[int, int] | None:
+    """The first mask pair of R_{0,6} where blade_product and the brute force differ."""
+    pairs = ((a, b) for a in range(64) for b in range(64))
+    return next(((a, b) for a, b in pairs if blade_product(a, b) != ref_blade_product(a, b)), None)
+
+
+def test_blade_product_matches_brute_force():
+    assert sign_witness() is None
+    assert ref_blade_product(0b1, 0b1) == (-1, 0)  # e1 e1 = -1
+    assert ref_blade_product(0b10, 0b1) == (-1, 0b11)  # e2 e1 = -e12
+    assert ref_blade_product(0b11, 0b11) == (-1, 0)  # e12 e12 = -1
+
+
+def test_blade_sign_negative_control(monkeypatch):
+    """R(a) built with `low` in place of `low - 1` is caught, with a witness."""
+
+    def wrong_sign_mask(a):
+        r, rest = a, a
+        while rest:
+            low = rest & -rest
+            r ^= low
+            rest ^= low
+        return r
+
+    monkeypatch.setattr(algebra, "sign_mask", wrong_sign_mask)
+    assert sign_witness() == (1, 1)  # e1 e1 came out +1
+    monkeypatch.setattr(kernel, "sign_mask", wrong_sign_mask)  # the product kernel's binding
+    ctx = AlgebraContext(2)
+    e1 = ctx.e(1)
+    assert (e1 * e1).terms == {0: 1} != ref_sparse_product(e1.terms, e1.terms, ref_blade_product)
+
+
+def test_sign_mask_memo_is_bounded():
+    assert algebra.sign_mask.cache_info().maxsize == 1 << algebra.MAX_DIMENSION
 
 
 def nested(p: CliffordPolynomial) -> dict:
@@ -66,7 +121,7 @@ def ref_product(a: dict, b: dict) -> dict:
                 exps = tuple(x + y for x, y in zip(ea, eb))
                 for ma, qa in ca.items():
                     for mb, qb in cb.items():
-                        sign, mask = blade_product(ma, mb)
+                        sign, mask = ref_blade_product(ma, mb)
                         yield exps, mask, sign * qa * qb
 
     return _accumulate(contributions())
@@ -83,7 +138,7 @@ def ref_dirac(a: dict, m: int) -> dict:
         for j in range(1, m + 1)
         if exps[j]
         for mask, q in slot.items()
-        for sign, prod in [blade_product(1 << (j - 1), mask)]
+        for sign, prod in [ref_blade_product(1 << (j - 1), mask)]
     )
 
 
@@ -273,7 +328,7 @@ def test_multivector_arithmetic_matches_reference(m, data):
     c, g = data.draw(rationals), data.draw(st.integers(0, m))
     assert (a + b).terms == ref_sparse_sum(a.terms, b.terms)
     assert (a - b).terms == ref_sparse_sum(a.terms, b.terms, -1)
-    assert (a * b).terms == ref_sparse_product(a.terms, b.terms, blade_product)
+    assert (a * b).terms == ref_sparse_product(a.terms, b.terms, ref_blade_product)
     scaled = {mask: c * q for mask, q in a.terms.items()} if c else {}
     assert (c * a).terms == scaled and (a * c).terms == scaled
     signs = {mask: -1 if mask.bit_count() % 4 in (1, 2) else 1 for mask in a.terms}

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -6,11 +7,13 @@ from monappell.algebra import AlgebraContext
 from monappell.errors import DimensionTooSmallError, InvalidInitialTermError
 from monappell.initial_terms import (
     InitialTermSpec,
+    _generator_power,
     builtin_initial_term,
     load_initial_term,
     validate_initial_term,
 )
 from monappell.polynomials import CliffordPolynomial, unit_exps
+from monappell.sampling import random_initial_term
 
 CTX3 = AlgebraContext(3)
 
@@ -136,3 +139,26 @@ def test_validation_degree_must_be_exact(k):
     assert validate_initial_term(pk, 1).all_passed
     with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
         validate_initial_term(pk, k)
+
+
+@pytest.mark.parametrize("k", [True, False, 0.0, 2.0])
+def test_initial_term_builders_take_exact_k(k):
+    """k goes through require_int before any branch on it: True == 1 and
+    0.0 == 0 would otherwise pass, or hit a memo keyed on k."""
+    with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+        builtin_initial_term(CTX3, k)
+    with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+        random_initial_term(random.Random(0), CTX3, k)
+
+
+def test_builtin_takes_a_list_pair_and_exact_indices():
+    assert builtin_initial_term(CTX3, 2, [1, 2]) == builtin_initial_term(CTX3, 2, (1, 2))
+    builtin_initial_term(CTX3, 2, (1, 2))  # the (m, k, 1, 2) power is now memoized
+    for pair in ((True, 2), (1.0, 2)):
+        with pytest.raises(ValueError, match="generator index must be an integer"):
+            builtin_initial_term(CTX3, 2, pair)
+
+
+def test_generator_power_memo_is_bounded():
+    assert _generator_power.cache_info().maxsize == 256
+    assert builtin_initial_term(CTX3, 3, (2, 3)) is builtin_initial_term(CTX3, 3, (2, 3))

@@ -7,14 +7,15 @@ from hypothesis import given, settings
 
 from monappell import polynomials as kernel
 from monappell import sequences
-from monappell.algebra import AlgebraContext
+from monappell.algebra import AlgebraContext, Multivector
 from monappell.bivariate import BivariatePoly
-from monappell.errors import ContextMismatchError, InvalidInitialTermError
+from monappell.errors import ContextMismatchError, DegreeLimitError, InvalidInitialTermError
 from monappell.initial_terms import builtin_initial_term
 from monappell.operators import require_initial_term
 from monappell.polynomials import (
     CliffordPolynomial,
     first_difference,
+    from_entries,
     radius_squared,
     unit_exps,
     vector_power,
@@ -315,3 +316,84 @@ def test_json_rejects_inexact_fields(field, value):
         term["coeff"][0][field] = value
     with pytest.raises(ValueError, match=field):
         CliffordPolynomial.from_json_dict(data)
+
+
+def test_from_entries_sums_and_normalizes():
+    entries = [
+        ((0, 1, 0, 0), 0b11, 1, 2),
+        ((0, 1, 0, 0), 0b11, 1, 3),
+        ((2, 0, 0, 0), 0, 4, 6),
+        ((0, 0, 1, 0), 0b1, 5, 1),
+        ((0, 0, 1, 0), 0b1, -5, 1),  # cancels: no term is left
+    ]
+    p = from_entries(CTX3, entries)
+    expected = {
+        (0, 1, 0, 0): Multivector(CTX3, {0b11: Fraction(5, 6)}),
+        (2, 0, 0, 0): Multivector(CTX3, {0: Fraction(2, 3)}),
+    }
+    assert p == CliffordPolynomial(CTX3, expected)
+    assert from_entries(CTX3, [((0,) * 4, 5, 3, 4)], Multivector) == Multivector(
+        CTX3, {5: Fraction(3, 4)}
+    )
+    assert from_entries(CTX3, []) == CliffordPolynomial.zero(CTX3)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (((0, 0, 0), 0, 1, 1), "is not 4 non-negative integers"),
+        (((0, 1.0, 0, 0), 0, 1, 1), "exponent entry must be an integer"),
+        (((0, 0, 0, 0), 8, 1, 1), "blade mask 0x8 out of range for m=3"),
+        (((0, 0, 0, 0), True, 1, 1), "blade mask must be an integer"),
+        (((0, 0, 0, 0), 0, 0.5, 1), "numerator must be an integer"),
+        (((0, 0, 0, 0), 0, True, 1), "numerator must be an integer"),
+        (((0, 0, 0, 0), 0, 1, 0), "denominator must be positive, got 0"),
+        (((0, 0, 0, 0), 0, 1, -2), "denominator must be positive, got -2"),
+        (((0, 0, 0, 0), 0, 1, 2.0), "denominator must be an integer"),
+        (((0, -1, 0, 0), 0, 0, 1), "non-negative"),  # a zero numerator is checked too
+    ],
+)
+def test_from_entries_rejects_each_bad_field(entry, message):
+    with pytest.raises(ValueError, match=message):
+        from_entries(CTX3, [entry])
+
+
+def test_from_entries_checks_the_degree_and_the_multivector_shape():
+    with pytest.raises(DegreeLimitError):
+        from_entries(CTX3, [((kernel.DEGREE_LIMIT, 0, 0, 0), 0, 1, 1)])
+    with pytest.raises(ValueError, match="only the constant monomial"):
+        from_entries(CTX3, [((0, 1, 0, 0), 0, 1, 1)], Multivector)
+
+
+def test_zero_coefficients_still_have_their_exponents_checked():
+    for exps in ((0, -1, 0, 0), (0, 1.0, 0, 0), (0, 1, 0)):
+        with pytest.raises(ValueError):
+            CliffordPolynomial(CTX3, {exps: CTX3.zero()})
+    with pytest.raises(DegreeLimitError):
+        CliffordPolynomial(CTX3, {(kernel.DEGREE_LIMIT, 0, 0, 0): CTX3.zero()})
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_times_x0_is_the_monomial_product(data):
+    p = data.draw(polynomials(CTX3))
+    j = data.draw(st.integers(0, 4))
+    x0j = CliffordPolynomial.monomial(CTX3, (j, 0, 0, 0), CTX3.one())
+    assert p.times_x0(j) == x0j * p
+
+
+def test_times_x0_checks_its_power():
+    x1 = CliffordPolynomial.variable(CTX3, 1)
+    for bad in (-1, True, 1.0):
+        with pytest.raises(ValueError):
+            x1.times_x0(bad)
+    with pytest.raises(DegreeLimitError):
+        x1.times_x0(kernel.DEGREE_LIMIT - 1)
+    assert list(x1.times_x0(kernel.DEGREE_LIMIT - 2).terms) == [(kernel.DEGREE_LIMIT - 2, 1, 0, 0)]
+
+
+def test_is_scalar_reads_the_blade_masks():
+    x1 = CliffordPolynomial.variable(CTX3, 1)
+    assert x1.is_scalar() and CliffordPolynomial.zero(CTX3).is_scalar()
+    assert not (x1 + vector_variable(CTX3)).is_scalar()
+    assert not CliffordPolynomial.constant(CTX3, CTX3.e(3)).is_scalar()

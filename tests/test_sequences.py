@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from monappell import sequences
 from monappell.algebra import AlgebraContext
 from monappell.bivariate import BivariatePoly
 from monappell.coefficients import restriction_coefficient
@@ -242,3 +243,23 @@ def test_verify_axial_report():
         "axial_reconstruction",
         "vekua_system",
     }
+
+
+def test_verify_axial_forms_each_multiple_once(monkeypatch):
+    """verify_axial to n_max forms x̲^i P_k for i = 0..n_max once each,
+    n_max + 1 products, not one per term and power."""
+    spec = SequenceSpec.builtin(3, 2, 5)
+    terms = generate_sequence(spec)
+    calls = []
+
+    def counted(ctx, i):
+        calls.append(i)
+        return vector_power(ctx, i)
+
+    monkeypatch.setattr(sequences, "vector_power", counted)
+    assert verify_axial(spec, terms).all_passed
+    assert sorted(calls) == list(range(spec.n_max + 1))
+    calls.clear()
+    for term in terms:  # without a shared dict, each call forms its own
+        axial_decompose(term, spec.k, spec.pk)
+    assert len(calls) == (spec.n_max + 1) * (spec.n_max + 2) // 2

@@ -134,7 +134,9 @@ def mask_to_indices(mask: int) -> tuple[int, ...]:
 
 
 def indices_to_mask(indices: list[int] | tuple[int, ...], m: int) -> int:
-    """Bit mask of a blade given by distinct generator indices in 1..m."""
+    """Bit mask of a blade given by strictly increasing generator indices in
+    1..m.  Indices out of order are rejected, not sorted: e_2 e_1 is -e_12,
+    and a mask carries no sign."""
     mask = 0
     for j in require_shape(indices, (list, tuple), '"blade"'):
         if not 1 <= require_int(j, "blade index") <= m:
@@ -142,6 +144,10 @@ def indices_to_mask(indices: list[int] | tuple[int, ...], m: int) -> int:
         bit = 1 << (j - 1)
         if mask & bit:
             raise ValueError(f"repeated generator index {j}")
+        if mask >= bit:
+            raise ValueError(
+                f'"blade" indices must be strictly increasing, got {short_repr(indices)}'
+            )
         mask |= bit
     return mask
 

@@ -2,24 +2,35 @@
 
 A power of z = x + iy, read on the half plane as a function of (x_0, r),
 is planted into R^{m+1} as (u + (x̲/r) v) P_k and hit with the Laplacian
-k + (m-1)/2 times.  For odd m the result is monogenic; on monomial
+ν = k + (m-1)/2 times.  For odd m the result is monogenic; on monomial
 inputs it is an integer multiple of a Cauchy-Kovalevskaya extension, and
 hence a known rational multiple of a sequence term.  The profiles of z^n
-and their planting come from `bivariate`.
+and their planting (`axial_embedding`) come from `bivariate`.
+
+Since i r folds like x̲, the planted z^n is (x_0 + x̲)^n P_k, and since
+Δ = d^2/dx_0^2 + Δ_x̲ with commuting parts,
+
+    Δ^ν [(x_0 + x̲)^n P_k] = sum_s C(n,s) sum_t C(ν,t) (n-s)!/(n-s-2t)!
+        x_0^(n-s-2t) Δ^(ν-t)(x̲^s P_k),
+
+so `fueter_map` builds each image from the x_0-free chains Δ^r(x̲^s P_k),
+r = 0..ν, which all images of one report share.  The literal route, ν
+Laplacians of `axial_embedding`, stays public as the oracle that
+tests/test_fueter.py checks `fueter_map` against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, perm
 
 from .algebra import require_int
 from .bivariate import AxialPair, BivariatePoly, axial_profiles
 from .ck import ck_extend
 from .coefficients import double_factorial, fueter_factor, restriction_coefficient
 from .errors import EvenDimensionError
-from .operators import laplacian
-from .polynomials import CliffordPolynomial, vector_power
+from .operators import _gate_once, laplacian
+from .polynomials import CliffordPolynomial, linear_combination, vector_power
 from .report import VerificationReport
 from .sequences import SequenceSpec, sequence_term_explicit
 
@@ -58,22 +69,59 @@ def fueter_order(m: int, k: int) -> int:
     return k + (m - 1) // 2
 
 
-def fueter_map(n: int, pk: CliffordPolynomial, k: int) -> CliffordPolynomial:
-    """Iterated Laplacian of the axial embedding of z^n."""
+def fueter_map(
+    n: int, pk: CliffordPolynomial, k: int, *, blocks: dict | None = None
+) -> CliffordPolynomial:
+    """Iterated Laplacian of the axial embedding of z^n, by the x_0 split of Δ.
+
+    The embedding is (x_0 + x̲)^n P_k = sum_s C(n,s) x_0^(n-s) G_s with
+    G_s = x̲^s P_k free of x_0, and Δ = d^2/dx_0^2 + Δ_x̲ with commuting
+    parts, so with ν = `fueter_order`, exactly,
+
+        Δ^ν [(x_0 + x̲)^n P_k] = sum_{s=0..n} C(n,s) sum_{t=0..min(ν,(n-s)//2)}
+            C(ν,t) (n-s)!/(n-s-2t)! x_0^(n-s-2t) Δ^(ν-t) G_s,
+
+    one `linear_combination` of x_0 key shifts of the chains
+    [G_s, ΔG_s, ..., Δ^ν G_s].  On the x_0-free G_s, `laplacian` is Δ_x̲.
+    `blocks`, if given, is a dict {s: chain} of this pk and k that the call
+    reads and fills, so calls that share it build each chain once.  The
+    literal route, ν Laplacians of `axial_embedding`, is the oracle in
+    tests/test_fueter.py.
+    """
+    _gate_once(pk, k)  # the split needs a P_k free of x_0
     order = fueter_order(pk.context.m, k)
-    image = axial_embedding(complex_monomial_parts(n), pk, k)
-    for _ in range(order):
-        image = laplacian(image)
-    return image
+    if require_int(n, "n") < 0:
+        raise ValueError("n must be non-negative")
+    blocks = {} if blocks is None else blocks
+    for s in range(n + 1):
+        if s not in blocks:
+            chain = [vector_power(pk.context, s) * pk]
+            for _ in range(order):
+                chain.append(laplacian(chain[-1]))
+            blocks[s] = chain
+    terms = [
+        (
+            comb(n, s) * comb(order, t) * perm(n - s, 2 * t),
+            blocks[s][order - t].times_x0(n - s - 2 * t),
+        )
+        for s in range(n + 1)
+        for t in range(min(order, (n - s) // 2) + 1)
+    ]
+    return linear_combination(pk.context, terms)
 
 
 def check_fueter_vanishing(pk: CliffordPolynomial, k: int) -> VerificationReport:
     """Fueter images of z^n vanish for every n below the threshold 2k+m-1."""
+    return _vanishing_report(pk, k, {})
+
+
+def _vanishing_report(pk: CliffordPolynomial, k: int, blocks: dict) -> VerificationReport:
     m = pk.context.m
     zero = CliffordPolynomial.zero(pk.context)
     report = VerificationReport()
     for n in range(2 * k + m - 1):
-        report.add_equal("fueter_vanishing", {"m": m, "k": k, "n": n}, fueter_map(n, pk, k), zero)
+        image = fueter_map(n, pk, k, blocks=blocks)
+        report.add_equal("fueter_vanishing", {"m": m, "k": k, "n": n}, image, zero)
     return report
 
 
@@ -121,11 +169,14 @@ def _match_report(spec: SequenceSpec, n: int, image: CliffordPolynomial) -> Veri
 def fueter_compare(spec: SequenceSpec) -> VerificationReport:
     """The vanishing entries below the threshold 2k+m-1, then the CK identity
     and the Appell match for z^(threshold+n), n = 0..n_max; each image is
-    built once and feeds both checks."""
+    built once and feeds both checks.  Every image reads one `blocks` dict,
+    so each chain Δ^r(x̲^s P_k) is built once per report."""
     threshold = 2 * spec.k + spec.m - 1
-    report, matches = check_fueter_vanishing(spec.pk, spec.k), VerificationReport()
+    blocks: dict = {}
+    report = _vanishing_report(spec.pk, spec.k, blocks)
+    matches = VerificationReport()
     for n in range(spec.n_max + 1):
-        image = fueter_map(threshold + n, spec.pk, spec.k)
+        image = fueter_map(threshold + n, spec.pk, spec.k, blocks=blocks)
         report.extend(_identity_report(threshold + n, spec.pk, spec.k, image))
         matches.extend(_match_report(spec, n, image))
     return report.extend(matches)

@@ -79,6 +79,19 @@ def test_dimension_bounds():
     AlgebraContext(16)
 
 
+def test_blade_indices_must_be_strictly_increasing():
+    """e_2 e_1 = -e_12, and a mask carries no sign, so [2, 1] is refused
+    rather than read as +e_12; a repeated index keeps its own message."""
+    assert CTX3.e(2) * CTX3.e(1) == -CTX3.blade((1, 2))
+    for indices in ((2, 1), (1, 3, 2)):
+        with pytest.raises(ValueError, match='"blade" indices must be strictly increasing'):
+            CTX3.blade(indices)
+        with pytest.raises(ValueError, match='"blade"'):
+            Multivector.from_json(CTX3, [{"blade": list(indices), "coeff": "1"}])
+    with pytest.raises(ValueError, match="repeated generator index 2"):
+        CTX3.blade((2, 2))
+
+
 def test_context_mismatch():
     with pytest.raises(ContextMismatchError):
         AlgebraContext(2).e(1) * AlgebraContext(3).e(1)

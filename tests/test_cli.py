@@ -109,9 +109,9 @@ def test_fueter_compare_builds_each_image_once(capsys, monkeypatch):
     calls = []
     original = fueter.fueter_map
 
-    def counting(n, pk, k):
+    def counting(n, pk, k, **kw):
         calls.append(n)
-        return original(n, pk, k)
+        return original(n, pk, k, **kw)
 
     monkeypatch.setattr(fueter, "fueter_map", counting)
     code, _, _ = run_cli(capsys, ["fueter-compare", "--m", "3", "--k", "1", "--n-max", "2"])
@@ -326,6 +326,25 @@ def test_inexact_json_input_is_a_usage_error(tmp_path, capsys, example, field):
             main(argv)
         assert excinfo.value.code == 2
         assert field in capsys.readouterr().err
+
+
+def test_blade_indices_out_of_order_are_a_usage_error(tmp_path, capsys):
+    """e_2 e_1 is -e_12, so a file that writes the blade [2, 1] is refused,
+    not read as +e_12."""
+    data = builtin_initial_term(CTX3, 1).to_json_dict()
+    (entry,) = (c for term in data["terms"] for c in term["coeff"] if c["blade"] == [1, 2])
+    entry["blade"] = [2, 1]
+    path = tmp_path / "pk.json"
+    path.write_text(json.dumps(data))
+    commands = (
+        ["validate-pk", "--file", str(path), "--k", "1"],
+        ["generate", "--m", "3", "--k", "1", "--n-max", "1", "--pk", str(path)],
+    )
+    for argv in commands:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert '"blade" indices must be strictly increasing, got [2, 1]' in capsys.readouterr().err
 
 
 def _misshapen_pk(example):

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,12 +22,15 @@ from monappell.fueter import (
     fueter_scale,
 )
 from monappell.initial_terms import builtin_initial_term
+from monappell.operators import laplacian
 from monappell.polynomials import (
     CliffordPolynomial,
     radius_squared,
     unit_exps,
     vector_variable,
 )
+from monappell.report import VerificationReport
+from monappell.sampling import random_initial_term
 from monappell.sequences import SequenceSpec, axial_decompose, verify_axial
 
 CTX3 = AlgebraContext(3)
@@ -72,6 +77,93 @@ def test_axial_embedding_examples():
     assert axial_embedding(complex_monomial_parts(1), pk, 2) == (
         x0 + vector_variable(CTX3)
     ) * pk
+
+
+def _literal_image(n, pk, k):
+    """The oracle: ν Laplacians of the axial embedding of z^n, in all m+1 variables."""
+    image = axial_embedding(complex_monomial_parts(n), pk, k)
+    for _ in range(fueter_order(pk.context.m, k)):
+        image = laplacian(image)
+    return image
+
+
+def _oracle_report(pk, k, literals):
+    """fueter_map of z^n against literals[n] for each n of the dict, once
+    fresh and once through one blocks dict shared by every n in turn."""
+    m, blocks = pk.context.m, {}
+    report = VerificationReport()
+    for n, literal in literals.items():
+        for route, image in (
+            ("fresh", fueter_map(n, pk, k)),
+            ("shared", fueter_map(n, pk, k, blocks=blocks)),
+        ):
+            params = {"m": m, "k": k, "n": n, "route": route}
+            report.add_equal("fueter_split", params, image, literal)
+    return report
+
+
+def _oracle_initial_term(m, k, seed):
+    """The built-in P_k for seed None, else a drawn P_3 with two blades on one monomial."""
+    ctx = AlgebraContext(m)
+    if seed is None:
+        return builtin_initial_term(ctx, k)
+    pk = random_initial_term(random.Random(seed), ctx, k)
+    assert any(len(coeff.numerators) > 1 for coeff in pk.terms.values())
+    return pk
+
+
+ORACLE_GRID = [(m, k, None) for m in (1, 3, 5, 7) for k in range(4) if m > 1 or k == 0]
+ORACLE_GRID += [(3, 3, 5), (5, 3, 9)]  # two-blade P_3 draws
+
+
+@pytest.mark.parametrize("m, k, seed", ORACLE_GRID)
+def test_fueter_map_equals_the_literal_route(m, k, seed):
+    """The x_0 split of Δ^ν gives the images of the full m+1-variable route
+    for every n up to one past the threshold 2k+m-1."""
+    pk = _oracle_initial_term(m, k, seed)
+    literals = {n: _literal_image(n, pk, k) for n in range(2 * k + m + 1)}
+    report = _oracle_report(pk, k, literals)
+    assert report.all_passed, report.failures()[0].witness
+
+
+def test_fueter_split_oracle_negative_control(monkeypatch):
+    """With C(ν, t) read as 1 the split goes wrong from t = 1 on, and the
+    oracle fails with a first_difference witness.  The literal images are
+    built before the patch, and every n checked is above ν, so the patched
+    comb hits only C(ν, t)."""
+    m, k = 3, 1
+    pk, order, threshold = builtin_initial_term(CTX3, k), fueter_order(m, k), 2 * k + m - 1
+    literals = {n: _literal_image(n, pk, k) for n in (threshold, threshold + 1)}
+    monkeypatch.setattr(fueter, "comb", lambda a, b: 1 if a == order else math.comb(a, b))
+    report = _oracle_report(pk, k, literals)
+    assert not any(entry.passed for entry in report.entries) and len(report.entries) == 4
+    assert all(entry.witness.startswith("monomial ") for entry in report.entries)
+
+
+def test_fueter_map_rejects_a_negative_power():
+    # range(n + 1) would read n = -1 as the empty sum, the zero image
+    with pytest.raises(ValueError, match="non-negative"):
+        fueter_map(-1, ONE3, 0)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        fueter_map(True, ONE3, 0)
+
+
+def test_fueter_compare_shares_one_blocks_dict(monkeypatch):
+    """Every image of one report reads the same chains Δ^r(x̲^s P_k)."""
+    spec = SequenceSpec.builtin(3, 1, 2)
+    top = 2 * 1 + 3 - 1 + spec.n_max
+    seen = []
+    original = fueter.fueter_map
+
+    def recording(n, pk, k, **kw):
+        seen.append(kw.get("blocks"))
+        return original(n, pk, k, **kw)
+
+    monkeypatch.setattr(fueter, "fueter_map", recording)
+    assert fueter_compare(spec).all_passed
+    assert len(seen) == top + 1
+    assert isinstance(seen[0], dict) and all(blocks is seen[0] for blocks in seen)
+    assert sorted(seen[0]) == list(range(top + 1))
 
 
 def test_fueter_order_and_even_dimension():
@@ -160,8 +252,8 @@ def test_fueter_compare_negative_control(monkeypatch):
     threshold, bad = 2 * 1 + 3 - 1, 1
     original = fueter.fueter_map
 
-    def corrupted(n, pk, k):
-        image = original(n, pk, k)
+    def corrupted(n, pk, k, **kw):
+        image = original(n, pk, k, **kw)
         return image + ONE3 if n == threshold + bad else image
 
     monkeypatch.setattr(fueter, "fueter_map", corrupted)

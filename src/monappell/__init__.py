@@ -32,9 +32,6 @@ from .errors import (
 from .fueter import (
     HolomorphicPair,
     axial_embedding,
-    check_fueter_appell_match,
-    check_fueter_identity,
-    check_fueter_vanishing,
     complex_monomial_parts,
     fueter_compare,
     fueter_map,
@@ -54,7 +51,6 @@ from .operators import (
     check_leibniz_vector,
     conj_cauchy_riemann,
     dirac,
-    hypercomplex_derivative,
     laplacian,
     require_initial_term,
 )
@@ -70,7 +66,6 @@ from .sequences import (
     AxialPair,
     SequenceSpec,
     axial_decompose,
-    classical_term,
     generate_sequence,
     sequence_term_ck,
     sequence_term_explicit,

@@ -10,7 +10,7 @@ class ContextMismatchError(MonappellError):
 
 
 class NotMonogenicError(MonappellError):
-    """Hypercomplex derivative requested for a non-monogenic input."""
+    """A polynomial required to be monogenic is not."""
 
 
 class NonScalarInputError(MonappellError):

@@ -17,6 +17,12 @@ so `fueter_map` builds each image from the x_0-free chains Δ^r(x̲^s P_k),
 r = 0..ν, which all images of one report share.  The literal route, ν
 Laplacians of `axial_embedding`, stays public as the oracle that
 tests/test_fueter.py checks `fueter_map` against.
+
+`fueter_compare` is the one builder of Fueter report entries: every
+`fueter_vanishing` (z^n maps to zero for n below 2k+m-1), then every
+`fueter_ck_identity` (z^(2k+m-1+n) maps to `fueter_scale` times the CK
+extension of x̲^n P_k), then every `fueter_appell_match` (that image is
+lambda times the n-th sequence term), for n = 0..n_max.
 """
 
 from __future__ import annotations
@@ -110,21 +116,6 @@ def fueter_map(
     return linear_combination(pk.context, terms)
 
 
-def check_fueter_vanishing(pk: CliffordPolynomial, k: int) -> VerificationReport:
-    """Fueter images of z^n vanish for every n below the threshold 2k+m-1."""
-    return _vanishing_report(pk, k, {})
-
-
-def _vanishing_report(pk: CliffordPolynomial, k: int, blocks: dict) -> VerificationReport:
-    m = pk.context.m
-    zero = CliffordPolynomial.zero(pk.context)
-    report = VerificationReport()
-    for n in range(2 * k + m - 1):
-        image = fueter_map(n, pk, k, blocks=blocks)
-        report.add_equal("fueter_vanishing", {"m": m, "k": k, "n": n}, image, zero)
-    return report
-
-
 def fueter_scale(m: int, k: int, n: int) -> int:
     """Integer relating the Fueter image of z^n to a CK extension:
     (-1)^(k+(m-1)/2) (2k+m-1)!! times the double-factorial ratio."""
@@ -132,51 +123,26 @@ def fueter_scale(m: int, k: int, n: int) -> int:
     return sign * double_factorial(2 * k + m - 1) * fueter_factor(m, k, n)
 
 
-def check_fueter_identity(n: int, pk: CliffordPolynomial, k: int) -> VerificationReport:
-    """Fueter image of z^n equals the scaled CK extension of
-    x̲^(n-(2k+m-1)) P_k, exactly."""
-    fueter_scale(pk.context.m, k, n)  # raises below the threshold n = 2k+m-1
-    return _identity_report(n, pk, k, fueter_map(n, pk, k))
-
-
-def _identity_report(
-    n: int, pk: CliffordPolynomial, k: int, image: CliffordPolynomial
-) -> VerificationReport:
-    m = pk.context.m
-    rhs = fueter_scale(m, k, n) * ck_extend(vector_power(pk.context, n - (2 * k + m - 1)) * pk)
-    report = VerificationReport()
-    report.add_equal("fueter_ck_identity", {"m": m, "k": k, "n": n}, image, rhs)
-    return report
-
-
-def check_fueter_appell_match(spec: SequenceSpec, n: int) -> VerificationReport:
-    """Fueter image of z^(n + 2k+m-1) is a known rational multiple of the
-    n-th sequence term; the multiple is recorded in the report."""
-    return _match_report(spec, n, fueter_map(n + 2 * spec.k + spec.m - 1, spec.pk, spec.k))
-
-
-def _match_report(spec: SequenceSpec, n: int, image: CliffordPolynomial) -> VerificationReport:
-    m, k = spec.m, spec.k
-    shifted = n + 2 * k + m - 1
-    lam = fueter_scale(m, k, shifted) / restriction_coefficient(m, k, n)
-    rhs = lam * sequence_term_explicit(spec, n)
-    params = {"m": m, "k": k, "n": n, "lambda": f"{lam.numerator}/{lam.denominator}"}
-    report = VerificationReport()
-    report.add_equal("fueter_appell_match", params, image, rhs)
-    return report
-
-
 def fueter_compare(spec: SequenceSpec) -> VerificationReport:
-    """The vanishing entries below the threshold 2k+m-1, then the CK identity
-    and the Appell match for z^(threshold+n), n = 0..n_max; each image is
-    built once and feeds both checks.  Every image reads one `blocks` dict,
-    so each chain Δ^r(x̲^s P_k) is built once per report."""
-    threshold = 2 * spec.k + spec.m - 1
+    """The whole `fueter-compare` report (see the module docstring); the
+    lambda of each Appell match is recorded in its params.  Each image is
+    built once and feeds both of its checks, and every image reads one
+    `blocks` dict, so each chain Δ^r(x̲^s P_k) is built once per report."""
+    m, k, pk = spec.m, spec.k, spec.pk
+    threshold = 2 * k + m - 1
     blocks: dict = {}
-    report = _vanishing_report(spec.pk, spec.k, blocks)
-    matches = VerificationReport()
+    report, matches = VerificationReport(), VerificationReport()
+    zero = CliffordPolynomial.zero(spec.context)
+    for n in range(threshold):
+        image = fueter_map(n, pk, k, blocks=blocks)
+        report.add_equal("fueter_vanishing", {"m": m, "k": k, "n": n}, image, zero)
     for n in range(spec.n_max + 1):
-        image = fueter_map(threshold + n, spec.pk, spec.k, blocks=blocks)
-        report.extend(_identity_report(threshold + n, spec.pk, spec.k, image))
-        matches.extend(_match_report(spec, n, image))
+        image = fueter_map(threshold + n, pk, k, blocks=blocks)
+        scale = fueter_scale(m, k, threshold + n)
+        rhs = scale * ck_extend(vector_power(spec.context, n) * pk)
+        report.add_equal("fueter_ck_identity", {"m": m, "k": k, "n": threshold + n}, image, rhs)
+        lam = scale / restriction_coefficient(m, k, n)
+        rhs = lam * sequence_term_explicit(spec, n)
+        params = {"m": m, "k": k, "n": n, "lambda": f"{lam.numerator}/{lam.denominator}"}
+        matches.add_equal("fueter_appell_match", params, image, rhs)
     return report.extend(matches)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .algebra import require_int, require_same_context
 from .coefficients import lowering_factor
-from .errors import InvalidInitialTermError, NonScalarInputError, NotMonogenicError
+from .errors import InvalidInitialTermError, NonScalarInputError
 from .polynomials import (
     CliffordPolynomial,
     degree_witness,
@@ -32,18 +32,6 @@ def cauchy_riemann(p: CliffordPolynomial) -> CliffordPolynomial:
 def conj_cauchy_riemann(p: CliffordPolynomial) -> CliffordPolynomial:
     """Conjugate operator d/dx_0 - dirac."""
     return p.partial_derivative(0) - dirac(p)
-
-
-def hypercomplex_derivative(p: CliffordPolynomial, *, check: bool = True) -> CliffordPolynomial:
-    """Derivative of a monogenic polynomial: d/dx_0, which then equals
-    half the conjugate operator and minus the Dirac operator.
-
-    With check=True (default) a non-monogenic input raises; check=False
-    skips the guard and differentiates anyway.
-    """
-    if check and not cauchy_riemann(p).is_zero():
-        raise NotMonogenicError("input is not monogenic; pass check=False to force")
-    return p.partial_derivative(0)
 
 
 def check_leibniz_scalar(phi: CliffordPolynomial, g: CliffordPolynomial) -> bool:

@@ -81,8 +81,7 @@ def sequence_term_explicit(spec: SequenceSpec, n: int) -> CliffordPolynomial:
     power = CliffordPolynomial.one(ctx)  # x̲^(n-j), one factor x̲ more per step
     terms = []
     for j, weight in explicit_weights(spec.m, spec.k, n):
-        x0j = CliffordPolynomial.monomial(ctx, (j,) + (0,) * ctx.m, ctx.one())
-        terms.append((weight, x0j * power))
+        terms.append((weight, power.times_x0(j)))
         if j:
             power = power * xv
     return linear_combination(ctx, terms) * spec.pk
@@ -99,13 +98,6 @@ def sequence_term_ck(spec: SequenceSpec, n: int) -> CliffordPolynomial:
 def generate_sequence(spec: SequenceSpec) -> list[CliffordPolynomial]:
     """Terms 0..n_max, built by the explicit route."""
     return [sequence_term_explicit(spec, n) for n in range(spec.n_max + 1)]
-
-
-def classical_term(m: int, n: int) -> CliffordPolynomial:
-    """n-th term of the classical sequence: k = 0 with unit initial term."""
-    context = AlgebraContext(m)
-    spec = SequenceSpec(m=m, k=0, pk=CliffordPolynomial.one(context), n_max=n)
-    return sequence_term_explicit(spec, n)
 
 
 def verify_sequence(

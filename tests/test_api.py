@@ -1,0 +1,78 @@
+"""The public names of the package, pinned: adding, removing or renaming one
+is an API change and has to be declared, here and in CHANGES.md."""
+
+import inspect
+
+import monappell
+
+PUBLIC_API = [
+    "AlgebraContext",
+    "ArgumentTooSmallError",
+    "AxialPair",
+    "BivariatePoly",
+    "CheckResult",
+    "CliffordPolynomial",
+    "ContextMismatchError",
+    "DegreeLimitError",
+    "DependsOnX0Error",
+    "DimensionTooSmallError",
+    "EvenDimensionError",
+    "HolomorphicPair",
+    "InitialTermSpec",
+    "InvalidInitialTermError",
+    "MonappellError",
+    "Multivector",
+    "NonScalarInputError",
+    "NonVectorInputError",
+    "NotAxialFormError",
+    "NotMonogenicError",
+    "SequenceSpec",
+    "VerificationReport",
+    "axial_decompose",
+    "axial_embedding",
+    "blade_product",
+    "builtin_initial_term",
+    "cauchy_riemann",
+    "check_ck_intertwining",
+    "check_dirac_power_rule",
+    "check_leibniz_scalar",
+    "check_leibniz_vector",
+    "ck_extend",
+    "complex_monomial_parts",
+    "conj_cauchy_riemann",
+    "dirac",
+    "double_factorial",
+    "expansion_coefficient",
+    "first_difference",
+    "fueter_compare",
+    "fueter_factor",
+    "fueter_map",
+    "fueter_order",
+    "fueter_scale",
+    "generate_sequence",
+    "is_monogenic",
+    "laplacian",
+    "load_initial_term",
+    "lowering_factor",
+    "lowering_product",
+    "radius_squared",
+    "require_initial_term",
+    "restriction_coefficient",
+    "sequence_term_ck",
+    "sequence_term_explicit",
+    "validate_initial_term",
+    "vector_power",
+    "vector_variable",
+    "vekua_check",
+    "verify_axial",
+    "verify_sequence",
+]
+
+
+def test_public_names_are_pinned():
+    names = sorted(
+        name
+        for name, value in vars(monappell).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    )
+    assert names == PUBLIC_API

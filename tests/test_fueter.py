@@ -1,20 +1,17 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from monappell import fueter, operators
 from monappell.algebra import AlgebraContext
 from monappell.bivariate import BivariatePoly
-from monappell.ck import is_monogenic
+from monappell.ck import ck_extend, is_monogenic
+from monappell.coefficients import restriction_coefficient
 from monappell.errors import ArgumentTooSmallError, EvenDimensionError, InvalidInitialTermError
 from monappell.fueter import (
     HolomorphicPair,
     axial_embedding,
-    check_fueter_appell_match,
-    check_fueter_identity,
-    check_fueter_vanishing,
     complex_monomial_parts,
     fueter_compare,
     fueter_map,
@@ -27,11 +24,17 @@ from monappell.polynomials import (
     CliffordPolynomial,
     radius_squared,
     unit_exps,
+    vector_power,
     vector_variable,
 )
 from monappell.report import VerificationReport
 from monappell.sampling import random_initial_term
-from monappell.sequences import SequenceSpec, axial_decompose, verify_axial
+from monappell.sequences import (
+    SequenceSpec,
+    axial_decompose,
+    sequence_term_explicit,
+    verify_axial,
+)
 
 CTX3 = AlgebraContext(3)
 ONE3 = CliffordPolynomial.one(CTX3)
@@ -205,44 +208,55 @@ def test_fueter_scale_values():
         fueter_scale(3, 0, 1)
 
 
+def _entries(spec):
+    """The entries of fueter_compare(spec), keyed by (identity, n)."""
+    return {(e.identity, e.params["n"]): e for e in fueter_compare(spec).entries}
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_fueter_identity_k0_m3(n):
-    report = check_fueter_identity(n, ONE3, 0)
-    assert report.all_passed
+    spec = SequenceSpec(m=3, k=0, pk=ONE3, n_max=n - 2)
+    assert _entries(spec)["fueter_ck_identity", n].passed
 
 
 def test_fueter_identity_at_threshold_is_initial_term():
     # at n = 2k+m-1 the right side is proportional to P_k itself
-    pk = builtin_initial_term(CTX3, 1)
+    spec = SequenceSpec.builtin(3, 1, 0)
     threshold = 2 * 1 + 3 - 1
-    assert check_fueter_identity(threshold, pk, 1).all_passed
-    image = fueter_map(threshold, pk, 1)
-    assert image == fueter_scale(3, 1, threshold) * pk
+    assert _entries(spec)["fueter_ck_identity", threshold].passed
+    image = fueter_map(threshold, spec.pk, 1)
+    assert image == fueter_scale(3, 1, threshold) * spec.pk
 
 
 def test_fueter_appell_match_examples():
-    spec0 = SequenceSpec.builtin(3, 0, 2)
-    report0 = check_fueter_appell_match(spec0, 0)
-    assert report0.all_passed
-    assert report0.entries[0].params["lambda"] == "-4/1"
-
-    report1 = check_fueter_appell_match(spec0, 1)
-    assert report1.all_passed
-    assert report1.entries[0].params["lambda"] == "-12/1"
-
-    spec1 = SequenceSpec.builtin(3, 1, 2)
-    assert check_fueter_appell_match(spec1, 2).all_passed
+    entries = _entries(SequenceSpec.builtin(3, 0, 2))
+    match0, match1 = entries["fueter_appell_match", 0], entries["fueter_appell_match", 1]
+    assert match0.passed and match0.params["lambda"] == "-4/1"
+    assert match1.passed and match1.params["lambda"] == "-12/1"
+    assert _entries(SequenceSpec.builtin(3, 1, 2))["fueter_appell_match", 2].passed
 
 
 @pytest.mark.parametrize("m, k, n_max", [(3, 0, 3), (3, 1, 2), (5, 1, 1)])
 def test_fueter_compare_equals_the_separate_checks(m, k, n_max):
+    """The report, entry for entry, rebuilt from the literal route and the
+    separate right-hand sides: CK extension and sequence term."""
     spec = SequenceSpec.builtin(m, k, n_max)
-    threshold = 2 * k + m - 1
-    expected = check_fueter_vanishing(spec.pk, k)
-    for n in range(n_max + 1):
-        expected.extend(check_fueter_identity(threshold + n, spec.pk, k))
-    for n in range(n_max + 1):
-        expected.extend(check_fueter_appell_match(spec, n))
+    ctx, threshold = spec.context, 2 * k + m - 1
+    zero = CliffordPolynomial.zero(ctx)
+    expected = VerificationReport()
+    for n in range(threshold):
+        params = {"m": m, "k": k, "n": n}
+        expected.add_equal("fueter_vanishing", params, _literal_image(n, spec.pk, k), zero)
+    images = [_literal_image(threshold + n, spec.pk, k) for n in range(n_max + 1)]
+    for n, image in enumerate(images):
+        rhs = fueter_scale(m, k, threshold + n) * ck_extend(vector_power(ctx, n) * spec.pk)
+        expected.add_equal("fueter_ck_identity", {"m": m, "k": k, "n": threshold + n}, image, rhs)
+    for n, image in enumerate(images):
+        lam = fueter_scale(m, k, threshold + n) / restriction_coefficient(m, k, n)
+        rhs = lam * sequence_term_explicit(spec, n)
+        params = {"m": m, "k": k, "n": n, "lambda": f"{lam.numerator}/{lam.denominator}"}
+        expected.add_equal("fueter_appell_match", params, image, rhs)
+    assert expected.all_passed
     assert fueter_compare(spec).to_json() == expected.to_json()
 
 
@@ -287,8 +301,7 @@ def test_p_k_is_gated_once_per_spec_and_on_every_public_route(monkeypatch):
             lambda: axial_decompose(pk, k, pk),
             lambda: axial_embedding(complex_monomial_parts(2), pk, k),
             lambda: fueter_map(2 * k + 2, pk, k),
-            lambda: check_fueter_vanishing(pk, k),
-            lambda: check_fueter_identity(2 * k + 2, pk, k),
+            lambda: SequenceSpec(m=3, k=k, pk=pk, n_max=0),
         )
         for route in routes:
             with pytest.raises(InvalidInitialTermError):

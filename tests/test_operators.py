@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from monappell.algebra import AlgebraContext
-from monappell.errors import (
-    InvalidInitialTermError,
-    NonScalarInputError,
-    NonVectorInputError,
-    NotMonogenicError,
-)
+from monappell.errors import InvalidInitialTermError, NonScalarInputError, NonVectorInputError
 from monappell.initial_terms import builtin_initial_term
 from monappell.operators import (
     cauchy_riemann,
@@ -20,7 +15,6 @@ from monappell.operators import (
     check_leibniz_vector,
     conj_cauchy_riemann,
     dirac,
-    hypercomplex_derivative,
     laplacian,
     require_initial_term,
     validate_initial_term,
@@ -96,19 +90,13 @@ def test_laplacian_factorization(m, data):
     assert laplacian(p) == conj_cauchy_riemann(cauchy_riemann(p))
 
 
-def test_hypercomplex_derivative_guard():
-    p = CliffordPolynomial.variable(CTX3, 0) + vector_variable(CTX3)
-    with pytest.raises(NotMonogenicError):
-        hypercomplex_derivative(p)
-    assert hypercomplex_derivative(p, check=False) == CliffordPolynomial.one(CTX3)
-
-
 def test_hypercomplex_derivative_equals_other_forms_on_monogenic():
-    from monappell.ck import ck_extend
+    from monappell.ck import ck_extend, is_monogenic
 
     g = vector_variable(CTX3) * builtin_initial_term(CTX3, 1)
     f = ck_extend(g)
-    hd = hypercomplex_derivative(f)
+    assert is_monogenic(f)
+    hd = f.partial_derivative(0)
     assert hd == Fraction(1, 2) * conj_cauchy_riemann(f)
     assert hd == -dirac(f)
 

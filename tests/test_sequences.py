@@ -6,11 +6,11 @@ import pytest
 from monappell import sequences
 from monappell.algebra import AlgebraContext
 from monappell.bivariate import BivariatePoly
+from monappell.ck import is_monogenic
 from monappell.coefficients import restriction_coefficient
 from monappell.errors import ContextMismatchError, InvalidInitialTermError, NotAxialFormError
 from monappell.fueter import complex_monomial_parts, fueter_map
 from monappell.initial_terms import builtin_initial_term
-from monappell.operators import hypercomplex_derivative
 from monappell.polynomials import (
     CliffordPolynomial,
     unit_exps,
@@ -21,7 +21,6 @@ from monappell.sequences import (
     AxialPair,
     SequenceSpec,
     axial_decompose,
-    classical_term,
     generate_sequence,
     sequence_term_ck,
     sequence_term_explicit,
@@ -52,8 +51,8 @@ def test_term_zero_is_initial_term():
     spec = SequenceSpec.builtin(3, 2, 2)
     assert sequence_term_explicit(spec, 0) == spec.pk
     assert sequence_term_ck(spec, 0) == spec.pk
-    # the zeroth term has no x_0 dependence, so its derivative vanishes
-    assert hypercomplex_derivative(spec.pk).is_zero()
+    # the zeroth term is monogenic with no x_0 dependence, so its derivative vanishes
+    assert is_monogenic(spec.pk) and spec.pk.partial_derivative(0).is_zero()
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
@@ -65,17 +64,22 @@ def test_first_two_terms_match_display(m, k):
 
 
 def test_classical_terms():
+    # the classical sequence is the built-in one at k = 0
     for m in (2, 3, 5):
         ctx = AlgebraContext(m)
-        assert classical_term(m, 0) == CliffordPolynomial.one(ctx)
+        spec = SequenceSpec.builtin(m, 0, 1)
+        assert sequence_term_explicit(spec, 0) == CliffordPolynomial.one(ctx)
         expected = CliffordPolynomial.variable(ctx, 0) + Fraction(1, m) * vector_variable(ctx)
-        assert classical_term(m, 1) == expected
+        assert sequence_term_explicit(spec, 1) == expected
 
 
 def test_classical_equals_explicit_with_unit_initial_term():
     spec = SequenceSpec.builtin(3, 0, 4)
+    assert spec.pk == CliffordPolynomial.one(spec.context)
     for n in range(5):
-        assert classical_term(3, n) == sequence_term_explicit(spec, n)
+        # a term does not depend on the length of its sequence
+        short = SequenceSpec.builtin(3, 0, n)
+        assert sequence_term_explicit(short, n) == sequence_term_explicit(spec, n)
 
 
 @pytest.mark.parametrize("m,k", [(2, 1), (3, 0), (3, 2)])
@@ -98,7 +102,8 @@ def test_appell_chain_reaches_scaled_initial_term():
     spec = SequenceSpec.builtin(2, 1, 4)
     term = sequence_term_explicit(spec, 4)
     for _ in range(4):
-        term = hypercomplex_derivative(term)
+        assert is_monogenic(term)
+        term = term.partial_derivative(0)
     assert term == 24 * spec.pk
 
 

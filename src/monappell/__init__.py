@@ -27,12 +27,9 @@ from .errors import (
     NonScalarInputError,
     NonVectorInputError,
     NotAxialFormError,
-    NotMonogenicError,
 )
 from .fueter import (
-    HolomorphicPair,
     axial_embedding,
-    complex_monomial_parts,
     fueter_compare,
     fueter_map,
     fueter_order,

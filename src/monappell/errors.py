@@ -9,10 +9,6 @@ class ContextMismatchError(MonappellError):
     """Operands belong to Clifford algebras of different dimension."""
 
 
-class NotMonogenicError(MonappellError):
-    """A polynomial required to be monogenic is not."""
-
-
 class NonScalarInputError(MonappellError):
     """A scalar-valued (grade-0) polynomial was required."""
 

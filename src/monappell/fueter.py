@@ -4,8 +4,9 @@ A power of z = x + iy, read on the half plane as a function of (x_0, r),
 is planted into R^{m+1} as (u + (x̲/r) v) P_k and hit with the Laplacian
 ν = k + (m-1)/2 times.  For odd m the result is monogenic; on monomial
 inputs it is an integer multiple of a Cauchy-Kovalevskaya extension, and
-hence a known rational multiple of a sequence term.  The profiles of z^n
-and their planting (`axial_embedding`) come from `bivariate`.
+hence a known rational multiple of a sequence term.  `axial_embedding`
+folds the binomial expansion of z^n with `bivariate.axial_profiles` and
+plants it with `bivariate.AxialPair`.
 
 Since i r folds like x̲, the planted z^n is (x_0 + x̲)^n P_k, and since
 Δ = d^2/dx_0^2 + Δ_x̲ with commuting parts,
@@ -20,52 +21,36 @@ tests/test_fueter.py checks `fueter_map` against.
 
 `fueter_compare` is the one builder of Fueter report entries: every
 `fueter_vanishing` (z^n maps to zero for n below 2k+m-1), then every
-`fueter_ck_identity` (z^(2k+m-1+n) maps to `fueter_scale` times the CK
-extension of x̲^n P_k), then every `fueter_appell_match` (that image is
-lambda times the n-th sequence term), for n = 0..n_max.
+`fueter_ck_identity` and every `fueter_appell_match`, for n = 0..n_max.
+With lambda = `fueter_scale`(m, k, 2k+m-1+n) / c_n, c_n the restriction
+coefficient, the image of z^(2k+m-1+n) is lambda times the n-th sequence
+term built by each of the two routes that `verify` compares: the CK route
+`sequence_term_ck` (c_n CK[x̲^n P_k], so lambda c_n is the integer scale)
+and the explicit route `sequence_term_explicit`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, perm
 
 from .algebra import require_int
-from .bivariate import AxialPair, BivariatePoly, axial_profiles
-from .ck import ck_extend
+from .bivariate import AxialPair, axial_profiles
 from .coefficients import double_factorial, fueter_factor, restriction_coefficient
 from .errors import EvenDimensionError
 from .operators import _gate_once, laplacian
 from .polynomials import CliffordPolynomial, linear_combination, vector_power
 from .report import VerificationReport
-from .sequences import SequenceSpec, sequence_term_explicit
+from .sequences import SequenceSpec, sequence_term_ck, sequence_term_explicit
 
 
-@dataclass
-class HolomorphicPair:
-    """Real and imaginary profiles of (x_0 + i r)^n.
-
-    u is the even part in r (stored through t = r^2); the odd part is
-    r * v_reduced.
-    """
-
-    u: BivariatePoly
-    v_reduced: BivariatePoly
-    n: int
-
-
-def complex_monomial_parts(n: int) -> HolomorphicPair:
-    """Binomial expansion of (x_0 + i r)^n split into even/odd parts in r:
-    i r folds like x̲, since both square to -t."""
+def axial_embedding(n: int, pk: CliffordPolynomial, k: int) -> CliffordPolynomial:
+    """z^n planted as (u + x̲ v_reduced) P_k: the binomial expansion of
+    (x_0 + i r)^n folded by `axial_profiles`, since i r folds like x̲ (both
+    square to -t), and rebuilt in all m+1 variables by `AxialPair`."""
     if require_int(n, "n") < 0:
         raise ValueError("n must be non-negative")
     u, v_reduced = axial_profiles({(n - s, s): comb(n, s) for s in range(n + 1)})
-    return HolomorphicPair(u, v_reduced, n)
-
-
-def axial_embedding(pair: HolomorphicPair, pk: CliffordPolynomial, k: int) -> CliffordPolynomial:
-    """(u + x̲ v_reduced) P_k with t substituted by |x̲|^2."""
-    return AxialPair(a=pair.u, b_reduced=pair.v_reduced, k=k, m=pk.context.m, pk=pk).reconstruct()
+    return AxialPair(a=u, b_reduced=v_reduced, k=k, m=pk.context.m, pk=pk).reconstruct()
 
 
 def fueter_order(m: int, k: int) -> int:
@@ -125,8 +110,8 @@ def fueter_scale(m: int, k: int, n: int) -> int:
 
 def fueter_compare(spec: SequenceSpec) -> VerificationReport:
     """The whole `fueter-compare` report (see the module docstring); the
-    lambda of each Appell match is recorded in its params.  Each image is
-    built once and feeds both of its checks, and every image reads one
+    lambda of each Appell match is recorded in its params.  Each image and
+    its lambda are built once for both checks, and every image reads one
     `blocks` dict, so each chain Δ^r(x̲^s P_k) is built once per report."""
     m, k, pk = spec.m, spec.k, spec.pk
     threshold = 2 * k + m - 1
@@ -138,11 +123,9 @@ def fueter_compare(spec: SequenceSpec) -> VerificationReport:
         report.add_equal("fueter_vanishing", {"m": m, "k": k, "n": n}, image, zero)
     for n in range(spec.n_max + 1):
         image = fueter_map(threshold + n, pk, k, blocks=blocks)
-        scale = fueter_scale(m, k, threshold + n)
-        rhs = scale * ck_extend(vector_power(spec.context, n) * pk)
-        report.add_equal("fueter_ck_identity", {"m": m, "k": k, "n": threshold + n}, image, rhs)
-        lam = scale / restriction_coefficient(m, k, n)
-        rhs = lam * sequence_term_explicit(spec, n)
+        lam = fueter_scale(m, k, threshold + n) / restriction_coefficient(m, k, n)
+        params = {"m": m, "k": k, "n": threshold + n}
+        report.add_equal("fueter_ck_identity", params, image, lam * sequence_term_ck(spec, n))
         params = {"m": m, "k": k, "n": n, "lambda": f"{lam.numerator}/{lam.denominator}"}
-        matches.add_equal("fueter_appell_match", params, image, rhs)
+        matches.add_equal("fueter_appell_match", params, image, lam * sequence_term_explicit(spec, n))
     return report.extend(matches)

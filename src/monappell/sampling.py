@@ -72,18 +72,6 @@ def random_polynomial(
     return from_entries(context, entries)
 
 
-def random_scalar_polynomial(rng: random.Random, context: AlgebraContext) -> CliffordPolynomial:
-    return random_polynomial(rng, context, grades=(0,))
-
-
-def random_vector_polynomial(rng: random.Random, context: AlgebraContext) -> CliffordPolynomial:
-    return random_polynomial(rng, context, grades=(1,))
-
-
-def random_x0_free_polynomial(rng: random.Random, context: AlgebraContext) -> CliffordPolynomial:
-    return random_polynomial(rng, context, include_x0=False)
-
-
 def random_initial_term(rng: random.Random, context: AlgebraContext, k: int) -> CliffordPolynomial:
     """A random valid degree-k initial term.
 

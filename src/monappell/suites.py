@@ -13,13 +13,7 @@ from .algebra import AlgebraContext
 from .ck import ck_extend, ck_intertwines, is_monogenic
 from .operators import check_dirac_power_rule, check_leibniz_scalar, check_leibniz_vector
 from .report import VerificationReport
-from .sampling import (
-    random_initial_term,
-    random_polynomial,
-    random_scalar_polynomial,
-    random_vector_polynomial,
-    random_x0_free_polynomial,
-)
+from .sampling import random_initial_term, random_polynomial
 
 K_MAX, N_MAX = 2, 4  # the largest initial degree and power of the power-rule suite
 
@@ -44,7 +38,7 @@ def _suite(names, m: int, seed: int, cases: int, check) -> VerificationReport:
 
 def leibniz_scalar_suite(m: int, seed: int, cases: int) -> VerificationReport:
     def check(rng, context):
-        phi = random_scalar_polynomial(rng, context)
+        phi = random_polynomial(rng, context, grades=(0,))
         return [check_leibniz_scalar(phi, random_polynomial(rng, context))]
 
     return _suite(["leibniz_scalar"], m, seed, cases, check)
@@ -52,7 +46,7 @@ def leibniz_scalar_suite(m: int, seed: int, cases: int) -> VerificationReport:
 
 def leibniz_vector_suite(m: int, seed: int, cases: int) -> VerificationReport:
     def check(rng, context):
-        f = random_vector_polynomial(rng, context)
+        f = random_polynomial(rng, context, grades=(1,))
         return [check_leibniz_vector(f, random_polynomial(rng, context))]
 
     return _suite(["leibniz_vector"], m, seed, cases, check)
@@ -72,7 +66,7 @@ def ck_suite(m: int, seed: int, cases: int) -> VerificationReport:
     derivative intertwining, on random x_0-free data."""
 
     def check(rng, context):
-        g = random_x0_free_polynomial(rng, context)
+        g = random_polynomial(rng, context, include_x0=False)
         extension = ck_extend(g)
         return [extension.restrict_x0() == g, is_monogenic(extension), ck_intertwines(g, extension)]
 

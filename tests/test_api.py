@@ -17,7 +17,6 @@ PUBLIC_API = [
     "DependsOnX0Error",
     "DimensionTooSmallError",
     "EvenDimensionError",
-    "HolomorphicPair",
     "InitialTermSpec",
     "InvalidInitialTermError",
     "MonappellError",
@@ -25,7 +24,6 @@ PUBLIC_API = [
     "NonScalarInputError",
     "NonVectorInputError",
     "NotAxialFormError",
-    "NotMonogenicError",
     "SequenceSpec",
     "VerificationReport",
     "axial_decompose",
@@ -38,7 +36,6 @@ PUBLIC_API = [
     "check_leibniz_scalar",
     "check_leibniz_vector",
     "ck_extend",
-    "complex_monomial_parts",
     "conj_cauchy_riemann",
     "dirac",
     "double_factorial",

@@ -10,7 +10,7 @@ from monappell.ck import check_ck_intertwining, ck_extend, is_monogenic
 from monappell.errors import DependsOnX0Error
 from monappell.initial_terms import builtin_initial_term
 from monappell.polynomials import CliffordPolynomial, vector_power, vector_variable
-from monappell.sampling import random_x0_free_polynomial
+from monappell.sampling import random_polynomial
 from strategies import polynomials
 
 CTX3 = AlgebraContext(3)
@@ -44,7 +44,7 @@ def test_extension_properties_random(m):
     rng = random.Random(300 + m)
     ctx = AlgebraContext(m)
     for _ in range(25):
-        g = random_x0_free_polynomial(rng, ctx)
+        g = random_polynomial(rng, ctx, include_x0=False)
         ext = ck_extend(g)
         assert ext.restrict_x0() == g
         assert is_monogenic(ext)
@@ -98,4 +98,4 @@ def test_intertwining_random(m):
     rng = random.Random(900 + m)
     ctx = AlgebraContext(m)
     for _ in range(20):
-        assert check_ck_intertwining(random_x0_free_polynomial(rng, ctx))
+        assert check_ck_intertwining(random_polynomial(rng, ctx, include_x0=False))

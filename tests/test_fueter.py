@@ -5,14 +5,12 @@ import pytest
 
 from monappell import fueter, operators
 from monappell.algebra import AlgebraContext
-from monappell.bivariate import BivariatePoly
+from monappell.bivariate import BivariatePoly, axial_profiles
 from monappell.ck import ck_extend, is_monogenic
 from monappell.coefficients import restriction_coefficient
 from monappell.errors import ArgumentTooSmallError, EvenDimensionError, InvalidInitialTermError
 from monappell.fueter import (
-    HolomorphicPair,
     axial_embedding,
-    complex_monomial_parts,
     fueter_compare,
     fueter_map,
     fueter_order,
@@ -22,6 +20,7 @@ from monappell.initial_terms import builtin_initial_term
 from monappell.operators import laplacian
 from monappell.polynomials import (
     CliffordPolynomial,
+    first_difference,
     radius_squared,
     unit_exps,
     vector_power,
@@ -41,50 +40,74 @@ ONE3 = CliffordPolynomial.one(CTX3)
 
 
 def test_complex_monomial_parts_small_powers():
-    p1 = complex_monomial_parts(1)
-    assert p1.u == BivariatePoly.monomial(1, 0)
-    assert p1.v_reduced == BivariatePoly.one()
-    p2 = complex_monomial_parts(2)
-    assert p2.u == BivariatePoly({(2, 0): 1, (0, 1): -1})
-    assert p2.v_reduced == BivariatePoly.monomial(1, 0, 2)
-    p3 = complex_monomial_parts(3)
-    assert p3.u == BivariatePoly({(3, 0): 1, (1, 1): -3})
-    assert p3.v_reduced == BivariatePoly({(2, 0): 3, (0, 1): -1})
+    """The profiles (u, v_reduced) of the complex monomials z^1..z^3: the
+    binomial dict of (x_0 + i r)^n, folded by `axial_profiles`."""
+
+    def parts(n):
+        return axial_profiles({(n - s, s): math.comb(n, s) for s in range(n + 1)})
+
+    assert parts(1) == (BivariatePoly.monomial(1, 0), BivariatePoly.one())
+    assert parts(2) == (BivariatePoly({(2, 0): 1, (0, 1): -1}), BivariatePoly.monomial(1, 0, 2))
+    assert parts(3) == (
+        BivariatePoly({(3, 0): 1, (1, 1): -3}),
+        BivariatePoly({(2, 0): 3, (0, 1): -1}),
+    )
 
 
-def _pair_multiply(a: HolomorphicPair, b: HolomorphicPair) -> HolomorphicPair:
-    # (u1 + i r v1)(u2 + i r v2) with r^2 = t, written in reduced profiles
-    u = a.u * b.u - (a.v_reduced * b.v_reduced).times_t()
-    v = a.u * b.v_reduced + a.v_reduced * b.u
-    return HolomorphicPair(u, v, a.n + b.n)
+EMBEDDING_CELLS = [(3, 0, None), (3, 1, None), (5, 2, None), (3, 3, 5)]  # (m, k, seed)
+
+
+def _full_power(pk, sign, n):
+    """(x_0 + sign x̲)^n P_k by n repeated products in all m+1 variables."""
+    ctx = pk.context
+    z = CliffordPolynomial.variable(ctx, 0) + sign * vector_variable(ctx)
+    power = CliffordPolynomial.one(ctx)
+    for _ in range(n):
+        power = power * z
+    return power * pk
 
 
 @pytest.mark.parametrize("n", range(8))
 def test_complex_monomial_parts_multiplicative(n):
-    # independent oracle: z^n by repeated complex multiplication
-    acc = HolomorphicPair(BivariatePoly.one(), BivariatePoly.zero(), 0)
-    z = complex_monomial_parts(1)
-    for _ in range(n):
-        acc = _pair_multiply(acc, z)
-    direct = complex_monomial_parts(n)
-    assert (acc.u, acc.v_reduced) == (direct.u, direct.v_reduced)
+    """The planted complex monomial is multiplicative: axial_embedding(n, pk, k)
+    is (x_0 + x̲)^n P_k, the n-th power of the planted z by repeated `*`, at
+    built-in and drawn two-blade initial terms."""
+    for m, k, seed in EMBEDDING_CELLS:
+        pk = _oracle_initial_term(m, k, seed)
+        assert axial_embedding(n, pk, k) == _full_power(pk, 1, n)
+
+
+def test_axial_embedding_oracle_negative_control():
+    """The conjugate (x_0 - x̲)^n P_k differs from the planted z^n for every
+    n >= 1, and first_difference names a monomial where."""
+    for m, k, seed in EMBEDDING_CELLS:
+        pk = _oracle_initial_term(m, k, seed)
+        for n in range(1, 8):
+            witness = first_difference(axial_embedding(n, pk, k), _full_power(pk, -1, n))
+            assert witness is not None and witness.startswith("monomial ")
 
 
 def test_axial_embedding_examples():
     x0 = CliffordPolynomial.variable(CTX3, 0)
-    embedded = axial_embedding(complex_monomial_parts(2), ONE3, 0)
+    embedded = axial_embedding(2, ONE3, 0)
     expected = x0 * x0 - radius_squared(CTX3) + 2 * (x0 * vector_variable(CTX3))
     assert embedded == expected
     pk = builtin_initial_term(CTX3, 2)
-    assert axial_embedding(complex_monomial_parts(0), pk, 2) == pk
-    assert axial_embedding(complex_monomial_parts(1), pk, 2) == (
-        x0 + vector_variable(CTX3)
-    ) * pk
+    assert axial_embedding(0, pk, 2) == pk
+    assert axial_embedding(1, pk, 2) == (x0 + vector_variable(CTX3)) * pk
+
+
+def test_axial_embedding_checks_the_power_before_the_initial_term():
+    x1e1 = CliffordPolynomial.monomial(CTX3, unit_exps(3, 1), CTX3.e(1))  # not Dirac-annihilated
+    with pytest.raises(ValueError, match="non-negative"):
+        axial_embedding(-1, x1e1, 1)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        axial_embedding(True, x1e1, 1)
 
 
 def _literal_image(n, pk, k):
     """The oracle: ν Laplacians of the axial embedding of z^n, in all m+1 variables."""
-    image = axial_embedding(complex_monomial_parts(n), pk, k)
+    image = axial_embedding(n, pk, k)
     for _ in range(fueter_order(pk.context.m, k)):
         image = laplacian(image)
     return image
@@ -299,7 +322,7 @@ def test_p_k_is_gated_once_per_spec_and_on_every_public_route(monkeypatch):
     for pk, k in ((x1e1, 1), (spec.pk, 2)):  # spec.pk passed at degree 1, not 2
         routes = (
             lambda: axial_decompose(pk, k, pk),
-            lambda: axial_embedding(complex_monomial_parts(2), pk, k),
+            lambda: axial_embedding(2, pk, k),
             lambda: fueter_map(2 * k + 2, pk, k),
             lambda: SequenceSpec(m=3, k=k, pk=pk, n_max=0),
         )

@@ -26,12 +26,7 @@ from monappell.polynomials import (
     unit_exps,
     vector_variable,
 )
-from monappell.sampling import (
-    random_initial_term,
-    random_polynomial,
-    random_scalar_polynomial,
-    random_vector_polynomial,
-)
+from monappell.sampling import random_initial_term, random_polynomial
 from strategies import polynomials
 
 CTX3 = AlgebraContext(3)
@@ -116,7 +111,7 @@ def test_leibniz_scalar_random(m):
     ctx = AlgebraContext(m)
     for _ in range(30):
         assert check_leibniz_scalar(
-            random_scalar_polynomial(rng, ctx), random_polynomial(rng, ctx)
+            random_polynomial(rng, ctx, grades=(0,)), random_polynomial(rng, ctx)
         )
 
 
@@ -143,7 +138,7 @@ def test_leibniz_vector_random(m):
     ctx = AlgebraContext(m)
     for _ in range(30):
         assert check_leibniz_vector(
-            random_vector_polynomial(rng, ctx), random_polynomial(rng, ctx)
+            random_polynomial(rng, ctx, grades=(1,)), random_polynomial(rng, ctx)
         )
 
 

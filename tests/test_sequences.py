@@ -9,7 +9,7 @@ from monappell.bivariate import BivariatePoly
 from monappell.ck import is_monogenic
 from monappell.coefficients import restriction_coefficient
 from monappell.errors import ContextMismatchError, InvalidInitialTermError, NotAxialFormError
-from monappell.fueter import complex_monomial_parts, fueter_map
+from monappell.fueter import axial_embedding, fueter_map
 from monappell.initial_terms import builtin_initial_term
 from monappell.polynomials import (
     CliffordPolynomial,
@@ -227,13 +227,13 @@ def test_vekua_witness_text():
 
 @pytest.mark.parametrize("n", [True, 1.0, 2.0, Fraction(1)])
 def test_term_indices_are_exact_ints(n):
-    """Both routes, the profiles of z^n and the Fueter map reject a bool, a
+    """Both routes, the planted z^n and the Fueter map reject a bool, a
     float or a Fraction index alike instead of reading it as an int."""
     spec = SequenceSpec.builtin(3, 1, 2)
     routes = (
         lambda: sequence_term_explicit(spec, n),
         lambda: sequence_term_ck(spec, n),
-        lambda: complex_monomial_parts(n),
+        lambda: axial_embedding(n, spec.pk, spec.k),
         lambda: fueter_map(n, spec.pk, spec.k),
     )
     for route in routes:

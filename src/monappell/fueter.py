@@ -14,10 +14,10 @@ Since i r folds like x̲, the planted z^n is (x_0 + x̲)^n P_k, and since
     Δ^ν [(x_0 + x̲)^n P_k] = sum_s C(n,s) sum_t C(ν,t) (n-s)!/(n-s-2t)!
         x_0^(n-s-2t) Δ^(ν-t)(x̲^s P_k),
 
-so `fueter_map` builds each image from the x_0-free chains Δ^r(x̲^s P_k),
-r = 0..ν, which all images of one report share.  The literal route, ν
-Laplacians of `axial_embedding`, stays public as the oracle that
-tests/test_fueter.py checks `fueter_map` against.
+and Δ^r(x̲^s P_k) is a measured multiple of x̲^(s-2r) P_k, so `fueter_map`
+builds each image from the x̲^s P_k.  The literal route, ν Laplacians of
+`axial_embedding`, stays public as the oracle that tests/test_fueter.py
+checks `fueter_map` against, and as its fallback.
 
 `fueter_compare` is the one builder of Fueter report entries: every
 `fueter_vanishing` (z^n maps to zero for n below 2k+m-1), then every
@@ -31,16 +31,17 @@ and the explicit route `sequence_term_explicit`.
 
 from __future__ import annotations
 
-from math import comb, perm
+from math import comb, perm, prod
 
 from .algebra import require_int
 from .bivariate import AxialPair, axial_profiles
 from .coefficients import double_factorial, fueter_factor, restriction_coefficient
 from .errors import EvenDimensionError
 from .operators import _gate_once, laplacian
-from .polynomials import CliffordPolynomial, linear_combination, vector_power
+from .polynomials import CliffordPolynomial, linear_combination
 from .report import VerificationReport
-from .sequences import SequenceSpec, sequence_term_ck, sequence_term_explicit
+from .sequences import SequenceSpec, _chain_ratios, _multiples
+from .sequences import sequence_term_ck, sequence_term_explicit
 
 
 def axial_embedding(n: int, pk: CliffordPolynomial, k: int) -> CliffordPolynomial:
@@ -61,42 +62,43 @@ def fueter_order(m: int, k: int) -> int:
 
 
 def fueter_map(
-    n: int, pk: CliffordPolynomial, k: int, *, blocks: dict | None = None
+    n: int, pk: CliffordPolynomial, k: int, *, blocks: dict | None = None, ratios: dict | None = None
 ) -> CliffordPolynomial:
     """Iterated Laplacian of the axial embedding of z^n, by the x_0 split of Δ.
 
     The embedding is (x_0 + x̲)^n P_k = sum_s C(n,s) x_0^(n-s) G_s with
-    G_s = x̲^s P_k free of x_0, and Δ = d^2/dx_0^2 + Δ_x̲ with commuting
-    parts, so with ν = `fueter_order`, exactly,
+    G_s = x̲^s P_k free of x_0, Δ = d^2/dx_0^2 + Δ_x̲ with commuting parts,
+    and Δ^r G_s = c_r(s) G_(s-2r), c_r(s) = μ_s μ_(s-2) ⋯ μ_(s-2r+2), with
+    Δ G_s = μ_s G_(s-2) measured by `_chain_ratios` (Δ G_0 = Δ G_1 = 0).  So
 
         Δ^ν [(x_0 + x̲)^n P_k] = sum_{s=0..n} C(n,s) sum_{t=0..min(ν,(n-s)//2)}
-            C(ν,t) (n-s)!/(n-s-2t)! x_0^(n-s-2t) Δ^(ν-t) G_s,
+            C(ν,t) (n-s)!/(n-s-2t)! c_(ν-t)(s) x_0^(n-s-2t) G_(s-2ν+2t),
 
-    one `linear_combination` of x_0 key shifts of the chains
-    [G_s, ΔG_s, ..., Δ^ν G_s].  On the x_0-free G_s, `laplacian` is Δ_x̲.
-    `blocks`, if given, is a dict {s: chain} of this pk and k that the call
-    reads and fills, so calls that share it build each chain once.  The
-    literal route, ν Laplacians of `axial_embedding`, is the oracle in
-    tests/test_fueter.py.
+    one `linear_combination` of x_0 key shifts, with ν = `fueter_order`; the
+    t with 2(ν-t) > s, where c_(ν-t)(s) = 0, are left out.  `blocks` ({s: G_s})
+    and `ratios` ({s: μ_s}) are one report's dicts of this pk, if given.  If
+    a μ_s is not measured, the literal route, ν Laplacians of `axial_embedding`,
+    is returned.
     """
     _gate_once(pk, k)  # the split needs a P_k free of x_0
     order = fueter_order(pk.context.m, k)
     if require_int(n, "n") < 0:
         raise ValueError("n must be non-negative")
-    blocks = {} if blocks is None else blocks
-    for s in range(n + 1):
-        if s not in blocks:
-            chain = [vector_power(pk.context, s) * pk]
-            for _ in range(order):
-                chain.append(laplacian(chain[-1]))
-            blocks[s] = chain
+    blocks = _multiples(pk, n, {} if blocks is None else blocks)
+    mus = _chain_ratios(laplacian, 2, blocks, n, ratios) if order else []  # ν = 0: none read
+    if None in mus:  # the literal route
+        image = axial_embedding(n, pk, k)
+        for _ in range(order):
+            image = laplacian(image)
+        return image
     terms = [
         (
-            comb(n, s) * comb(order, t) * perm(n - s, 2 * t),
-            blocks[s][order - t].times_x0(n - s - 2 * t),
+            comb(n, s) * comb(order, t) * perm(n - s, 2 * t)
+            * prod(mus[s - 2 * i] for i in range(order - t)),  # c_(ν-t)(s)
+            blocks[s - 2 * (order - t)].times_x0(n - s - 2 * t),
         )
         for s in range(n + 1)
-        for t in range(min(order, (n - s) // 2) + 1)
+        for t in range(max(0, order - s // 2), min(order, (n - s) // 2) + 1)
     ]
     return linear_combination(pk.context, terms)
 
@@ -111,21 +113,22 @@ def fueter_scale(m: int, k: int, n: int) -> int:
 def fueter_compare(spec: SequenceSpec) -> VerificationReport:
     """The whole `fueter-compare` report (see the module docstring); the
     lambda of each Appell match is recorded in its params.  Each image and
-    its lambda are built once for both checks, and every image reads one
-    `blocks` dict, so each chain Δ^r(x̲^s P_k) is built once per report."""
+    its lambda are built once for both checks, and the images and CK terms
+    share one dict of the x̲^s P_k, which meet `laplacian` and `dirac` once."""
     m, k, pk = spec.m, spec.k, spec.pk
     threshold = 2 * k + m - 1
-    blocks: dict = {}
+    blocks, mus, lambdas = {}, {}, {}
     report, matches = VerificationReport(), VerificationReport()
     zero = CliffordPolynomial.zero(spec.context)
     for n in range(threshold):
-        image = fueter_map(n, pk, k, blocks=blocks)
+        image = fueter_map(n, pk, k, blocks=blocks, ratios=mus)
         report.add_equal("fueter_vanishing", {"m": m, "k": k, "n": n}, image, zero)
     for n in range(spec.n_max + 1):
-        image = fueter_map(threshold + n, pk, k, blocks=blocks)
+        image = fueter_map(threshold + n, pk, k, blocks=blocks, ratios=mus)
         lam = fueter_scale(m, k, threshold + n) / restriction_coefficient(m, k, n)
         params = {"m": m, "k": k, "n": threshold + n}
-        report.add_equal("fueter_ck_identity", params, image, lam * sequence_term_ck(spec, n))
+        ck_term = sequence_term_ck(spec, n, multiples=blocks, ratios=lambdas)
+        report.add_equal("fueter_ck_identity", params, image, lam * ck_term)
         params = {"m": m, "k": k, "n": n, "lambda": f"{lam.numerator}/{lam.denominator}"}
         matches.add_equal("fueter_appell_match", params, image, lam * sequence_term_explicit(spec, n))
     return report.extend(matches)

@@ -718,6 +718,8 @@ def scalar_ratio(target: CliffordPolynomial, reference: CliffordPolynomial) -> F
     """The rational h with target = h * reference for a nonzero reference,
     or None.  Any key of the reference serves as the pivot: the candidate h
     is then checked on every term."""
+    if reference.is_zero():
+        raise ValueError("scalar_ratio needs a nonzero reference")
     pivot = min(reference.numerators)
     ratio = Fraction(
         target.numerators.get(pivot, 0) * reference.denominator,

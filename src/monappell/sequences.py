@@ -12,6 +12,10 @@ and their exact agreement is one of the verified identities; the others
 are monogenicity, the Appell derivative step, homogeneity of degree k+n,
 the axial decomposition round-trip, and the Vekua-type system satisfied
 by the axial profiles (`AxialPair` and its operator live in `bivariate`).
+The CK route, `axial_decompose` and the Fueter chains read the
+G_s = x̲^s P_k from one dict per report (`_multiples`), and apply `dirac`
+or `laplacian` once per G_s to measure its ratio to G_(s-1) or G_(s-2)
+(`_chain_ratios`); the explicit route keeps its own powers of x̲.
 """
 
 from __future__ import annotations
@@ -87,12 +91,47 @@ def sequence_term_explicit(spec: SequenceSpec, n: int) -> CliffordPolynomial:
     return linear_combination(ctx, terms) * spec.pk
 
 
-def sequence_term_ck(spec: SequenceSpec, n: int) -> CliffordPolynomial:
-    """n-th term via the Cauchy-Kovalevskaya route: c_n CK[x̲^n P_k]."""
+def _multiples(pk: CliffordPolynomial, top: int, multiples: dict) -> dict:
+    """The dict {s: x̲^s P_k} of this pk, filled for s = 0..top."""
+    for s in range(top + 1):
+        if s not in multiples:
+            multiples[s] = vector_power(pk.context, s) * pk
+    return multiples
+
+
+def _chain_ratios(operator, step: int, multiples: dict, top: int, ratios: dict | None):
+    """[r_0, ..., r_top] with operator(G_s) = r_s G_(s-step), G_s = x̲^s P_k
+    read from a filled `_multiples` dict: each r_s is measured once into
+    `ratios` by `scalar_ratio`; r_s = 0 for s < step, where operator(G_s)
+    must vanish, and None where it is not measured (the caller's oracle runs)."""
+    ratios = {} if ratios is None else ratios
+    for s in range(top + 1):
+        if s not in ratios:
+            image = operator(multiples[s])
+            if s < step:
+                ratios[s] = Fraction(0) if image.is_zero() else None
+            else:
+                ratios[s] = scalar_ratio(image, multiples[s - step])
+    return [ratios[s] for s in range(top + 1)]
+
+
+def sequence_term_ck(
+    spec: SequenceSpec, n: int, *, multiples: dict | None = None, ratios: dict | None = None
+) -> CliffordPolynomial:
+    """n-th term via the Cauchy-Kovalevskaya route: c_n CK[x̲^n P_k], that is
+    c_n sum_j (-1)^j/j! λ_n⋯λ_(n-j+1) x_0^j x̲^(n-j) P_k with dirac(x̲^i P_k)
+    = λ_i x̲^(i-1) P_k, each λ_i measured by `_chain_ratios` into `ratios`
+    (else the literal c_n `ck_extend`(x̲^n P_k) is returned)."""
     _check_index(spec, n)
-    ctx = spec.context
-    scale = restriction_coefficient(spec.m, spec.k, n)
-    return scale * ck_extend(vector_power(ctx, n) * spec.pk)
+    multiples = _multiples(spec.pk, n, {} if multiples is None else multiples)
+    lambdas = _chain_ratios(dirac, 1, multiples, n, ratios)
+    terms, weight = [], restriction_coefficient(spec.m, spec.k, n)
+    if None in lambdas:
+        return weight * ck_extend(multiples[n])
+    for j in range(n + 1):
+        terms.append((weight, multiples[n - j].times_x0(j)))
+        weight *= -lambdas[n - j] / (j + 1)
+    return linear_combination(spec.context, terms)
 
 
 def generate_sequence(spec: SequenceSpec) -> list[CliffordPolynomial]:
@@ -101,7 +140,7 @@ def generate_sequence(spec: SequenceSpec) -> list[CliffordPolynomial]:
 
 
 def verify_sequence(
-    spec: SequenceSpec, terms: list[CliffordPolynomial] | None = None
+    spec: SequenceSpec, terms: list[CliffordPolynomial] | None = None, *, multiples: dict | None = None
 ) -> VerificationReport:
     """Check, per term: monogenicity, the Appell step, homogeneity of degree
     k+n, and agreement of the two construction routes.
@@ -110,9 +149,12 @@ def verify_sequence(
     d/dx_0 - dirac) rather than the bare x_0 derivative so that the check
     stays meaningful on deliberately corrupted inputs, where the two
     disagree.  A custom term list may be injected for negative controls.
+    `multiples` is as in `axial_decompose`; each x̲^i P_k meets `dirac` once.
     """
     if terms is None:
         terms = generate_sequence(spec)
+    multiples = {} if multiples is None else multiples
+    lambdas: dict = {}
     report = VerificationReport()
     zero = CliffordPolynomial.zero(spec.context)
     for n, term in enumerate(terms):
@@ -126,7 +168,8 @@ def verify_sequence(
             report.add_equal("appell_step", params, step, expected)
         witness = degree_witness(term, spec.k + n)
         report.add("homogeneous", params, witness is None, witness)
-        report.add_equal("route_equivalence", params, sequence_term_ck(spec, n), term)
+        ck_term = sequence_term_ck(spec, n, multiples=multiples, ratios=lambdas)
+        report.add_equal("route_equivalence", params, ck_term, term)
     return report
 
 
@@ -154,9 +197,7 @@ def axial_decompose(
             raise NotAxialFormError(
                 f"x_0^{j} slice has degree {degree} below the initial degree {k}"
             )
-        if i not in multiples:
-            multiples[i] = vector_power(ctx, i) * pk
-        ratio = scalar_ratio(component, multiples[i])
+        ratio = scalar_ratio(component, _multiples(pk, i, multiples)[i])
         if ratio is None:
             raise NotAxialFormError(
                 "homogeneous component is not a rational multiple of x̲^i times the initial term"
@@ -186,14 +227,15 @@ def vekua_witness(pair: AxialPair) -> str | None:
 
 
 def verify_axial(
-    spec: SequenceSpec, terms: list[CliffordPolynomial] | None = None
+    spec: SequenceSpec, terms: list[CliffordPolynomial] | None = None, *, multiples: dict | None = None
 ) -> VerificationReport:
     """Axial decomposition round-trip plus the Vekua system, per term; the
-    terms share one dict of the x̲^i P_k, so each is formed once."""
+    terms share one dict of the x̲^i P_k, `multiples` if given (the dict
+    `verify_sequence` read), so each is formed once."""
     if terms is None:
         terms = generate_sequence(spec)
     report = VerificationReport()
-    multiples: dict = {}
+    multiples = {} if multiples is None else multiples
     for n, term in enumerate(terms):
         params = {"m": spec.m, "k": spec.k, "n": n}
         try:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from monappell import cli, fueter, operators, polynomials
+from monappell import cli, fueter, operators, polynomials, sequences
 from monappell.algebra import AlgebraContext
 from monappell.cli import ENV_OUTPUT_DIR, main
 from monappell.initial_terms import builtin_initial_term
@@ -118,6 +118,22 @@ def test_fueter_compare_builds_each_image_once(capsys, monkeypatch):
     assert code == 0
     threshold, n_max = 2 * 1 + 3 - 1, 2
     assert sorted(calls) == list(range(threshold + n_max + 1))
+
+
+def test_verify_forms_each_multiple_once(capsys, monkeypatch):
+    """`verify` hands one dict of the x̲^i P_k to the CK route and to
+    verify_axial, so each of i = 0..n_max is formed once for both."""
+    calls = []
+    original = sequences.vector_power
+
+    def counting(ctx, i):
+        calls.append(i)
+        return original(ctx, i)
+
+    monkeypatch.setattr(sequences, "vector_power", counting)
+    code, _, _ = run_cli(capsys, ["verify", "--m", "3", "--k", "1", "--n-max", "4"])
+    assert code == 0
+    assert sorted(calls) == list(range(5))
 
 
 def test_cli_runs_the_initial_term_checks_once(capsys, monkeypatch):

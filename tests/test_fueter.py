@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from monappell import fueter, operators
+from monappell import fueter, operators, sequences
 from monappell.algebra import AlgebraContext
 from monappell.bivariate import BivariatePoly, axial_profiles
 from monappell.ck import ck_extend, is_monogenic
@@ -164,6 +164,34 @@ def test_fueter_split_oracle_negative_control(monkeypatch):
     report = _oracle_report(pk, k, literals)
     assert not any(entry.passed for entry in report.entries) and len(report.entries) == 4
     assert all(entry.witness.startswith("monomial ") for entry in report.entries)
+
+
+def test_fueter_split_ratio_negative_control(monkeypatch):
+    """With μ_s + 1 in place of each measured μ_s (Δ x̲^s P_k = μ_s x̲^(s-2) P_k),
+    the oracle report fails on every image with a first_difference witness."""
+    m, k = 3, 1
+    pk, threshold = builtin_initial_term(CTX3, k), 2 * k + m - 1
+    literals = {n: _literal_image(n, pk, k) for n in (threshold, threshold + 1)}
+    original = sequences.scalar_ratio
+    monkeypatch.setattr(sequences, "scalar_ratio", lambda t, r: original(t, r) + 1)
+    report = _oracle_report(pk, k, literals)
+    assert not any(entry.passed for entry in report.entries) and len(report.entries) == 4
+    assert all(entry.witness.startswith("monomial ") for entry in report.entries)
+
+
+def test_fueter_compare_applies_the_laplacian_once_per_multiple(monkeypatch):
+    """At m=7, k=2, n_max=0 (ν = 5, images of z^0..z^10) the report applies
+    `laplacian` to each x̲^s P_k, s = 0..10, once, and to nothing else."""
+    spec = SequenceSpec.builtin(7, 2, 0)
+    seen = []
+
+    def counting(p):
+        seen.append(p)
+        return laplacian(p)
+
+    monkeypatch.setattr(fueter, "laplacian", counting)
+    assert fueter_compare(spec).all_passed
+    assert seen == [vector_power(spec.context, s) * spec.pk for s in range(11)]
 
 
 def test_fueter_map_rejects_a_negative_power():

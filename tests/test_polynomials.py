@@ -17,6 +17,7 @@ from monappell.polynomials import (
     first_difference,
     from_entries,
     radius_squared,
+    scalar_ratio,
     unit_exps,
     vector_power,
     vector_variable,
@@ -94,6 +95,19 @@ def test_explicit_route_never_reads_the_ladder(monkeypatch):
     assert [sequence_term_explicit(spec, n) for n in range(5)] == expected
     with pytest.raises(AssertionError):  # negative control: the CK route does read it
         sequence_term_ck(spec, 2)
+
+
+def test_scalar_ratio_examples_and_zero_reference():
+    """h with target = h * reference, None when no such h exists, and a
+    ValueError naming the fault when the reference is zero (there is no
+    pivot term to read h from)."""
+    xv, zero = vector_variable(CTX3), CliffordPolynomial.zero(CTX3)
+    assert scalar_ratio(Fraction(-3, 2) * xv, xv) == Fraction(-3, 2)
+    assert scalar_ratio(zero, xv) == 0
+    assert scalar_ratio(xv * xv, xv) is None
+    for target in (xv, zero):
+        with pytest.raises(ValueError, match="nonzero reference"):
+            scalar_ratio(target, zero)
 
 
 @pytest.mark.parametrize("n", [True, 2.0, Fraction(2), -1])

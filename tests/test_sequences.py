@@ -1,22 +1,26 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from monappell import sequences
+from monappell import fueter, sequences
 from monappell.algebra import AlgebraContext
 from monappell.bivariate import BivariatePoly
-from monappell.ck import is_monogenic
+from monappell.ck import ck_extend, is_monogenic
 from monappell.coefficients import restriction_coefficient
 from monappell.errors import ContextMismatchError, InvalidInitialTermError, NotAxialFormError
-from monappell.fueter import axial_embedding, fueter_map
+from monappell.fueter import axial_embedding, fueter_compare, fueter_map
 from monappell.initial_terms import builtin_initial_term
+from monappell.operators import dirac
 from monappell.polynomials import (
     CliffordPolynomial,
+    first_difference,
     unit_exps,
     vector_power,
     vector_variable,
 )
+from monappell.sampling import random_initial_term
 from monappell.sequences import (
     AxialPair,
     SequenceSpec,
@@ -87,6 +91,92 @@ def test_route_equivalence(m, k):
     spec = SequenceSpec.builtin(m, k, 4)
     for n in range(5):
         assert sequence_term_ck(spec, n) == sequence_term_explicit(spec, n)
+
+
+# the acceptance grid, and the two-blade P_3 draws of tests/test_fueter.py
+CK_ORACLE_CELLS = [(m, k, None) for m in (2, 3, 4, 5) for k in range(4)]
+CK_ORACLE_CELLS += [(3, 3, 5), (5, 3, 9)]
+
+
+@pytest.mark.parametrize("m, k, seed", CK_ORACLE_CELLS)
+def test_ck_route_equals_the_literal_extension(m, k, seed):
+    """The CK terms built from the measured λ_i equal c_n ck_extend(x̲^n P_k)
+    for n = 0..6, fresh and through one report's shared dicts."""
+    ctx = AlgebraContext(m)
+    if seed is None:
+        pk = builtin_initial_term(ctx, k)
+    else:
+        pk = random_initial_term(random.Random(seed), ctx, k)
+    spec = SequenceSpec(m=m, k=k, pk=pk, n_max=6)
+    multiples, ratios = {}, {}
+    for n in range(7):
+        literal = restriction_coefficient(m, k, n) * ck_extend(vector_power(ctx, n) * pk)
+        for term in (
+            sequence_term_ck(spec, n),
+            sequence_term_ck(spec, n, multiples=multiples, ratios=ratios),
+        ):
+            assert first_difference(term, literal) is None
+
+
+def test_route_equivalence_negative_control(monkeypatch):
+    """With λ_i + 1 in place of each measured λ_i, route_equivalence fails
+    with a first_difference witness at every n >= 1; n = 0 reads no λ."""
+    spec = SequenceSpec.builtin(3, 1, 3)
+    original = sequences.scalar_ratio
+    monkeypatch.setattr(sequences, "scalar_ratio", lambda t, r: original(t, r) + 1)
+    entries = [e for e in verify_sequence(spec).entries if e.identity == "route_equivalence"]
+    assert [e.passed for e in entries] == [True, False, False, False]
+    assert all(e.witness.startswith("monomial ") for e in entries[1:])
+
+
+def test_unmeasured_ratios_fall_back_to_the_literal_oracles(monkeypatch):
+    """When no ratio can be measured, the CK route returns c_n ck_extend and
+    the Fueter route ν Laplacians of axial_embedding: the reports do not move."""
+    spec = SequenceSpec.builtin(3, 1, 3)
+    expected = verify_sequence(spec).to_json(), fueter_compare(spec).to_json()
+    oracle_calls = []
+
+    def count_calls(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            oracle_calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count_calls(sequences, "ck_extend")
+    count_calls(fueter, "axial_embedding")
+    monkeypatch.setattr(sequences, "scalar_ratio", lambda target, reference: None)
+    assert (verify_sequence(spec).to_json(), fueter_compare(spec).to_json()) == expected
+    assert "ck_extend" in oracle_calls and "axial_embedding" in oracle_calls
+    # an operator that does not vanish on x̲^s P_k for s < step is not measured either
+    multiples = sequences._multiples(spec.pk, 2, {})
+    assert sequences._chain_ratios(lambda p: p, 1, multiples, 0, None) == [None]
+
+
+def test_verify_sequence_applies_dirac_once_per_term_and_per_multiple(monkeypatch):
+    """At m=7, k=3, n_max=7 the CK route never runs ck_extend: dirac meets
+    each term once (monogenicity) and each x̲^i P_k once (its λ_i)."""
+    spec = SequenceSpec.builtin(7, 3, 7)
+    terms = generate_sequence(spec)
+    seen = []
+
+    def counting(p):
+        seen.append(p)
+        return dirac(p)
+
+    def forbidden(g):
+        raise AssertionError("the CK route ran ck_extend")
+
+    monkeypatch.setattr(sequences, "dirac", counting)
+    monkeypatch.setattr(sequences, "ck_extend", forbidden)
+    assert verify_sequence(spec, terms).all_passed
+    expected = terms + [vector_power(spec.context, i) * spec.pk for i in range(8)]
+    assert len(seen) == len(expected) == 16
+    assert [sum(p == q for q in seen) for p in expected] == [
+        sum(p == q for q in expected) for p in expected
+    ]
 
 
 def test_restriction_property():

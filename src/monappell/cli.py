@@ -189,9 +189,8 @@ def cmd_verify(args, parser) -> int:
     spec = _resolve_spec(args, parser)
     with _results_in_full():
         terms = generate_sequence(spec)
-        multiples: dict = {}  # the x̲^i P_k, formed once for both reports
-        report = verify_sequence(spec, terms, multiples=multiples)
-        report.extend(verify_axial(spec, terms, multiples=multiples))
+        report = verify_sequence(spec, terms)  # both reports read the spec's x̲^i P_k
+        report.extend(verify_axial(spec, terms))
         report.extend(run_identity_suites(spec.m, args.seed, args.cases))
         return _emit_report(report, args, extra={"seed": args.seed})
 

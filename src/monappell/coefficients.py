@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import comb, factorial, prod
 
+from .algebra import require_int
 from .errors import ArgumentTooSmallError
 
 
@@ -12,7 +13,8 @@ def lowering_factor(m: int, k: int, n: int) -> int:
     Equals n for even n >= 2 and 2k+m+n-1 for odd n; set to 1 at n = 0 so
     that products over s = 0..n start cleanly.
     """
-    if n < 0 or k < 0:
+    require_int(m, "m")
+    if require_int(n, "n") < 0 or require_int(k, "k") < 0:
         raise ValueError("indices must be non-negative")
     if n == 0:
         return 1

@@ -15,9 +15,10 @@ Since i r folds like x̲, the planted z^n is (x_0 + x̲)^n P_k, and since
         x_0^(n-s-2t) Δ^(ν-t)(x̲^s P_k),
 
 and Δ^r(x̲^s P_k) is a measured multiple of x̲^(s-2r) P_k, so `fueter_map`
-builds each image from the x̲^s P_k.  The literal route, ν Laplacians of
-`axial_embedding`, stays public as the oracle that tests/test_fueter.py
-checks `fueter_map` against, and as its fallback.
+builds each image from the x̲^s P_k of a `SequenceSpec`, which forms each
+of them, and measures each Laplacian ratio, once.  The literal route, ν
+Laplacians of `axial_embedding`, stays public as the oracle that
+tests/test_fueter.py checks `fueter_map` against.
 
 `fueter_compare` is the one builder of Fueter report entries: every
 `fueter_vanishing` (z^n maps to zero for n below 2k+m-1), then every
@@ -37,10 +38,10 @@ from .algebra import require_int
 from .bivariate import AxialPair, axial_profiles
 from .coefficients import double_factorial, fueter_factor, restriction_coefficient
 from .errors import EvenDimensionError
-from .operators import _gate_once, laplacian
+from .operators import laplacian
 from .polynomials import CliffordPolynomial, linear_combination
 from .report import VerificationReport
-from .sequences import SequenceSpec, _chain_ratios, _multiples
+from .sequences import SequenceSpec, _chain_ratios, _multiple
 from .sequences import sequence_term_ck, sequence_term_explicit
 
 
@@ -56,51 +57,42 @@ def axial_embedding(n: int, pk: CliffordPolynomial, k: int) -> CliffordPolynomia
 
 def fueter_order(m: int, k: int) -> int:
     """Number of Laplacian applications: k + (m-1)/2, requiring odd m."""
-    if m % 2 == 0:
+    if require_int(m, "m") % 2 == 0:
         raise EvenDimensionError("the Fueter map requires an odd dimension m")
-    return k + (m - 1) // 2
+    return require_int(k, "k") + (m - 1) // 2
 
 
-def fueter_map(
-    n: int, pk: CliffordPolynomial, k: int, *, blocks: dict | None = None, ratios: dict | None = None
-) -> CliffordPolynomial:
-    """Iterated Laplacian of the axial embedding of z^n, by the x_0 split of Δ.
+def fueter_map(n: int, spec: SequenceSpec) -> CliffordPolynomial:
+    """Iterated Laplacian of the axial embedding of z^n planted on the spec's
+    P_k, by the x_0 split of Δ.
 
     The embedding is (x_0 + x̲)^n P_k = sum_s C(n,s) x_0^(n-s) G_s with
     G_s = x̲^s P_k free of x_0, Δ = d^2/dx_0^2 + Δ_x̲ with commuting parts,
     and Δ^r G_s = c_r(s) G_(s-2r), c_r(s) = μ_s μ_(s-2) ⋯ μ_(s-2r+2), with
-    Δ G_s = μ_s G_(s-2) measured by `_chain_ratios` (Δ G_0 = Δ G_1 = 0).  So
+    Δ G_s = μ_s G_(s-2) measured once per spec by `_chain_ratios`
+    (Δ G_0 = Δ G_1 = 0).  So
 
         Δ^ν [(x_0 + x̲)^n P_k] = sum_{s=0..n} C(n,s) sum_{t=0..min(ν,(n-s)//2)}
             C(ν,t) (n-s)!/(n-s-2t)! c_(ν-t)(s) x_0^(n-s-2t) G_(s-2ν+2t),
 
     one `linear_combination` of x_0 key shifts, with ν = `fueter_order`; the
-    t with 2(ν-t) > s, where c_(ν-t)(s) = 0, are left out.  `blocks` ({s: G_s})
-    and `ratios` ({s: μ_s}) are one report's dicts of this pk, if given.  If
-    a μ_s is not measured, the literal route, ν Laplacians of `axial_embedding`,
-    is returned.
+    t with 2(ν-t) > s, where c_(ν-t)(s) = 0, are left out.  The split needs a
+    P_k free of x_0, which the spec's gate has checked.
     """
-    _gate_once(pk, k)  # the split needs a P_k free of x_0
-    order = fueter_order(pk.context.m, k)
+    order = fueter_order(spec.m, spec.k)
     if require_int(n, "n") < 0:
         raise ValueError("n must be non-negative")
-    blocks = _multiples(pk, n, {} if blocks is None else blocks)
-    mus = _chain_ratios(laplacian, 2, blocks, n, ratios) if order else []  # ν = 0: none read
-    if None in mus:  # the literal route
-        image = axial_embedding(n, pk, k)
-        for _ in range(order):
-            image = laplacian(image)
-        return image
+    mus = _chain_ratios(spec, laplacian, 2, n) if order else []  # ν = 0: none read
     terms = [
         (
             comb(n, s) * comb(order, t) * perm(n - s, 2 * t)
             * prod(mus[s - 2 * i] for i in range(order - t)),  # c_(ν-t)(s)
-            blocks[s - 2 * (order - t)].times_x0(n - s - 2 * t),
+            _multiple(spec, s - 2 * (order - t)).times_x0(n - s - 2 * t),
         )
         for s in range(n + 1)
         for t in range(max(0, order - s // 2), min(order, (n - s) // 2) + 1)
     ]
-    return linear_combination(pk.context, terms)
+    return linear_combination(spec.context, terms)
 
 
 def fueter_scale(m: int, k: int, n: int) -> int:
@@ -114,20 +106,19 @@ def fueter_compare(spec: SequenceSpec) -> VerificationReport:
     """The whole `fueter-compare` report (see the module docstring); the
     lambda of each Appell match is recorded in its params.  Each image and
     its lambda are built once for both checks, and the images and CK terms
-    share one dict of the x̲^s P_k, which meet `laplacian` and `dirac` once."""
-    m, k, pk = spec.m, spec.k, spec.pk
+    read the spec's x̲^s P_k, which meet `laplacian` and `dirac` once."""
+    m, k = spec.m, spec.k
     threshold = 2 * k + m - 1
-    blocks, mus, lambdas = {}, {}, {}
     report, matches = VerificationReport(), VerificationReport()
     zero = CliffordPolynomial.zero(spec.context)
     for n in range(threshold):
-        image = fueter_map(n, pk, k, blocks=blocks, ratios=mus)
+        image = fueter_map(n, spec)
         report.add_equal("fueter_vanishing", {"m": m, "k": k, "n": n}, image, zero)
     for n in range(spec.n_max + 1):
-        image = fueter_map(threshold + n, pk, k, blocks=blocks, ratios=mus)
+        image = fueter_map(threshold + n, spec)
         lam = fueter_scale(m, k, threshold + n) / restriction_coefficient(m, k, n)
         params = {"m": m, "k": k, "n": threshold + n}
-        ck_term = sequence_term_ck(spec, n, multiples=blocks, ratios=lambdas)
+        ck_term = sequence_term_ck(spec, n)
         report.add_equal("fueter_ck_identity", params, image, lam * ck_term)
         params = {"m": m, "k": k, "n": n, "lambda": f"{lam.numerator}/{lam.denominator}"}
         matches.add_equal("fueter_appell_match", params, image, lam * sequence_term_explicit(spec, n))

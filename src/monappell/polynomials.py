@@ -358,7 +358,7 @@ class Multivector:
         return _normalized(self.context, flipped, self.denominator, Multivector)
 
     def grade_projection(self, g: int) -> Multivector:
-        if not 0 <= g <= self.context.m:
+        if not 0 <= require_int(g, "grade") <= self.context.m:
             raise ValueError(f"grade {g} out of range 0..{self.context.m}")
         kept = {mask: q for mask, q in self.numerators.items() if mask.bit_count() == g}
         return _normalized(self.context, kept, self.denominator, Multivector)
@@ -372,22 +372,6 @@ class Multivector:
 
     def sorted_masks(self) -> list[int]:
         return sorted(self.numerators, key=lambda mk: (mk.bit_count(), mk))
-
-    def to_json(self) -> list[dict]:
-        """Interchange form: [{"blade": [indices], "coeff": "num/den"}, ...]."""
-        den = self.denominator
-        return [
-            {"blade": list(mask_to_indices(mk)), "coeff": _ratio_text(self.numerators[mk], den)}
-            for mk in self.sorted_masks()
-        ]
-
-    @classmethod
-    def from_json(cls, context: AlgebraContext, data: list[dict]) -> Multivector:
-        """Read the interchange form: a list of entries, else ValueError."""
-        entries = require_shape(data, (list, tuple), "multivector")
-        fields = (require_fields(item, "multivector entry", "blade", "coeff") for item in entries)
-        coeffs = [(indices_to_mask(b, context.m), *parse_ratio(c, '"coeff"')) for b, c in fields]
-        return _from_ratios(context, coeffs, Multivector)
 
     def __str__(self) -> str:
         nums = self.numerators
@@ -444,7 +428,7 @@ class CliffordPolynomial:
     @classmethod
     def variable(cls, context: AlgebraContext, i: int) -> CliffordPolynomial:
         """The scalar variable x_i."""
-        if not 0 <= i <= context.m:
+        if not 0 <= require_int(i, "variable index") <= context.m:
             raise IndexError(f"variable index {i} out of range 0..{context.m}")
         return cls.monomial(context, unit_exps(context.m, i), context.one())
 
@@ -530,7 +514,7 @@ class CliffordPolynomial:
 
     def partial_derivative(self, i: int) -> CliffordPolynomial:
         """Formal partial derivative with respect to x_i."""
-        if not 0 <= i <= self.context.m:
+        if not 0 <= require_int(i, "variable index") <= self.context.m:
             raise IndexError(f"variable index {i} out of range 0..{self.context.m}")
         layout = key_layout(self.context.m)
         shift, unit = layout.shifts[i], layout.units[i]

@@ -12,20 +12,21 @@ and their exact agreement is one of the verified identities; the others
 are monogenicity, the Appell derivative step, homogeneity of degree k+n,
 the axial decomposition round-trip, and the Vekua-type system satisfied
 by the axial profiles (`AxialPair` and its operator live in `bivariate`).
-The CK route, `axial_decompose` and the Fueter chains read the
-G_s = x̲^s P_k from one dict per report (`_multiples`), and apply `dirac`
-or `laplacian` once per G_s to measure its ratio to G_(s-1) or G_(s-2)
-(`_chain_ratios`); the explicit route keeps its own powers of x̲.
+The frozen `SequenceSpec` owns what is derived from its P_k: the CK route,
+`axial_decompose` and the Fueter chains read each G_s = x̲^s P_k from the
+spec (`_multiple`, formed once), and apply `dirac` or `laplacian` once per
+G_s and spec to measure its ratio to G_(s-1) or G_(s-2) (`_chain_ratios`).
+A ratio that does not exist raises ArithmeticError; the explicit route
+keeps its own powers of x̲.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import AlgebraContext, require_int
 from .bivariate import AxialPair, axial_profiles
-from .ck import ck_extend
 from .coefficients import explicit_weights, restriction_coefficient
 from .errors import ContextMismatchError, NotAxialFormError
 from .initial_terms import builtin_initial_term
@@ -42,14 +43,19 @@ from .polynomials import (
 from .report import VerificationReport
 
 
-@dataclass
+@dataclass(frozen=True)
 class SequenceSpec:
-    """Generation parameters: dimension, initial degree and term, length."""
+    """Generation parameters: dimension, initial degree and term, length.
+
+    Frozen, so the G_s = x̲^s P_k and the ratios memoized on the spec by
+    `_multiple` and `_chain_ratios` always belong to its P_k."""
 
     m: int
     k: int
     pk: CliffordPolynomial
     n_max: int
+    _multiples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _ratios: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("m", "k", "n_max"):
@@ -91,45 +97,42 @@ def sequence_term_explicit(spec: SequenceSpec, n: int) -> CliffordPolynomial:
     return linear_combination(ctx, terms) * spec.pk
 
 
-def _multiples(pk: CliffordPolynomial, top: int, multiples: dict) -> dict:
-    """The dict {s: x̲^s P_k} of this pk, filled for s = 0..top."""
-    for s in range(top + 1):
-        if s not in multiples:
-            multiples[s] = vector_power(pk.context, s) * pk
-    return multiples
+def _multiple(spec: SequenceSpec, s: int) -> CliffordPolynomial:
+    """G_s = x̲^s P_k of the spec, formed once per spec."""
+    if s not in spec._multiples:
+        spec._multiples[s] = vector_power(spec.context, s) * spec.pk
+    return spec._multiples[s]
 
 
-def _chain_ratios(operator, step: int, multiples: dict, top: int, ratios: dict | None):
-    """[r_0, ..., r_top] with operator(G_s) = r_s G_(s-step), G_s = x̲^s P_k
-    read from a filled `_multiples` dict: each r_s is measured once into
-    `ratios` by `scalar_ratio`; r_s = 0 for s < step, where operator(G_s)
-    must vanish, and None where it is not measured (the caller's oracle runs)."""
-    ratios = {} if ratios is None else ratios
-    for s in range(top + 1):
-        if s not in ratios:
-            image = operator(multiples[s])
-            if s < step:
-                ratios[s] = Fraction(0) if image.is_zero() else None
-            else:
-                ratios[s] = scalar_ratio(image, multiples[s - step])
-    return [ratios[s] for s in range(top + 1)]
+def _chain_ratios(spec: SequenceSpec, operator, step: int, top: int) -> list[Fraction]:
+    """[r_0, ..., r_top] with operator(G_s) = r_s G_(s-step), G_s = x̲^s P_k:
+    each r_s is measured once per spec and operator by `scalar_ratio`, and
+    r_s = 0 for s < step, where operator(G_s) must vanish.  A ratio that does
+    not exist raises ArithmeticError; on a gated P_k only a broken kernel
+    can cause that."""
+    ratios = spec._ratios.setdefault(operator, [])
+    for s in range(len(ratios), top + 1):
+        image = operator(_multiple(spec, s))
+        if s < step:
+            ratio, target = (Fraction(0) if image.is_zero() else None), "zero"
+        else:
+            ratio = scalar_ratio(image, _multiple(spec, s - step))
+            target = f"a rational multiple of x̲^{s - step} P_k"
+        if ratio is None:
+            raise ArithmeticError(f"{operator.__name__}(x̲^{s} P_k) is not {target}")
+        ratios.append(ratio)
+    return ratios[: top + 1]
 
 
-def sequence_term_ck(
-    spec: SequenceSpec, n: int, *, multiples: dict | None = None, ratios: dict | None = None
-) -> CliffordPolynomial:
+def sequence_term_ck(spec: SequenceSpec, n: int) -> CliffordPolynomial:
     """n-th term via the Cauchy-Kovalevskaya route: c_n CK[x̲^n P_k], that is
     c_n sum_j (-1)^j/j! λ_n⋯λ_(n-j+1) x_0^j x̲^(n-j) P_k with dirac(x̲^i P_k)
-    = λ_i x̲^(i-1) P_k, each λ_i measured by `_chain_ratios` into `ratios`
-    (else the literal c_n `ck_extend`(x̲^n P_k) is returned)."""
+    = λ_i x̲^(i-1) P_k, each λ_i measured once per spec by `_chain_ratios`."""
     _check_index(spec, n)
-    multiples = _multiples(spec.pk, n, {} if multiples is None else multiples)
-    lambdas = _chain_ratios(dirac, 1, multiples, n, ratios)
+    lambdas = _chain_ratios(spec, dirac, 1, n)
     terms, weight = [], restriction_coefficient(spec.m, spec.k, n)
-    if None in lambdas:
-        return weight * ck_extend(multiples[n])
     for j in range(n + 1):
-        terms.append((weight, multiples[n - j].times_x0(j)))
+        terms.append((weight, _multiple(spec, n - j).times_x0(j)))
         weight *= -lambdas[n - j] / (j + 1)
     return linear_combination(spec.context, terms)
 
@@ -140,7 +143,7 @@ def generate_sequence(spec: SequenceSpec) -> list[CliffordPolynomial]:
 
 
 def verify_sequence(
-    spec: SequenceSpec, terms: list[CliffordPolynomial] | None = None, *, multiples: dict | None = None
+    spec: SequenceSpec, terms: list[CliffordPolynomial] | None = None
 ) -> VerificationReport:
     """Check, per term: monogenicity, the Appell step, homogeneity of degree
     k+n, and agreement of the two construction routes.
@@ -149,12 +152,10 @@ def verify_sequence(
     d/dx_0 - dirac) rather than the bare x_0 derivative so that the check
     stays meaningful on deliberately corrupted inputs, where the two
     disagree.  A custom term list may be injected for negative controls.
-    `multiples` is as in `axial_decompose`; each x̲^i P_k meets `dirac` once.
+    Each x̲^i P_k of the spec meets `dirac` once, in `sequence_term_ck`.
     """
     if terms is None:
         terms = generate_sequence(spec)
-    multiples = {} if multiples is None else multiples
-    lambdas: dict = {}
     report = VerificationReport()
     zero = CliffordPolynomial.zero(spec.context)
     for n, term in enumerate(terms):
@@ -168,43 +169,37 @@ def verify_sequence(
             report.add_equal("appell_step", params, step, expected)
         witness = degree_witness(term, spec.k + n)
         report.add("homogeneous", params, witness is None, witness)
-        ck_term = sequence_term_ck(spec, n, multiples=multiples, ratios=lambdas)
+        ck_term = sequence_term_ck(spec, n)
         report.add_equal("route_equivalence", params, ck_term, term)
     return report
 
 
-def axial_decompose(
-    p: CliffordPolynomial, k: int, pk: CliffordPolynomial, *, multiples: dict | None = None
-) -> AxialPair:
+def axial_decompose(p: CliffordPolynomial, spec: SequenceSpec) -> AxialPair:
     """Write p as (sum_{j,i} h_{j,i} x_0^j x̲^i) P_k with rational h and fold
     the x̲ powers into the (x_0, t) profiles with `axial_profiles`.
 
     Within a fixed power of x_0, the candidate x̲^i P_k pieces live in
     distinct homogeneous degrees, so each h_{j,i} is read off from a single
-    reference coefficient and then verified exactly.  `multiples`, if
-    given, is a dict {i: x̲^i P_k} of this pk that the call reads and
-    fills, so calls that share it form each x̲^i P_k once.
+    reference coefficient and then verified exactly.  The x̲^i P_k are the
+    spec's, so calls on one spec form each of them once.
     """
-    if pk.context != p.context:
+    if spec.context != p.context:
         raise ContextMismatchError("polynomial and initial term from different algebras")
-    _gate_once(pk, k)
-    ctx = p.context
-    multiples = {} if multiples is None else multiples
     h = {}
     for (j, degree), component in sorted(x0_strata(p).items()):
-        i = degree - k
+        i = degree - spec.k
         if i < 0:
             raise NotAxialFormError(
-                f"x_0^{j} slice has degree {degree} below the initial degree {k}"
+                f"x_0^{j} slice has degree {degree} below the initial degree {spec.k}"
             )
-        ratio = scalar_ratio(component, _multiples(pk, i, multiples)[i])
+        ratio = scalar_ratio(component, _multiple(spec, i))
         if ratio is None:
             raise NotAxialFormError(
                 "homogeneous component is not a rational multiple of x̲^i times the initial term"
             )
         h[j, i] = ratio
     a, b_reduced = axial_profiles(h)
-    return AxialPair(a=a, b_reduced=b_reduced, k=k, m=ctx.m, pk=pk)
+    return AxialPair(a=a, b_reduced=b_reduced, k=spec.k, m=spec.m, pk=spec.pk)
 
 
 def vekua_check(pair: AxialPair) -> bool:
@@ -227,19 +222,17 @@ def vekua_witness(pair: AxialPair) -> str | None:
 
 
 def verify_axial(
-    spec: SequenceSpec, terms: list[CliffordPolynomial] | None = None, *, multiples: dict | None = None
+    spec: SequenceSpec, terms: list[CliffordPolynomial] | None = None
 ) -> VerificationReport:
     """Axial decomposition round-trip plus the Vekua system, per term; the
-    terms share one dict of the x̲^i P_k, `multiples` if given (the dict
-    `verify_sequence` read), so each is formed once."""
+    terms read the spec's x̲^i P_k, so each is formed once per spec."""
     if terms is None:
         terms = generate_sequence(spec)
     report = VerificationReport()
-    multiples = {} if multiples is None else multiples
     for n, term in enumerate(terms):
         params = {"m": spec.m, "k": spec.k, "n": n}
         try:
-            pair = axial_decompose(term, spec.k, spec.pk, multiples=multiples)
+            pair = axial_decompose(term, spec)
         except NotAxialFormError as exc:
             report.add("axial_reconstruction", params, False, str(exc))
             report.add("vekua_system", params, False, "no decomposition")

@@ -139,7 +139,7 @@ def test_criterion_7_axial_vekua(grid):
     ok = True
     for (m, k), (spec, terms) in grid.items():
         for term in terms:
-            pair = axial_decompose(term, spec.k, spec.pk)
+            pair = axial_decompose(term, spec)
             if pair.reconstruct() != term or not vekua_check(pair):
                 ok = False
     _record("7 axial decomposition round-trip and Vekua system on the grid", ok)
@@ -180,7 +180,8 @@ def test_criterion_8_fueter_vanishing(fueter_reports):
 
 def test_criterion_9_fueter_ck_identity(fueter_reports):
     ok = True
-    anchor = fueter_map(2, CliffordPolynomial.one(AlgebraContext(3)), 0)
+    one = CliffordPolynomial.one(AlgebraContext(3))
+    anchor = fueter_map(2, SequenceSpec(m=3, k=0, pk=one, n_max=0))
     if anchor != CliffordPolynomial.constant(AlgebraContext(3), -4):
         ok = False
     passed, _ = _fueter_entries(

@@ -71,7 +71,7 @@ def test_axial_pair_agrees_with_its_initial_term():
     """m must be P_k's dimension and k an int at which P_k passes the gate;
     a pair that disagrees with its own P_k is rejected when it is built."""
     spec = SequenceSpec.builtin(3, 1, 3)
-    pair = axial_decompose(sequence_term_explicit(spec, 3), spec.k, spec.pk)
+    pair = axial_decompose(sequence_term_explicit(spec, 3), spec)
     with pytest.raises(ContextMismatchError, match="pair says m=5, P_k lives in m=3"):
         replace(pair, m=5)
     with pytest.raises(ValueError, match="k must be an integer, got True"):

@@ -109,9 +109,9 @@ def test_fueter_compare_builds_each_image_once(capsys, monkeypatch):
     calls = []
     original = fueter.fueter_map
 
-    def counting(n, pk, k, **kw):
+    def counting(n, spec):
         calls.append(n)
-        return original(n, pk, k, **kw)
+        return original(n, spec)
 
     monkeypatch.setattr(fueter, "fueter_map", counting)
     code, _, _ = run_cli(capsys, ["fueter-compare", "--m", "3", "--k", "1", "--n-max", "2"])

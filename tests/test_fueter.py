@@ -28,15 +28,15 @@ from monappell.polynomials import (
 )
 from monappell.report import VerificationReport
 from monappell.sampling import random_initial_term
-from monappell.sequences import (
-    SequenceSpec,
-    axial_decompose,
-    sequence_term_explicit,
-    verify_axial,
-)
+from monappell.sequences import SequenceSpec, sequence_term_explicit, verify_axial
 
 CTX3 = AlgebraContext(3)
 ONE3 = CliffordPolynomial.one(CTX3)
+
+
+def spec3():
+    """A fresh spec for P_0 = 1 at m = 3, so no test reads another's memo."""
+    return SequenceSpec(m=3, k=0, pk=ONE3, n_max=0)
 
 
 def test_complex_monomial_parts_small_powers():
@@ -114,14 +114,15 @@ def _literal_image(n, pk, k):
 
 
 def _oracle_report(pk, k, literals):
-    """fueter_map of z^n against literals[n] for each n of the dict, once
-    fresh and once through one blocks dict shared by every n in turn."""
-    m, blocks = pk.context.m, {}
+    """fueter_map of z^n against literals[n] for each n of the dict, once on
+    a fresh spec and once on one spec shared by every n in turn."""
+    m = pk.context.m
+    shared = SequenceSpec(m=m, k=k, pk=pk, n_max=0)
     report = VerificationReport()
     for n, literal in literals.items():
         for route, image in (
-            ("fresh", fueter_map(n, pk, k)),
-            ("shared", fueter_map(n, pk, k, blocks=blocks)),
+            ("fresh", fueter_map(n, SequenceSpec(m=m, k=k, pk=pk, n_max=0))),
+            ("shared", fueter_map(n, shared)),
         ):
             params = {"m": m, "k": k, "n": n, "route": route}
             report.add_equal("fueter_split", params, image, literal)
@@ -197,27 +198,27 @@ def test_fueter_compare_applies_the_laplacian_once_per_multiple(monkeypatch):
 def test_fueter_map_rejects_a_negative_power():
     # range(n + 1) would read n = -1 as the empty sum, the zero image
     with pytest.raises(ValueError, match="non-negative"):
-        fueter_map(-1, ONE3, 0)
+        fueter_map(-1, spec3())
     with pytest.raises(ValueError, match="n must be an integer"):
-        fueter_map(True, ONE3, 0)
+        fueter_map(True, spec3())
 
 
 def test_fueter_compare_shares_one_blocks_dict(monkeypatch):
-    """Every image of one report reads the same chains Δ^r(x̲^s P_k)."""
+    """Every image of one report reads the same chains Δ^r(x̲^s P_k): each
+    fueter_map call gets the report's spec, which holds G_s for s = 0..top."""
     spec = SequenceSpec.builtin(3, 1, 2)
     top = 2 * 1 + 3 - 1 + spec.n_max
     seen = []
     original = fueter.fueter_map
 
-    def recording(n, pk, k, **kw):
-        seen.append(kw.get("blocks"))
-        return original(n, pk, k, **kw)
+    def recording(n, spec_):
+        seen.append(spec_)
+        return original(n, spec_)
 
     monkeypatch.setattr(fueter, "fueter_map", recording)
     assert fueter_compare(spec).all_passed
-    assert len(seen) == top + 1
-    assert isinstance(seen[0], dict) and all(blocks is seen[0] for blocks in seen)
-    assert sorted(seen[0]) == list(range(top + 1))
+    assert len(seen) == top + 1 and all(spec_ is spec for spec_ in seen)
+    assert sorted(spec._multiples) == list(range(top + 1))
 
 
 def test_fueter_order_and_even_dimension():
@@ -226,30 +227,30 @@ def test_fueter_order_and_even_dimension():
     with pytest.raises(EvenDimensionError):
         fueter_order(4, 0)
     with pytest.raises(EvenDimensionError):
-        fueter_map(2, CliffordPolynomial.one(AlgebraContext(2)), 0)
+        fueter_map(2, SequenceSpec(m=2, k=0, pk=CliffordPolynomial.one(AlgebraContext(2)), n_max=0))
 
 
 def test_fueter_map_anchor():
-    assert fueter_map(2, ONE3, 0) == CliffordPolynomial.constant(CTX3, -4)
+    assert fueter_map(2, spec3()) == CliffordPolynomial.constant(CTX3, -4)
 
 
 def test_fueter_map_vanishing_below_threshold():
-    assert fueter_map(0, ONE3, 0).is_zero()
-    assert fueter_map(1, ONE3, 0).is_zero()
-    pk = builtin_initial_term(CTX3, 1)
+    assert fueter_map(0, spec3()).is_zero()
+    assert fueter_map(1, spec3()).is_zero()
+    spec = SequenceSpec.builtin(3, 1, 0)
     for n in range(2 * 1 + 3 - 1):
-        assert fueter_map(n, pk, 1).is_zero()
+        assert fueter_map(n, spec).is_zero()
 
 
 def test_fueter_map_cubic():
     # hand-expanded image of the third power in dimension three
     expected = -4 * (vector_variable(CTX3) + 3 * CliffordPolynomial.variable(CTX3, 0))
-    assert fueter_map(3, ONE3, 0) == expected
+    assert fueter_map(3, spec3()) == expected
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_fueter_images_are_monogenic(n):
-    assert is_monogenic(fueter_map(n, ONE3, 0))
+    assert is_monogenic(fueter_map(n, spec3()))
 
 
 def test_fueter_scale_values():
@@ -275,7 +276,7 @@ def test_fueter_identity_at_threshold_is_initial_term():
     spec = SequenceSpec.builtin(3, 1, 0)
     threshold = 2 * 1 + 3 - 1
     assert _entries(spec)["fueter_ck_identity", threshold].passed
-    image = fueter_map(threshold, spec.pk, 1)
+    image = fueter_map(threshold, spec)
     assert image == fueter_scale(3, 1, threshold) * spec.pk
 
 
@@ -317,8 +318,8 @@ def test_fueter_compare_negative_control(monkeypatch):
     threshold, bad = 2 * 1 + 3 - 1, 1
     original = fueter.fueter_map
 
-    def corrupted(n, pk, k, **kw):
-        image = original(n, pk, k, **kw)
+    def corrupted(n, spec_):
+        image = original(n, spec_)
         return image + ONE3 if n == threshold + bad else image
 
     monkeypatch.setattr(fueter, "fueter_map", corrupted)
@@ -333,7 +334,7 @@ def test_p_k_is_gated_once_per_spec_and_on_every_public_route(monkeypatch):
     """A SequenceSpec's P_k passes the gate when the spec is built, and
     verify_axial and fueter_compare do not run it again; a P_k that has not
     passed it at degree k is still rejected by every public function that
-    takes one."""
+    takes a bare P_k, and by the spec."""
     spec = SequenceSpec.builtin(3, 1, 1)
     checks = []
     original = operators.validate_initial_term
@@ -349,9 +350,7 @@ def test_p_k_is_gated_once_per_spec_and_on_every_public_route(monkeypatch):
     x1e1 = CliffordPolynomial.monomial(CTX3, unit_exps(3, 1), CTX3.e(1))  # not Dirac-annihilated
     for pk, k in ((x1e1, 1), (spec.pk, 2)):  # spec.pk passed at degree 1, not 2
         routes = (
-            lambda: axial_decompose(pk, k, pk),
             lambda: axial_embedding(2, pk, k),
-            lambda: fueter_map(2 * k + 2, pk, k),
             lambda: SequenceSpec(m=3, k=k, pk=pk, n_max=0),
         )
         for route in routes:

@@ -9,7 +9,9 @@ from monappell import polynomials as kernel
 from monappell import sequences
 from monappell.algebra import AlgebraContext, Multivector
 from monappell.bivariate import BivariatePoly
+from monappell.coefficients import lowering_factor
 from monappell.errors import ContextMismatchError, DegreeLimitError, InvalidInitialTermError
+from monappell.fueter import fueter_order
 from monappell.initial_terms import builtin_initial_term
 from monappell.operators import require_initial_term
 from monappell.polynomials import (
@@ -94,7 +96,7 @@ def test_explicit_route_never_reads_the_ladder(monkeypatch):
         monkeypatch.setattr(module, "vector_power", forbidden)
     assert [sequence_term_explicit(spec, n) for n in range(5)] == expected
     with pytest.raises(AssertionError):  # negative control: the CK route does read it
-        sequence_term_ck(spec, 2)
+        sequence_term_ck(SequenceSpec.builtin(3, 1, 4), 2)  # a fresh spec holds no x̲^i P_k
 
 
 def test_scalar_ratio_examples_and_zero_reference():
@@ -108,6 +110,25 @@ def test_scalar_ratio_examples_and_zero_reference():
     for target in (xv, zero):
         with pytest.raises(ValueError, match="nonzero reference"):
             scalar_ratio(target, zero)
+
+
+INDEXED = {
+    "variable": lambda i: CliffordPolynomial.variable(CTX3, i),
+    "partial_derivative": lambda i: vector_variable(CTX3).partial_derivative(i),
+    "grade_projection": lambda i: CTX3.e(1).grade_projection(i),
+    "lowering_factor": lambda i: lowering_factor(3, 1, i),
+    "fueter_order": lambda i: fueter_order(3, i),
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.0])
+@pytest.mark.parametrize("name", list(INDEXED))
+def test_indices_and_degrees_are_exact_ints(name, value):
+    """An index or degree that only equals 1 is rejected by name, not read
+    as 1 (True) or left to fail as a bare TypeError or a float result."""
+    INDEXED[name](1)
+    with pytest.raises(ValueError, match=f"must be an integer, got {value!r}"):
+        INDEXED[name](value)
 
 
 @pytest.mark.parametrize("n", [True, 2.0, Fraction(2), -1])
@@ -329,6 +350,22 @@ def test_json_rejects_inexact_fields(field, value):
     else:
         term["coeff"][0][field] = value
     with pytest.raises(ValueError, match=field):
+        CliffordPolynomial.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "coeff, message",
+    [
+        (5, '"coeff" must be a list, got 5'),
+        ({"blade": [1], "q": "1"}, "\"coeff\" must be a list, got {'blade'"),
+        ("[]", '"coeff" must be a list'),
+    ],
+)
+def test_json_coeff_requires_a_list(coeff, message):
+    """A non-list "coeff" is rejected as a whole: an int is not iterated into
+    a TypeError, and a lone entry object is not iterated by its keys."""
+    data = {"m": 1, "terms": [{"exps": [0, 1], "coeff": coeff}]}
+    with pytest.raises(ValueError, match=message):
         CliffordPolynomial.from_json_dict(data)
 
 

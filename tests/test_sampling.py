@@ -16,7 +16,7 @@ from itertools import product
 
 import pytest
 
-from monappell.algebra import AlgebraContext, Multivector
+from monappell.algebra import AlgebraContext, Multivector, mask_to_indices
 from monappell.polynomials import CliffordPolynomial
 from monappell.sampling import (
     MAX_ABS,
@@ -33,10 +33,19 @@ SEEDS = range(8)
 DIMENSIONS = range(2, 7)
 
 
+def _entries(a):
+    """[{"blade": [indices], "coeff": "num/den"}, ...], blades by grade then mask."""
+    entries = []
+    for mask in a.sorted_masks():
+        q = a.terms[mask]
+        entries.append({"blade": list(mask_to_indices(mask)), "coeff": f"{q.numerator}/{q.denominator}"})
+    return entries
+
+
 def _multivectors(rng, ctx):
-    return [random_multivector(rng, ctx).to_json() for _ in range(3)] + [
-        random_multivector(rng, ctx, grades=(1,)).to_json(),
-        random_multivector(rng, ctx, grades=(0, 2)).to_json(),
+    return [_entries(random_multivector(rng, ctx)) for _ in range(3)] + [
+        _entries(random_multivector(rng, ctx, grades=(1,))),
+        _entries(random_multivector(rng, ctx, grades=(0, 2))),
     ]
 
 

@@ -1,12 +1,13 @@
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
 
-from monappell import fueter, sequences
+from monappell import sequences
 from monappell.algebra import AlgebraContext
 from monappell.bivariate import BivariatePoly
+from monappell.cli import main
 from monappell.ck import ck_extend, is_monogenic
 from monappell.coefficients import restriction_coefficient
 from monappell.errors import ContextMismatchError, InvalidInitialTermError, NotAxialFormError
@@ -101,19 +102,18 @@ CK_ORACLE_CELLS += [(3, 3, 5), (5, 3, 9)]
 @pytest.mark.parametrize("m, k, seed", CK_ORACLE_CELLS)
 def test_ck_route_equals_the_literal_extension(m, k, seed):
     """The CK terms built from the measured λ_i equal c_n ck_extend(x̲^n P_k)
-    for n = 0..6, fresh and through one report's shared dicts."""
+    for n = 0..6, on a fresh spec and on one spec shared by every n."""
     ctx = AlgebraContext(m)
     if seed is None:
         pk = builtin_initial_term(ctx, k)
     else:
         pk = random_initial_term(random.Random(seed), ctx, k)
-    spec = SequenceSpec(m=m, k=k, pk=pk, n_max=6)
-    multiples, ratios = {}, {}
+    shared = SequenceSpec(m=m, k=k, pk=pk, n_max=6)
     for n in range(7):
         literal = restriction_coefficient(m, k, n) * ck_extend(vector_power(ctx, n) * pk)
         for term in (
-            sequence_term_ck(spec, n),
-            sequence_term_ck(spec, n, multiples=multiples, ratios=ratios),
+            sequence_term_ck(SequenceSpec(m=m, k=k, pk=pk, n_max=6), n),
+            sequence_term_ck(shared, n),
         ):
             assert first_difference(term, literal) is None
 
@@ -129,54 +129,75 @@ def test_route_equivalence_negative_control(monkeypatch):
     assert all(e.witness.startswith("monomial ") for e in entries[1:])
 
 
-def test_unmeasured_ratios_fall_back_to_the_literal_oracles(monkeypatch):
-    """When no ratio can be measured, the CK route returns c_n ck_extend and
-    the Fueter route ν Laplacians of axial_embedding: the reports do not move."""
-    spec = SequenceSpec.builtin(3, 1, 3)
-    expected = verify_sequence(spec).to_json(), fueter_compare(spec).to_json()
-    oracle_calls = []
-
-    def count_calls(module, name):
-        original = getattr(module, name)
-
-        def counted(*args):
-            oracle_calls.append(name)
-            return original(*args)
-
-        monkeypatch.setattr(module, name, counted)
-
-    count_calls(sequences, "ck_extend")
-    count_calls(fueter, "axial_embedding")
+def test_an_unmeasured_ratio_is_an_arithmetic_error(monkeypatch, capsys):
+    """When no ratio can be measured, the CK route and the Fueter report
+    raise ArithmeticError naming the operator and the powers, and the CLI
+    exits 3 with that message: no route switches to another algorithm.
+    An operator that does not vanish on x̲^s P_k for s < step raises it too."""
     monkeypatch.setattr(sequences, "scalar_ratio", lambda target, reference: None)
-    assert (verify_sequence(spec).to_json(), fueter_compare(spec).to_json()) == expected
-    assert "ck_extend" in oracle_calls and "axial_embedding" in oracle_calls
-    # an operator that does not vanish on x̲^s P_k for s < step is not measured either
-    multiples = sequences._multiples(spec.pk, 2, {})
-    assert sequences._chain_ratios(lambda p: p, 1, multiples, 0, None) == [None]
+    dirac_fault = "dirac(x̲^1 P_k) is not a rational multiple of x̲^0 P_k"
+    with pytest.raises(ArithmeticError) as excinfo:
+        sequence_term_ck(SequenceSpec.builtin(3, 1, 3), 3)
+    assert str(excinfo.value) == dirac_fault
+    with pytest.raises(ArithmeticError) as excinfo:
+        fueter_compare(SequenceSpec.builtin(3, 1, 3))
+    assert str(excinfo.value) == "laplacian(x̲^2 P_k) is not a rational multiple of x̲^0 P_k"
+    assert main(["verify", "--m", "3", "--k", "1", "--n-max", "3"]) == 3
+    assert f"internal error: ArithmeticError: {dirac_fault}" in capsys.readouterr().err
+    with pytest.raises(ArithmeticError) as excinfo:  # dirac(x̲ P_k) = λ_1 P_k
+        sequences._chain_ratios(SequenceSpec.builtin(3, 1, 3), dirac, 2, 1)
+    assert str(excinfo.value) == "dirac(x̲^1 P_k) is not zero"
 
 
-def test_verify_sequence_applies_dirac_once_per_term_and_per_multiple(monkeypatch):
-    """At m=7, k=3, n_max=7 the CK route never runs ck_extend: dirac meets
-    each term once (monogenicity) and each x̲^i P_k once (its λ_i)."""
-    spec = SequenceSpec.builtin(7, 3, 7)
-    terms = generate_sequence(spec)
+def _dirac_inputs(monkeypatch) -> list:
+    """The list to which each later dirac call of `sequences` adds its input."""
     seen = []
 
     def counting(p):
         seen.append(p)
         return dirac(p)
 
-    def forbidden(g):
-        raise AssertionError("the CK route ran ck_extend")
-
     monkeypatch.setattr(sequences, "dirac", counting)
-    monkeypatch.setattr(sequences, "ck_extend", forbidden)
+    return seen
+
+
+def _once_each(seen, spec, terms):
+    """seen holds each term and each x̲^i P_k, i = 0..n_max, once: as a
+    multiset, since P_k is both the zeroth term and x̲^0 P_k."""
+    expected = terms + [vector_power(spec.context, i) * spec.pk for i in range(spec.n_max + 1)]
+
+    def counts(polys):
+        return [sum(p == q for q in polys) for p in expected]
+
+    return len(seen) == len(expected) and counts(seen) == counts(expected)
+
+
+def test_verify_sequence_applies_dirac_once_per_term_and_per_multiple(monkeypatch):
+    """At m=7, k=3, n_max=7 dirac meets each term once (monogenicity) and
+    each x̲^i P_k once (its λ_i)."""
+    spec = SequenceSpec.builtin(7, 3, 7)
+    terms = generate_sequence(spec)
+    seen = _dirac_inputs(monkeypatch)
     assert verify_sequence(spec, terms).all_passed
-    expected = terms + [vector_power(spec.context, i) * spec.pk for i in range(8)]
-    assert len(seen) == len(expected) == 16
-    assert [sum(p == q for q in seen) for p in expected] == [
-        sum(p == q for q in expected) for p in expected
-    ]
+    assert len(seen) == 16 and _once_each(seen, spec, terms)
+
+
+def test_one_spec_measures_each_dirac_ratio_once_across_reports(monkeypatch):
+    """fueter_compare then verify_sequence on one spec apply dirac to each
+    x̲^i P_k once: the second report reads the λ_i the first measured."""
+    spec = SequenceSpec.builtin(3, 1, 3)
+    seen = _dirac_inputs(monkeypatch)
+    assert fueter_compare(spec).all_passed
+    terms = generate_sequence(spec)
+    assert verify_sequence(spec, terms).all_passed
+    assert _once_each(seen, spec, terms)
+
+
+def test_sequence_spec_is_frozen():
+    """The spec holds the x̲^i P_k of its P_k, so its P_k cannot be swapped."""
+    spec = SequenceSpec.builtin(3, 1, 1)
+    with pytest.raises(FrozenInstanceError):
+        spec.pk = builtin_initial_term(spec.context, 2)
 
 
 def test_restriction_property():
@@ -260,15 +281,15 @@ def test_axial_profiles_of_first_terms():
     d = 2 * spec.k + spec.m  # 5
     terms = generate_sequence(spec)
 
-    pair0 = axial_decompose(terms[0], spec.k, spec.pk)
+    pair0 = axial_decompose(terms[0], spec)
     assert pair0.a == BivariatePoly.one()
     assert pair0.b_reduced.is_zero()
 
-    pair1 = axial_decompose(terms[1], spec.k, spec.pk)
+    pair1 = axial_decompose(terms[1], spec)
     assert pair1.a == BivariatePoly.monomial(1, 0)  # x0
     assert pair1.b_reduced == BivariatePoly.monomial(0, 0, Fraction(1, d))
 
-    pair2 = axial_decompose(terms[2], spec.k, spec.pk)
+    pair2 = axial_decompose(terms[2], spec)
     assert pair2.a == BivariatePoly({(2, 0): 1, (0, 1): Fraction(-1, d)})
     assert pair2.b_reduced == BivariatePoly.monomial(1, 0, Fraction(2, d))
 
@@ -277,7 +298,7 @@ def test_axial_profiles_of_first_terms():
 def test_axial_round_trip_and_vekua(m, k):
     spec = SequenceSpec.builtin(m, k, 4)
     for term in generate_sequence(spec):
-        pair = axial_decompose(term, spec.k, spec.pk)
+        pair = axial_decompose(term, spec)
         assert pair.reconstruct() == term
         assert vekua_check(pair)
 
@@ -286,7 +307,7 @@ def test_axial_rejects_non_axial_polynomial():
     ctx = AlgebraContext(3)
     stray = CliffordPolynomial.monomial(ctx, unit_exps(3, 1), ctx.e(1))  # x1 e1
     with pytest.raises(NotAxialFormError):
-        axial_decompose(stray, 0, CliffordPolynomial.one(ctx))
+        axial_decompose(stray, SequenceSpec(m=3, k=0, pk=CliffordPolynomial.one(ctx), n_max=0))
 
 
 def test_vekua_negative_control():
@@ -305,7 +326,7 @@ def test_vekua_witness_text():
     """The witness is the two profiles of the pair's Cauchy-Riemann image:
     A += 2 x0 t and b += t on the m=3, k=1, n=3 term leave (-5 t; 4 x0)."""
     spec = SequenceSpec.builtin(3, 1, 3)
-    pair = axial_decompose(sequence_term_explicit(spec, 3), spec.k, spec.pk)
+    pair = axial_decompose(sequence_term_explicit(spec, 3), spec)
     assert vekua_witness(pair) is None
     bent = replace(
         pair,
@@ -324,7 +345,7 @@ def test_term_indices_are_exact_ints(n):
         lambda: sequence_term_explicit(spec, n),
         lambda: sequence_term_ck(spec, n),
         lambda: axial_embedding(n, spec.pk, spec.k),
-        lambda: fueter_map(n, spec.pk, spec.k),
+        lambda: fueter_map(n, spec),
     )
     for route in routes:
         with pytest.raises(ValueError, match="n must be an integer"):
@@ -342,7 +363,7 @@ def test_verify_axial_report():
 
 def test_verify_axial_forms_each_multiple_once(monkeypatch):
     """verify_axial to n_max forms x̲^i P_k for i = 0..n_max once each,
-    n_max + 1 products, not one per term and power."""
+    n_max + 1 products, not one per term and power, and keeps them on the spec."""
     spec = SequenceSpec.builtin(3, 2, 5)
     terms = generate_sequence(spec)
     calls = []
@@ -355,6 +376,9 @@ def test_verify_axial_forms_each_multiple_once(monkeypatch):
     assert verify_axial(spec, terms).all_passed
     assert sorted(calls) == list(range(spec.n_max + 1))
     calls.clear()
-    for term in terms:  # without a shared dict, each call forms its own
-        axial_decompose(term, spec.k, spec.pk)
-    assert len(calls) == (spec.n_max + 1) * (spec.n_max + 2) // 2
+    for term in terms:  # the spec holds them, so further calls form none
+        axial_decompose(term, spec)
+    assert calls == []
+    fresh = SequenceSpec(m=spec.m, k=spec.k, pk=spec.pk, n_max=spec.n_max)
+    axial_decompose(terms[-1], fresh)  # an equal spec is not the same memo
+    assert sorted(calls) == list(range(spec.n_max + 1))

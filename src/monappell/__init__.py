@@ -6,13 +6,11 @@ the package is checked by literal equality rather than by tolerance.
 
 from .algebra import AlgebraContext, Multivector, blade_product
 from .bivariate import BivariatePoly
-from .ck import check_ck_intertwining, ck_extend, is_monogenic
+from .ck import ck_extend, is_monogenic
 from .coefficients import (
     double_factorial,
-    expansion_coefficient,
     fueter_factor,
     lowering_factor,
-    lowering_product,
     restriction_coefficient,
 )
 from .errors import (
@@ -66,7 +64,6 @@ from .sequences import (
     generate_sequence,
     sequence_term_ck,
     sequence_term_explicit,
-    vekua_check,
     verify_axial,
     verify_sequence,
 )

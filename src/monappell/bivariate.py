@@ -1,9 +1,9 @@
 """Polynomials in the half-plane variables (x_0, t), with t standing for r^2.
 
-The profiles (A, b) of axial polynomials (A + x̲ b) P_k, held by `AxialPair`
-with their Cauchy-Riemann operator and folded by `axial_profiles`, and the
-real and imaginary parts of complex monomials both live here.  Keys are
-(x_0 exponent, t exponent); coefficients are exact rationals.
+The profiles (A, b) of axial polynomials (A + x̲ b) P_k live here, held by
+`AxialPair` with their Cauchy-Riemann operator and folded by
+`axial_profiles`.  Keys are (x_0 exponent, t exponent); coefficients are
+exact rationals.
 
 A profile is a scalar `CliffordPolynomial` on the one-generator algebra
 R_{0,1}, with x_1 standing for t, so its exponent tuples are the (a, l)

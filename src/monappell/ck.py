@@ -38,14 +38,10 @@ def is_monogenic(p: CliffordPolynomial) -> bool:
     return cauchy_riemann(p).is_zero()
 
 
-def check_ck_intertwining(g: CliffordPolynomial) -> bool:
-    """Half the conjugate operator on the extension, minus dirac of the
-    extension, and the extension of minus dirac of the data all agree."""
-    return ck_intertwines(g, ck_extend(g))
-
-
 def ck_intertwines(g: CliffordPolynomial, ext: CliffordPolynomial) -> bool:
-    """`check_ck_intertwining` on an extension ext = ck_extend(g) already built."""
+    """On the extension ext = ck_extend(g): half the conjugate operator on
+    ext, minus dirac of ext, and the extension of minus dirac of the data
+    all agree."""
     dirac_ext = dirac(ext)  # conj_cauchy_riemann(ext) is d/dx_0 ext - dirac_ext
     half_conj = Fraction(1, 2) * (ext.partial_derivative(0) - dirac_ext)
     return half_conj == -dirac_ext == ck_extend(-dirac(g))

@@ -21,35 +21,28 @@ def lowering_factor(m: int, k: int, n: int) -> int:
     return n if n % 2 == 0 else 2 * k + m + n - 1
 
 
-def lowering_product(m: int, k: int, n: int) -> int:
-    """Product of lowering factors for s = 0..n."""
-    return prod(lowering_factor(m, k, s) for s in range(n + 1))
-
-
 def restriction_coefficient(m: int, k: int, n: int) -> Fraction:
-    """Coefficient of x̲^n P_k in the restriction of the n-th term to x_0 = 0.
+    """Coefficient of x̲^n P_k in the restriction of the n-th term to x_0 = 0:
+    n! over the product of the lowering factors for s = 0..n.
 
     Satisfies the recurrence c_n = n c_(n-1) / lowering_factor(m,k,n).
     """
-    return Fraction(factorial(n), lowering_product(m, k, n))
-
-
-def expansion_coefficient(m: int, k: int, n: int, j: int) -> Fraction:
-    """Rational weight of x_0^j x̲^(n-j) in the explicit form of the n-th term."""
-    if not 0 <= j <= n:
-        raise ValueError(f"j must satisfy 0 <= j <= {n}, got {j}")
-    return restriction_coefficient(m, k, n - j)
+    lowering = prod(lowering_factor(m, k, s) for s in range(require_int(n, "n") + 1))
+    return Fraction(factorial(n), lowering)
 
 
 def explicit_weights(m: int, k: int, n: int) -> list[tuple[int, Fraction]]:
-    """(j, binom(n, j) expansion_coefficient(m, k, n, j)) for j = n..0: the
+    """(j, binom(n, j) restriction_coefficient(m, k, n-j)) for j = n..0: the
     weight of x_0^j x̲^(n-j) in the explicit n-th term, in written order."""
-    return [(j, comb(n, j) * expansion_coefficient(m, k, n, j)) for j in range(n, -1, -1)]
+    return [
+        (j, comb(n, j) * restriction_coefficient(m, k, n - j))
+        for j in range(require_int(n, "n"), -1, -1)
+    ]
 
 
 def double_factorial(n: int) -> int:
     """n!! with the conventions 0!! = (-1)!! = 1."""
-    if n < -1:
+    if require_int(n, "n") < -1:
         raise ValueError("double factorial not defined below -1")
     return prod(range(n, 1, -2))
 
@@ -61,8 +54,8 @@ def fueter_factor(m: int, k: int, n: int) -> int:
     Only defined for n >= 2k+m-1 (with m odd that threshold is even, so
     the denominator index never drops below zero).
     """
-    floor = 2 * k + m - 1
-    if n < floor:
+    floor = 2 * require_int(k, "k") + require_int(m, "m") - 1
+    if require_int(n, "n") < floor:
         raise ArgumentTooSmallError(f"need n >= {floor}, got {n}")
     if n % 2:
         n -= 1

@@ -8,17 +8,13 @@ hence a known rational multiple of a sequence term.  `axial_embedding`
 folds the binomial expansion of z^n with `bivariate.axial_profiles` and
 plants it with `bivariate.AxialPair`.
 
-Since i r folds like x̲, the planted z^n is (x_0 + x̲)^n P_k, and since
-Δ = d^2/dx_0^2 + Δ_x̲ with commuting parts,
-
-    Δ^ν [(x_0 + x̲)^n P_k] = sum_s C(n,s) sum_t C(ν,t) (n-s)!/(n-s-2t)!
-        x_0^(n-s-2t) Δ^(ν-t)(x̲^s P_k),
-
-and Δ^r(x̲^s P_k) is a measured multiple of x̲^(s-2r) P_k, so `fueter_map`
-builds each image from the x̲^s P_k of a `SequenceSpec`, which forms each
-of them, and measures each Laplacian ratio, once.  The literal route, ν
-Laplacians of `axial_embedding`, stays public as the oracle that
-tests/test_fueter.py checks `fueter_map` against.
+Since i r folds like x̲, the planted z^n is (x_0 + x̲)^n P_k, in chain
+coordinates (see `sequences`) the chain {(n-s, s): C(n, s)} of the
+x̲^s P_k of a `SequenceSpec`.  `fueter_map` applies the ν Laplacians to that
+chain by index shifts, with each Laplacian ratio measured once per spec,
+and realizes the result.  The literal route, ν Laplacians of
+`axial_embedding`, stays public as the oracle that tests/test_fueter.py
+checks `fueter_map` against.
 
 `fueter_compare` is the one builder of Fueter report entries: every
 `fueter_vanishing` (z^n maps to zero for n below 2k+m-1), then every
@@ -32,16 +28,16 @@ and the explicit route `sequence_term_explicit`.
 
 from __future__ import annotations
 
-from math import comb, perm, prod
+from math import comb
 
 from .algebra import require_int
 from .bivariate import AxialPair, axial_profiles
 from .coefficients import double_factorial, fueter_factor, restriction_coefficient
 from .errors import EvenDimensionError
 from .operators import laplacian
-from .polynomials import CliffordPolynomial, linear_combination
+from .polynomials import CliffordPolynomial
 from .report import VerificationReport
-from .sequences import SequenceSpec, _chain_ratios, _multiple
+from .sequences import SequenceSpec, _chain_laplacian, _chain_ratios, _realize
 from .sequences import sequence_term_ck, sequence_term_explicit
 
 
@@ -64,35 +60,18 @@ def fueter_order(m: int, k: int) -> int:
 
 def fueter_map(n: int, spec: SequenceSpec) -> CliffordPolynomial:
     """Iterated Laplacian of the axial embedding of z^n planted on the spec's
-    P_k, by the x_0 split of Δ.
-
-    The embedding is (x_0 + x̲)^n P_k = sum_s C(n,s) x_0^(n-s) G_s with
-    G_s = x̲^s P_k free of x_0, Δ = d^2/dx_0^2 + Δ_x̲ with commuting parts,
-    and Δ^r G_s = c_r(s) G_(s-2r), c_r(s) = μ_s μ_(s-2) ⋯ μ_(s-2r+2), with
-    Δ G_s = μ_s G_(s-2) measured once per spec by `_chain_ratios`
-    (Δ G_0 = Δ G_1 = 0).  So
-
-        Δ^ν [(x_0 + x̲)^n P_k] = sum_{s=0..n} C(n,s) sum_{t=0..min(ν,(n-s)//2)}
-            C(ν,t) (n-s)!/(n-s-2t)! c_(ν-t)(s) x_0^(n-s-2t) G_(s-2ν+2t),
-
-    one `linear_combination` of x_0 key shifts, with ν = `fueter_order`; the
-    t with 2(ν-t) > s, where c_(ν-t)(s) = 0, are left out.  The split needs a
-    P_k free of x_0, which the spec's gate has checked.
+    P_k, in chain coordinates: `_chain_laplacian` applies Δ^ν, ν =
+    `fueter_order`, to the chain {(n-s, s): C(n, s)} of (x_0 + x̲)^n P_k with
+    Δ x̲^s P_k = μ_s x̲^(s-2) P_k measured once per spec by `_chain_ratios`.
+    The split Δ = d^2/dx_0^2 + Δ_x̲ needs a P_k free of x_0, which the
+    spec's gate has checked.
     """
     order = fueter_order(spec.m, spec.k)
     if require_int(n, "n") < 0:
         raise ValueError("n must be non-negative")
     mus = _chain_ratios(spec, laplacian, 2, n) if order else []  # ν = 0: none read
-    terms = [
-        (
-            comb(n, s) * comb(order, t) * perm(n - s, 2 * t)
-            * prod(mus[s - 2 * i] for i in range(order - t)),  # c_(ν-t)(s)
-            _multiple(spec, s - 2 * (order - t)).times_x0(n - s - 2 * t),
-        )
-        for s in range(n + 1)
-        for t in range(max(0, order - s // 2), min(order, (n - s) // 2) + 1)
-    ]
-    return linear_combination(spec.context, terms)
+    chain = {(n - s, s): comb(n, s) for s in range(n + 1)}
+    return _realize(spec, _chain_laplacian(chain, mus, order))
 
 
 def fueter_scale(m: int, k: int, n: int) -> int:

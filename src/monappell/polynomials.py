@@ -131,7 +131,8 @@ key_layout = cache(KeyLayout)
 
 def unit_exps(m: int, i: int) -> tuple[int, ...]:
     """Exponent tuple of the bare variable x_i in m+1 variables."""
-    return tuple(1 if t == i else 0 for t in range(m + 1))
+    require_int(i, "i")
+    return tuple(1 if t == i else 0 for t in range(require_int(m, "m") + 1))
 
 
 def _normalized(context: AlgebraContext, nums: dict, denominator: int, cls=None):

@@ -12,11 +12,14 @@ and their exact agreement is one of the verified identities; the others
 are monogenicity, the Appell derivative step, homogeneity of degree k+n,
 the axial decomposition round-trip, and the Vekua-type system satisfied
 by the axial profiles (`AxialPair` and its operator live in `bivariate`).
-The frozen `SequenceSpec` owns what is derived from its P_k: the CK route,
-`axial_decompose` and the Fueter chains read each G_s = x̲^s P_k from the
-spec (`_multiple`, formed once), and apply `dirac` or `laplacian` once per
-G_s and spec to measure its ratio to G_(s-1) or G_(s-2) (`_chain_ratios`).
-A ratio that does not exist raises ArithmeticError; the explicit route
+The frozen `SequenceSpec` owns what is derived from its P_k: each
+G_s = x̲^s P_k (`_multiple`, formed once) and its ratio to G_(s-1) or
+G_(s-2) under `dirac` or `laplacian` (`_chain_ratios`, one kernel
+application per G_s and spec; a ratio that does not exist raises
+ArithmeticError).  The CK route, `axial_decompose` and the Fueter images
+work in chain coordinates: a chain h = {(j, s): q} stands for the paper's
+collected form sum q x_0^j G_s, `_realize` turns it into a polynomial and
+`_chain_laplacian` applies Δ to it by index shifts.  The explicit route
 keeps its own powers of x̲.
 """
 
@@ -124,17 +127,43 @@ def _chain_ratios(spec: SequenceSpec, operator, step: int, top: int) -> list[Fra
     return ratios[: top + 1]
 
 
+def _realize(spec: SequenceSpec, h: dict) -> CliffordPolynomial:
+    """The chain h = {(j, s): q} as the polynomial sum q x_0^j G_s, one
+    `linear_combination` of x_0 shifts of the spec's G_s = x̲^s P_k."""
+    terms = [(q, _multiple(spec, s).times_x0(j)) for (j, s), q in h.items()]
+    return linear_combination(spec.context, terms)
+
+
+def _chain_laplacian(h: dict, mus: list, order: int) -> dict:
+    """Δ^order of the chain h, with Δ G_s = mus[s] G_(s-2): Δ = d^2/dx_0^2 +
+    Δ_x̲ shifts (j, s) to j(j-1) (j-2, s) and to μ_s (j, s-2).  Each shift
+    lowers j or s by 2, and Δ annihilates x_0^j G_s once j < 2 and s < 2
+    (μ_0 = μ_1 = 0), so an entry with j//2 + s//2 below the number of
+    Laplacians still to apply can only die and is dropped."""
+    for left in range(order, 0, -1):
+        image: dict = {}
+        for (j, s), q in h.items():
+            if j // 2 + s // 2 < left:
+                continue
+            if j >= 2:
+                image[j - 2, s] = image.get((j - 2, s), 0) + j * (j - 1) * q
+            if s >= 2:
+                image[j, s - 2] = image.get((j, s - 2), 0) + mus[s] * q
+        h = image
+    return h
+
+
 def sequence_term_ck(spec: SequenceSpec, n: int) -> CliffordPolynomial:
-    """n-th term via the Cauchy-Kovalevskaya route: c_n CK[x̲^n P_k], that is
-    c_n sum_j (-1)^j/j! λ_n⋯λ_(n-j+1) x_0^j x̲^(n-j) P_k with dirac(x̲^i P_k)
-    = λ_i x̲^(i-1) P_k, each λ_i measured once per spec by `_chain_ratios`."""
+    """n-th term via the Cauchy-Kovalevskaya route: c_n CK[x̲^n P_k], the
+    chain {(j, n-j): c_n (-1)^j/j! λ_n⋯λ_(n-j+1)} with dirac(x̲^i P_k) =
+    λ_i x̲^(i-1) P_k, each λ_i measured once per spec by `_chain_ratios`."""
     _check_index(spec, n)
     lambdas = _chain_ratios(spec, dirac, 1, n)
-    terms, weight = [], restriction_coefficient(spec.m, spec.k, n)
+    chain, weight = {}, restriction_coefficient(spec.m, spec.k, n)
     for j in range(n + 1):
-        terms.append((weight, _multiple(spec, n - j).times_x0(j)))
+        chain[j, n - j] = weight
         weight *= -lambdas[n - j] / (j + 1)
-    return linear_combination(spec.context, terms)
+    return _realize(spec, chain)
 
 
 def generate_sequence(spec: SequenceSpec) -> list[CliffordPolynomial]:
@@ -175,8 +204,9 @@ def verify_sequence(
 
 
 def axial_decompose(p: CliffordPolynomial, spec: SequenceSpec) -> AxialPair:
-    """Write p as (sum_{j,i} h_{j,i} x_0^j x̲^i) P_k with rational h and fold
-    the x̲ powers into the (x_0, t) profiles with `axial_profiles`.
+    """Read the chain h = {(j, i): h_{j,i}} of p, p = sum h_{j,i} x_0^j
+    x̲^i P_k with rational h, and fold it into the (x_0, t) profiles with
+    `axial_profiles`.
 
     Within a fixed power of x_0, the candidate x̲^i P_k pieces live in
     distinct homogeneous degrees, so each h_{j,i} is read off from a single
@@ -202,19 +232,14 @@ def axial_decompose(p: CliffordPolynomial, spec: SequenceSpec) -> AxialPair:
     return AxialPair(a=a, b_reduced=b_reduced, k=spec.k, m=spec.m, pk=spec.pk)
 
 
-def vekua_check(pair: AxialPair) -> bool:
-    """Vekua-type system for the axial profiles, written in (x_0, t):
+def vekua_witness(pair: AxialPair) -> str | None:
+    """The residuals of the Vekua-type system for the axial profiles,
+    written in (x_0, t):
 
     dA/dx_0 - (b + 2t db/dt) = (2k+m-1) b     and     db/dx_0 + 2 dA/dt = 0
 
-    where b is the reduced odd profile (B = r b).
-    """
-    return vekua_witness(pair) is None
-
-
-def vekua_witness(pair: AxialPair) -> str | None:
-    """The residuals of the two Vekua equations (see `vekua_check`), the
-    profiles of `pair.cauchy_riemann()`, or None when both vanish."""
+    where b is the reduced odd profile (B = r b).  The residuals are the
+    profiles of `pair.cauchy_riemann()`; None when both vanish."""
     residual = pair.cauchy_riemann()
     if residual.a.is_zero() and residual.b_reduced.is_zero():
         return None

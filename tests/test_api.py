@@ -31,7 +31,6 @@ PUBLIC_API = [
     "blade_product",
     "builtin_initial_term",
     "cauchy_riemann",
-    "check_ck_intertwining",
     "check_dirac_power_rule",
     "check_leibniz_scalar",
     "check_leibniz_vector",
@@ -39,7 +38,6 @@ PUBLIC_API = [
     "conj_cauchy_riemann",
     "dirac",
     "double_factorial",
-    "expansion_coefficient",
     "first_difference",
     "fueter_compare",
     "fueter_factor",
@@ -51,7 +49,6 @@ PUBLIC_API = [
     "laplacian",
     "load_initial_term",
     "lowering_factor",
-    "lowering_product",
     "radius_squared",
     "require_initial_term",
     "restriction_coefficient",
@@ -60,7 +57,6 @@ PUBLIC_API = [
     "validate_initial_term",
     "vector_power",
     "vector_variable",
-    "vekua_check",
     "verify_axial",
     "verify_sequence",
 ]

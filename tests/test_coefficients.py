@@ -4,13 +4,14 @@ import pytest
 
 from monappell.coefficients import (
     double_factorial,
-    expansion_coefficient,
+    explicit_weights,
     fueter_factor,
     lowering_factor,
-    lowering_product,
     restriction_coefficient,
 )
 from monappell.errors import ArgumentTooSmallError
+from monappell.fueter import fueter_scale
+from monappell.polynomials import unit_exps
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -39,22 +40,38 @@ def test_restriction_recurrence(m, k):
         assert restriction_coefficient(m, k, n) == expected
 
 
-def test_expansion_coefficient():
+def test_explicit_weights():
+    """The weight of x_0^j x̲^(n-j) is binom(n, j) restriction_coefficient(m, k, n-j)."""
     for m in (2, 3):
         for k in (0, 1):
             for n in range(5):
-                assert expansion_coefficient(m, k, n, n) == 1
-            assert expansion_coefficient(m, k, 1, 0) == Fraction(1, 2 * k + m)
-            assert expansion_coefficient(m, k, 2, 1) == Fraction(1, 2 * k + m)
-    with pytest.raises(ValueError):
-        expansion_coefficient(3, 0, 2, 3)
-    with pytest.raises(ValueError):
-        expansion_coefficient(3, 0, 2, -1)
+                assert explicit_weights(m, k, n)[0] == (n, 1)
+            assert explicit_weights(m, k, 1) == [(1, 1), (0, Fraction(1, 2 * k + m))]
+            assert explicit_weights(m, k, 2)[1] == (1, Fraction(2, 2 * k + m))
 
 
-def test_lowering_product():
+def test_restriction_coefficient_is_a_lowering_product():
     # m=3, k=0: factors 1, 3, 2, 5, 4 for s = 0..4
-    assert lowering_product(3, 0, 4) == 1 * 3 * 2 * 5 * 4
+    assert restriction_coefficient(3, 0, 4) == Fraction(24, 1 * 3 * 2 * 5 * 4)
+
+
+INDEXED = [  # (function, the arguments before the index)
+    (restriction_coefficient, (3, 1)),
+    (explicit_weights, (3, 1)),
+    (double_factorial, ()),
+    (unit_exps, (3,)),
+    (fueter_factor, (3, 1)),
+    (fueter_scale, (3, 1)),
+]
+
+
+@pytest.mark.parametrize("index", [True, 1.0])
+@pytest.mark.parametrize("function, head", INDEXED, ids=[f.__name__ for f, _ in INDEXED])
+def test_inexact_indices_are_rejected(function, head, index):
+    """A bool or a float index is neither read as an int nor left to fail
+    later: each raises the ValueError that names the index."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        function(*head, index)
 
 
 def test_double_factorial():

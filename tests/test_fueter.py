@@ -153,15 +153,25 @@ def test_fueter_map_equals_the_literal_route(m, k, seed):
     assert report.all_passed, report.failures()[0].witness
 
 
-def test_fueter_split_oracle_negative_control(monkeypatch):
-    """With C(ν, t) read as 1 the split goes wrong from t = 1 on, and the
-    oracle fails with a first_difference witness.  The literal images are
-    built before the patch, and every n checked is above ν, so the patched
-    comb hits only C(ν, t)."""
+def _without_x0_shift(h, mus, order):
+    """`_chain_laplacian` with the d^2/dx_0^2 shift (j, s) -> j(j-1) (j-2, s) dropped."""
+    for left in range(order, 0, -1):
+        image = {}
+        for (j, s), q in h.items():
+            if j // 2 + s // 2 >= left and s >= 2:
+                image[j, s - 2] = image.get((j, s - 2), 0) + mus[s] * q
+        h = image
+    return h
+
+
+def test_fueter_chain_dropped_shift_negative_control(monkeypatch):
+    """With the x_0 shift of the chain Laplacian dropped, the oracle fails on
+    every image with a first_difference witness.  The literal images are
+    built before the patch."""
     m, k = 3, 1
-    pk, order, threshold = builtin_initial_term(CTX3, k), fueter_order(m, k), 2 * k + m - 1
+    pk, threshold = builtin_initial_term(CTX3, k), 2 * k + m - 1
     literals = {n: _literal_image(n, pk, k) for n in (threshold, threshold + 1)}
-    monkeypatch.setattr(fueter, "comb", lambda a, b: 1 if a == order else math.comb(a, b))
+    monkeypatch.setattr(fueter, "_chain_laplacian", _without_x0_shift)
     report = _oracle_report(pk, k, literals)
     assert not any(entry.passed for entry in report.entries) and len(report.entries) == 4
     assert all(entry.witness.startswith("monomial ") for entry in report.entries)

@@ -2,11 +2,13 @@ import random
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from monappell import sequences
 from monappell.algebra import AlgebraContext
-from monappell.bivariate import BivariatePoly
+from monappell.bivariate import BivariatePoly, axial_profiles
 from monappell.cli import main
 from monappell.ck import ck_extend, is_monogenic
 from monappell.coefficients import restriction_coefficient
@@ -25,15 +27,16 @@ from monappell.sampling import random_initial_term
 from monappell.sequences import (
     AxialPair,
     SequenceSpec,
+    _realize,
     axial_decompose,
     generate_sequence,
     sequence_term_ck,
     sequence_term_explicit,
-    vekua_check,
     vekua_witness,
     verify_axial,
     verify_sequence,
 )
+from strategies import nonzero_rationals
 
 
 def display_m1(spec):
@@ -300,7 +303,26 @@ def test_axial_round_trip_and_vekua(m, k):
     for term in generate_sequence(spec):
         pair = axial_decompose(term, spec)
         assert pair.reconstruct() == term
-        assert vekua_check(pair)
+        assert vekua_witness(pair) is None
+
+
+CHAIN_SPECS = [SequenceSpec.builtin(3, k, 0) for k in range(3)]
+
+
+@given(data=st.data())
+def test_realize_then_decompose_returns_the_chain(data):
+    """A chain h = {(j, s): q} realized as sum q x_0^j x̲^s P_k decomposes
+    back to the profiles of h, at m = 3 and k = 0..2."""
+    spec = data.draw(st.sampled_from(CHAIN_SPECS))
+    keys = st.tuples(st.integers(0, 4), st.integers(0, 5))
+    h = data.draw(st.dictionaries(keys, nonzero_rationals, max_size=6))
+    pair = axial_decompose(_realize(spec, h), spec)
+    assert (pair.a, pair.b_reduced) == axial_profiles(h)
+
+
+def test_realize_of_the_empty_chain_is_zero():
+    for spec in CHAIN_SPECS:
+        assert _realize(spec, {}) == CliffordPolynomial.zero(spec.context)
 
 
 def test_axial_rejects_non_axial_polynomial():
@@ -319,7 +341,7 @@ def test_vekua_negative_control():
         m=3,
         pk=CliffordPolynomial.one(AlgebraContext(3)),
     )
-    assert not vekua_check(pair)
+    assert vekua_witness(pair) is not None
 
 
 def test_vekua_witness_text():

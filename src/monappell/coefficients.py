@@ -27,17 +27,18 @@ def restriction_coefficient(m: int, k: int, n: int) -> Fraction:
 
     Satisfies the recurrence c_n = n c_(n-1) / lowering_factor(m,k,n).
     """
-    lowering = prod(lowering_factor(m, k, s) for s in range(require_int(n, "n") + 1))
+    if require_int(n, "n") < 0 or require_int(k, "k") < 0:
+        raise ValueError("indices must be non-negative")
+    lowering = prod(lowering_factor(m, k, s) for s in range(n + 1))
     return Fraction(factorial(n), lowering)
 
 
 def explicit_weights(m: int, k: int, n: int) -> list[tuple[int, Fraction]]:
     """(j, binom(n, j) restriction_coefficient(m, k, n-j)) for j = n..0: the
     weight of x_0^j x̲^(n-j) in the explicit n-th term, in written order."""
-    return [
-        (j, comb(n, j) * restriction_coefficient(m, k, n - j))
-        for j in range(require_int(n, "n"), -1, -1)
-    ]
+    if require_int(n, "n") < 0 or require_int(k, "k") < 0:
+        raise ValueError("indices must be non-negative")
+    return [(j, comb(n, j) * restriction_coefficient(m, k, n - j)) for j in range(n, -1, -1)]
 
 
 def double_factorial(n: int) -> int:
@@ -54,8 +55,10 @@ def fueter_factor(m: int, k: int, n: int) -> int:
     Only defined for n >= 2k+m-1 (with m odd that threshold is even, so
     the denominator index never drops below zero).
     """
-    floor = 2 * require_int(k, "k") + require_int(m, "m") - 1
-    if require_int(n, "n") < floor:
+    if require_int(n, "n") < 0 or require_int(k, "k") < 0:
+        raise ValueError("indices must be non-negative")
+    floor = 2 * k + require_int(m, "m") - 1
+    if n < floor:
         raise ArgumentTooSmallError(f"need n >= {floor}, got {n}")
     if n % 2:
         n -= 1

@@ -11,10 +11,11 @@ plants it with `bivariate.AxialPair`.
 Since i r folds like x̲, the planted z^n is (x_0 + x̲)^n P_k, in chain
 coordinates (see `sequences`) the chain {(n-s, s): C(n, s)} of the
 x̲^s P_k of a `SequenceSpec`.  `fueter_map` applies the ν Laplacians to that
-chain by index shifts, with each Laplacian ratio measured once per spec,
-and realizes the result.  The literal route, ν Laplacians of
-`axial_embedding`, stays public as the oracle that tests/test_fueter.py
-checks `fueter_map` against.
+chain by index shifts and realizes the result.  A Laplacian ratio μ_s of
+the spec is measured when an entry that survives the shifts first reads
+it, so an image of even n, whose odd entries all die, forms no odd x̲^s P_k
+beyond s = 1.  The literal route, ν Laplacians of `axial_embedding`, stays
+public as the oracle that tests/test_fueter.py checks `fueter_map` against.
 
 `fueter_compare` is the one builder of Fueter report entries: every
 `fueter_vanishing` (z^n maps to zero for n below 2k+m-1), then every
@@ -28,6 +29,7 @@ and the explicit route `sequence_term_explicit`.
 
 from __future__ import annotations
 
+from functools import partial
 from math import comb
 
 from .algebra import require_int
@@ -37,7 +39,7 @@ from .errors import EvenDimensionError
 from .operators import laplacian
 from .polynomials import CliffordPolynomial
 from .report import VerificationReport
-from .sequences import SequenceSpec, _chain_laplacian, _chain_ratios, _realize
+from .sequences import SequenceSpec, _chain_laplacian, _chain_ratio, _realize
 from .sequences import sequence_term_ck, sequence_term_explicit
 
 
@@ -62,16 +64,15 @@ def fueter_map(n: int, spec: SequenceSpec) -> CliffordPolynomial:
     """Iterated Laplacian of the axial embedding of z^n planted on the spec's
     P_k, in chain coordinates: `_chain_laplacian` applies Δ^ν, ν =
     `fueter_order`, to the chain {(n-s, s): C(n, s)} of (x_0 + x̲)^n P_k with
-    Δ x̲^s P_k = μ_s x̲^(s-2) P_k measured once per spec by `_chain_ratios`.
-    The split Δ = d^2/dx_0^2 + Δ_x̲ needs a P_k free of x_0, which the
-    spec's gate has checked.
-    """
+    Δ x̲^s P_k = μ_s x̲^(s-2) P_k from `_chain_ratio`.  The split
+    Δ = d^2/dx_0^2 + Δ_x̲ needs a P_k free of x_0, which the spec's gate has
+    checked."""
     order = fueter_order(spec.m, spec.k)
     if require_int(n, "n") < 0:
         raise ValueError("n must be non-negative")
-    mus = _chain_ratios(spec, laplacian, 2, n) if order else []  # ν = 0: none read
     chain = {(n - s, s): comb(n, s) for s in range(n + 1)}
-    return _realize(spec, _chain_laplacian(chain, mus, order))
+    mu = partial(_chain_ratio, spec, laplacian, 2)  # measures μ_s when first read
+    return _realize(spec, _chain_laplacian(chain, mu, order))
 
 
 def fueter_scale(m: int, k: int, n: int) -> int:
@@ -85,7 +86,7 @@ def fueter_compare(spec: SequenceSpec) -> VerificationReport:
     """The whole `fueter-compare` report (see the module docstring); the
     lambda of each Appell match is recorded in its params.  Each image and
     its lambda are built once for both checks, and the images and CK terms
-    read the spec's x̲^s P_k, which meet `laplacian` and `dirac` once."""
+    read the spec's x̲^s P_k, which meet `laplacian` and `dirac` at most once."""
     m, k = spec.m, spec.k
     threshold = 2 * k + m - 1
     report, matches = VerificationReport(), VerificationReport()

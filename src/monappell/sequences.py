@@ -12,11 +12,11 @@ and their exact agreement is one of the verified identities; the others
 are monogenicity, the Appell derivative step, homogeneity of degree k+n,
 the axial decomposition round-trip, and the Vekua-type system satisfied
 by the axial profiles (`AxialPair` and its operator live in `bivariate`).
-The frozen `SequenceSpec` owns what is derived from its P_k: each
-G_s = x̲^s P_k (`_multiple`, formed once) and its ratio to G_(s-1) or
-G_(s-2) under `dirac` or `laplacian` (`_chain_ratios`, one kernel
-application per G_s and spec; a ratio that does not exist raises
-ArithmeticError).  The CK route, `axial_decompose` and the Fueter images
+The frozen `SequenceSpec` memoizes, for its whole life, what is derived
+from its P_k: each G_s = x̲^s P_k (`_multiple`) and its ratio to G_(s-1)
+or G_(s-2) under `dirac` or `laplacian` (`_chain_ratio`), each formed or
+measured once, when first read; a ratio that does not exist raises
+ArithmeticError.  The CK route, `axial_decompose` and the Fueter images
 work in chain coordinates: a chain h = {(j, s): q} stands for the paper's
 collected form sum q x_0^j G_s, `_realize` turns it into a polynomial and
 `_chain_laplacian` applies Δ to it by index shifts.  The explicit route
@@ -50,8 +50,8 @@ from .report import VerificationReport
 class SequenceSpec:
     """Generation parameters: dimension, initial degree and term, length.
 
-    Frozen, so the G_s = x̲^s P_k and the ratios memoized on the spec by
-    `_multiple` and `_chain_ratios` always belong to its P_k."""
+    Frozen, so the G_s = x̲^s P_k and the ratios memoized on the spec for
+    its whole life by `_multiple` and `_chain_ratio` belong to its P_k."""
 
     m: int
     k: int
@@ -101,20 +101,19 @@ def sequence_term_explicit(spec: SequenceSpec, n: int) -> CliffordPolynomial:
 
 
 def _multiple(spec: SequenceSpec, s: int) -> CliffordPolynomial:
-    """G_s = x̲^s P_k of the spec, formed once per spec."""
+    """G_s = x̲^s P_k of the spec, formed once per spec, when first read."""
     if s not in spec._multiples:
         spec._multiples[s] = vector_power(spec.context, s) * spec.pk
     return spec._multiples[s]
 
 
-def _chain_ratios(spec: SequenceSpec, operator, step: int, top: int) -> list[Fraction]:
-    """[r_0, ..., r_top] with operator(G_s) = r_s G_(s-step), G_s = x̲^s P_k:
-    each r_s is measured once per spec and operator by `scalar_ratio`, and
-    r_s = 0 for s < step, where operator(G_s) must vanish.  A ratio that does
-    not exist raises ArithmeticError; on a gated P_k only a broken kernel
-    can cause that."""
-    ratios = spec._ratios.setdefault(operator, [])
-    for s in range(len(ratios), top + 1):
+def _chain_ratio(spec: SequenceSpec, operator, step: int, s: int) -> Fraction:
+    """r_s with operator(G_s) = r_s G_(s-step), G_s = x̲^s P_k, measured once
+    per spec and operator, when first read, by `scalar_ratio`; r_s = 0 for
+    s < step, where operator(G_s) must vanish.  A ratio that does not exist
+    raises ArithmeticError; on a gated P_k only a broken kernel can cause that."""
+    ratios = spec._ratios.setdefault(operator, {})
+    if s not in ratios:
         image = operator(_multiple(spec, s))
         if s < step:
             ratio, target = (Fraction(0) if image.is_zero() else None), "zero"
@@ -123,8 +122,8 @@ def _chain_ratios(spec: SequenceSpec, operator, step: int, top: int) -> list[Fra
             target = f"a rational multiple of x̲^{s - step} P_k"
         if ratio is None:
             raise ArithmeticError(f"{operator.__name__}(x̲^{s} P_k) is not {target}")
-        ratios.append(ratio)
-    return ratios[: top + 1]
+        ratios[s] = ratio
+    return ratios[s]
 
 
 def _realize(spec: SequenceSpec, h: dict) -> CliffordPolynomial:
@@ -134,12 +133,15 @@ def _realize(spec: SequenceSpec, h: dict) -> CliffordPolynomial:
     return linear_combination(spec.context, terms)
 
 
-def _chain_laplacian(h: dict, mus: list, order: int) -> dict:
-    """Δ^order of the chain h, with Δ G_s = mus[s] G_(s-2): Δ = d^2/dx_0^2 +
+def _chain_laplacian(h: dict, mu, order: int) -> dict:
+    """Δ^order of the chain h, with Δ G_s = mu(s) G_(s-2): Δ = d^2/dx_0^2 +
     Δ_x̲ shifts (j, s) to j(j-1) (j-2, s) and to μ_s (j, s-2).  Each shift
     lowers j or s by 2, and Δ annihilates x_0^j G_s once j < 2 and s < 2
-    (μ_0 = μ_1 = 0), so an entry with j//2 + s//2 below the number of
-    Laplacians still to apply can only die and is dropped."""
+    (μ_0 = μ_1 = 0, read first, so a `mu` that measures when read checks
+    them), so an entry with j//2 + s//2 below the number of Laplacians still
+    to apply can only die and is dropped, and no μ_s it holds is read."""
+    if order:
+        mu(0), mu(1)
     for left in range(order, 0, -1):
         image: dict = {}
         for (j, s), q in h.items():
@@ -148,7 +150,7 @@ def _chain_laplacian(h: dict, mus: list, order: int) -> dict:
             if j >= 2:
                 image[j - 2, s] = image.get((j - 2, s), 0) + j * (j - 1) * q
             if s >= 2:
-                image[j, s - 2] = image.get((j, s - 2), 0) + mus[s] * q
+                image[j, s - 2] = image.get((j, s - 2), 0) + mu(s) * q
         h = image
     return h
 
@@ -156,9 +158,9 @@ def _chain_laplacian(h: dict, mus: list, order: int) -> dict:
 def sequence_term_ck(spec: SequenceSpec, n: int) -> CliffordPolynomial:
     """n-th term via the Cauchy-Kovalevskaya route: c_n CK[x̲^n P_k], the
     chain {(j, n-j): c_n (-1)^j/j! λ_n⋯λ_(n-j+1)} with dirac(x̲^i P_k) =
-    λ_i x̲^(i-1) P_k, each λ_i measured once per spec by `_chain_ratios`."""
+    λ_i x̲^(i-1) P_k from `_chain_ratio`."""
     _check_index(spec, n)
-    lambdas = _chain_ratios(spec, dirac, 1, n)
+    lambdas = [_chain_ratio(spec, dirac, 1, i) for i in range(n + 1)]  # a fault names the lowest i
     chain, weight = {}, restriction_coefficient(spec.m, spec.k, n)
     for j in range(n + 1):
         chain[j, n - j] = weight

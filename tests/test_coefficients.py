@@ -74,6 +74,21 @@ def test_inexact_indices_are_rejected(function, head, index):
         function(*head, index)
 
 
+NEGATIVE = [  # (function, arguments with one negative index)
+    (explicit_weights, (3, 1, -1)),
+    (fueter_factor, (3, -1, 2)),
+    (restriction_coefficient, (3, 1, -1)),
+]
+
+
+@pytest.mark.parametrize("function, args", NEGATIVE, ids=[f.__name__ for f, _ in NEGATIVE])
+def test_negative_indices_are_rejected(function, args):
+    """A negative n or k raises the ValueError that `lowering_factor` raises,
+    instead of an empty weight list, a factor of 1 or `factorial`'s message."""
+    with pytest.raises(ValueError, match="^indices must be non-negative$"):
+        function(*args)
+
+
 def test_double_factorial():
     assert double_factorial(-1) == 1
     assert double_factorial(0) == 1

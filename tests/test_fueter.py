@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -28,7 +29,7 @@ from monappell.polynomials import (
 )
 from monappell.report import VerificationReport
 from monappell.sampling import random_initial_term
-from monappell.sequences import SequenceSpec, sequence_term_explicit, verify_axial
+from monappell.sequences import SequenceSpec, sequence_term_explicit, verify_axial, verify_sequence
 
 CTX3 = AlgebraContext(3)
 ONE3 = CliffordPolynomial.one(CTX3)
@@ -153,13 +154,13 @@ def test_fueter_map_equals_the_literal_route(m, k, seed):
     assert report.all_passed, report.failures()[0].witness
 
 
-def _without_x0_shift(h, mus, order):
+def _without_x0_shift(h, mu, order):
     """`_chain_laplacian` with the d^2/dx_0^2 shift (j, s) -> j(j-1) (j-2, s) dropped."""
     for left in range(order, 0, -1):
         image = {}
         for (j, s), q in h.items():
             if j // 2 + s // 2 >= left and s >= 2:
-                image[j, s - 2] = image.get((j, s - 2), 0) + mus[s] * q
+                image[j, s - 2] = image.get((j, s - 2), 0) + mu(s) * q
         h = image
     return h
 
@@ -190,19 +191,74 @@ def test_fueter_split_ratio_negative_control(monkeypatch):
     assert all(entry.witness.startswith("monomial ") for entry in report.entries)
 
 
-def test_fueter_compare_applies_the_laplacian_once_per_multiple(monkeypatch):
-    """At m=7, k=2, n_max=0 (ν = 5, images of z^0..z^10) the report applies
-    `laplacian` to each x̲^s P_k, s = 0..10, once, and to nothing else."""
-    spec = SequenceSpec.builtin(7, 2, 0)
+def _laplacian_inputs(monkeypatch, spec) -> list:
+    """The list of s, one per later `laplacian` call of `fueter`, whose
+    x̲^s P_k of the spec (s = 0..top, top = 2k+m-1+n_max) was the input."""
+    top = 2 * spec.k + spec.m - 1 + spec.n_max
+    multiples = [vector_power(spec.context, s) * spec.pk for s in range(top + 1)]
     seen = []
 
     def counting(p):
-        seen.append(p)
+        seen.append(multiples.index(p))
         return laplacian(p)
 
     monkeypatch.setattr(fueter, "laplacian", counting)
+    return seen
+
+
+def test_fueter_compare_applies_the_laplacian_once_per_multiple(monkeypatch):
+    """At m=7, k=2, n_max=0 (ν = 5, images of z^0..z^10) the report applies
+    `laplacian` once to each x̲^s P_k whose μ_s an image reads: μ_0 and μ_1
+    for the drop rule, and the even s of z^10, whose odd entries die; the
+    odd x̲^s P_k, s >= 3, never meet it."""
+    spec = SequenceSpec.builtin(7, 2, 0)
+    seen = _laplacian_inputs(monkeypatch, spec)
     assert fueter_compare(spec).all_passed
-    assert seen == [vector_power(spec.context, s) * spec.pk for s in range(11)]
+    assert seen == [0, 1, 2, 4, 6, 8, 10]
+
+
+def test_an_odd_image_reads_every_laplacian_ratio_once(monkeypatch):
+    """At m=3, k=1, n_max=1 the image of z^5 keeps its odd entries, so every
+    x̲^s P_k, s = 0..5, meets `laplacian`, and each once."""
+    spec = SequenceSpec.builtin(3, 1, 1)
+    seen = _laplacian_inputs(monkeypatch, spec)
+    assert fueter_compare(spec).all_passed
+    assert sorted(seen) == [0, 1, 2, 3, 4, 5]
+
+
+def test_the_drop_rule_premise_is_checked_negative_control(monkeypatch):
+    """A `laplacian` that leaves x̲ P_k unchanged breaks μ_1 = 0, on which
+    the chain's drop rule rests: the m=7, k=2 report, whose images read no
+    odd μ_s beyond μ_1, still measures μ_1 and raises."""
+    spec = SequenceSpec.builtin(7, 2, 0)
+    first = vector_power(spec.context, 1) * spec.pk
+
+    @functools.wraps(laplacian)
+    def broken(p):
+        return p if p == first else laplacian(p)
+
+    monkeypatch.setattr(fueter, "laplacian", broken)
+    with pytest.raises(ArithmeticError) as excinfo:
+        fueter_compare(spec)
+    assert str(excinfo.value) == "laplacian(x̲^1 P_k) is not zero"
+
+
+@pytest.mark.parametrize("m, k, n_max", [(3, 1, 3), (5, 2, 2), (7, 2, 1)])
+def test_the_order_in_which_ratios_are_read_does_not_matter(m, k, n_max):
+    """One spec builds the Fueter images from the top power down, then from
+    z^0 up, then runs `verify_sequence` and the Fueter report: every image
+    and both reports equal those of fresh specs."""
+    spec = SequenceSpec.builtin(m, k, n_max)
+    powers = range(2 * k + m - 1 + n_max + 1)
+    descending = {n: fueter_map(n, spec) for n in reversed(powers)}
+    ascending = {n: fueter_map(n, spec) for n in powers}
+    verified = verify_sequence(spec).to_json()
+    fresh = {n: fueter_map(n, SequenceSpec.builtin(m, k, n_max)) for n in powers}
+    assert descending == ascending == fresh
+    assert verified == verify_sequence(SequenceSpec.builtin(m, k, n_max)).to_json()
+    assert verified["all_passed"]
+    expected = fueter_compare(SequenceSpec.builtin(m, k, n_max)).to_json()
+    assert fueter_compare(spec).to_json() == expected and expected["all_passed"]
 
 
 def test_fueter_map_rejects_a_negative_power():

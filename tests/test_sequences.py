@@ -148,7 +148,7 @@ def test_an_unmeasured_ratio_is_an_arithmetic_error(monkeypatch, capsys):
     assert main(["verify", "--m", "3", "--k", "1", "--n-max", "3"]) == 3
     assert f"internal error: ArithmeticError: {dirac_fault}" in capsys.readouterr().err
     with pytest.raises(ArithmeticError) as excinfo:  # dirac(x̲ P_k) = λ_1 P_k
-        sequences._chain_ratios(SequenceSpec.builtin(3, 1, 3), dirac, 2, 1)
+        sequences._chain_ratio(SequenceSpec.builtin(3, 1, 3), dirac, 2, 1)
     assert str(excinfo.value) == "dirac(x̲^1 P_k) is not zero"
 
 

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .algebra import AlgebraContext, Scalar, is_exact, scaled_text, signed_sum
-from .errors import ContextMismatchError
-from .operators import _gate_once
 from .polynomials import CliffordPolynomial, linear_combination, vector_power, vector_variable
+
+if TYPE_CHECKING:  # sequences imports this module
+    from .sequences import SequenceSpec
 
 _PLANE = AlgebraContext(1)
 _T = CliffordPolynomial.variable(_PLANE, 1)
@@ -139,35 +141,28 @@ def axial_profiles(h: dict[tuple[int, int], Scalar]) -> tuple[BivariatePoly, Biv
 
 @dataclass
 class AxialPair:
-    """Profile functions of an axial polynomial of initial degree k, such
+    """Profile functions of an axial polynomial on the P_k of a spec, such
     as a sequence term or the Fueter embedding of a complex monomial.
 
     The source polynomial equals (a + x̲ b_reduced) P_k once t is read as
     r^2; the odd radial profile is recovered as B = r * b_reduced.  Both
-    profiles are purely scalar by construction.  m must be P_k's dimension,
-    and P_k must pass the initial-term gate at degree k.
+    profiles are purely scalar by construction.  The spec holds m, k and
+    P_k, gated when the spec was built.
     """
 
     a: BivariatePoly
     b_reduced: BivariatePoly
-    k: int
-    m: int
-    pk: CliffordPolynomial
-
-    def __post_init__(self) -> None:
-        if self.m != self.pk.context.m:
-            raise ContextMismatchError(f"pair says m={self.m}, P_k lives in m={self.pk.context.m}")
-        _gate_once(self.pk, self.k)
+    spec: SequenceSpec
 
     def reconstruct(self) -> CliffordPolynomial:
-        ctx = self.pk.context
+        ctx = self.spec.context
         even = self.a.to_clifford(ctx)
         odd = vector_variable(ctx) * self.b_reduced.to_clifford(ctx)
-        return (even + odd) * self.pk
+        return (even + odd) * self.spec.pk
 
     def cauchy_riemann(self) -> AxialPair:
         """Profile form of `operators.cauchy_riemann`: d/dx_0 + dirac maps
         (A + x̲ b) P_k to (A_0 - 2t b_t - (2k+m) b + x̲ (b_0 + 2 A_t)) P_k."""
         a, b = self.a, self.b_reduced
-        even = a.d_dx0() - 2 * b.d_dt().times_t() - (2 * self.k + self.m) * b
+        even = a.d_dx0() - 2 * b.d_dt().times_t() - (2 * self.spec.k + self.spec.m) * b
         return replace(self, a=even, b_reduced=b.d_dx0() + 2 * a.d_dt())

@@ -6,7 +6,8 @@ is planted into R^{m+1} as (u + (x̲/r) v) P_k and hit with the Laplacian
 inputs it is an integer multiple of a Cauchy-Kovalevskaya extension, and
 hence a known rational multiple of a sequence term.  `axial_embedding`
 folds the binomial expansion of z^n with `bivariate.axial_profiles` and
-plants it with `bivariate.AxialPair`.
+plants it on the P_k of a `SequenceSpec`, gated when the spec was built,
+with `bivariate.AxialPair`.
 
 Since i r folds like x̲, the planted z^n is (x_0 + x̲)^n P_k, in chain
 coordinates (see `sequences`) the chain {(n-s, s): C(n, s)} of the
@@ -43,14 +44,15 @@ from .sequences import SequenceSpec, _chain_laplacian, _chain_ratio, _realize
 from .sequences import sequence_term_ck, sequence_term_explicit
 
 
-def axial_embedding(n: int, pk: CliffordPolynomial, k: int) -> CliffordPolynomial:
-    """z^n planted as (u + x̲ v_reduced) P_k: the binomial expansion of
-    (x_0 + i r)^n folded by `axial_profiles`, since i r folds like x̲ (both
-    square to -t), and rebuilt in all m+1 variables by `AxialPair`."""
+def axial_embedding(n: int, spec: SequenceSpec) -> CliffordPolynomial:
+    """z^n planted as (u + x̲ v_reduced) P_k on the spec's P_k: the binomial
+    expansion of (x_0 + i r)^n folded by `axial_profiles`, since i r folds
+    like x̲ (both square to -t), and rebuilt in all m+1 variables by
+    `AxialPair.reconstruct`, which reads no memo of the spec."""
     if require_int(n, "n") < 0:
         raise ValueError("n must be non-negative")
     u, v_reduced = axial_profiles({(n - s, s): comb(n, s) for s in range(n + 1)})
-    return AxialPair(a=u, b_reduced=v_reduced, k=k, m=pk.context.m, pk=pk).reconstruct()
+    return AxialPair(a=u, b_reduced=v_reduced, spec=spec).reconstruct()
 
 
 def fueter_order(m: int, k: int) -> int:

@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .algebra import AlgebraContext, require_int, short_repr
 from .errors import DimensionTooSmallError, InvalidInitialTermError
-from .operators import require_initial_term
 from .operators import validate_initial_term  # re-exported
 from .polynomials import CliffordPolynomial, unit_exps
 
@@ -69,7 +68,8 @@ class InitialTermSpec:
     source: str = BUILTIN_SOURCE
 
     def resolve(self) -> CliffordPolynomial:
-        """Build or load the term, then run it through the validation gate."""
+        """Build or load the term; a file's m must be self.m.  The term is
+        gated when a `SequenceSpec` is built on it, not here."""
         context = AlgebraContext(self.m)
         if self.source == BUILTIN_SOURCE:
             term = builtin_initial_term(context, self.k)
@@ -79,5 +79,4 @@ class InitialTermSpec:
                 raise InvalidInitialTermError(
                     f"file declares m={term.context.m}, expected m={self.m}"
                 )
-        require_initial_term(term, self.k)
         return term

@@ -80,20 +80,12 @@ def validate_initial_term(p: CliffordPolynomial, k: int) -> VerificationReport:
 
 def require_initial_term(pk: CliffordPolynomial, k: int) -> None:
     """Gate for P_k: raise InvalidInitialTermError naming the first check of
-    `validate_initial_term` that fails, with its witness; on a pass, record k
-    in pk's `_gated` slot."""
+    `validate_initial_term` that fails, with its witness.  `SequenceSpec`
+    runs it once, when it is built, for every route that reads its P_k."""
     failed = validate_initial_term(pk, k).failures()
     if failed:
         first = failed[0]
         raise InvalidInitialTermError(f"initial term fails {first.identity}: {first.witness}")
-    pk._gated = k
-
-
-def _gate_once(pk: CliffordPolynomial, k: int) -> None:
-    """require_initial_term, unless pk has passed it at degree k: a spec's P_k,
-    gated when the spec is built, is not checked again on every route it takes."""
-    if getattr(pk, "_gated", None) != require_int(k, "k"):  # True == 1, so check k first
-        require_initial_term(pk, k)
 
 
 def check_dirac_power_rule(n: int, pk: CliffordPolynomial, k: int) -> bool:

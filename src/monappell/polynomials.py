@@ -391,7 +391,7 @@ class CliffordPolynomial:
     or more with DegreeLimitError.
     """
 
-    __slots__ = ("context", "numerators", "denominator", "_gated")  # see require_initial_term
+    __slots__ = ("context", "numerators", "denominator")
 
     def __init__(self, context: AlgebraContext, terms: dict[tuple[int, ...], Multivector]):
         entries = []

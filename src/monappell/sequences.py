@@ -12,15 +12,15 @@ and their exact agreement is one of the verified identities; the others
 are monogenicity, the Appell derivative step, homogeneity of degree k+n,
 the axial decomposition round-trip, and the Vekua-type system satisfied
 by the axial profiles (`AxialPair` and its operator live in `bivariate`).
-The frozen `SequenceSpec` memoizes, for its whole life, what is derived
-from its P_k: each G_s = x̲^s P_k (`_multiple`) and its ratio to G_(s-1)
-or G_(s-2) under `dirac` or `laplacian` (`_chain_ratio`), each formed or
-measured once, when first read; a ratio that does not exist raises
-ArithmeticError.  The CK route, `axial_decompose` and the Fueter images
-work in chain coordinates: a chain h = {(j, s): q} stands for the paper's
-collected form sum q x_0^j G_s, `_realize` turns it into a polynomial and
-`_chain_laplacian` applies Δ to it by index shifts.  The explicit route
-keeps its own powers of x̲.
+The frozen `SequenceSpec` gates its P_k when built and memoizes, for its
+whole life, what is derived from it: each G_s = x̲^s P_k (`_multiple`)
+and its ratio to G_(s-1) or G_(s-2) under `dirac` or `laplacian`
+(`_chain_ratio`), each formed or measured once, when first read; a ratio
+that does not exist raises ArithmeticError.  The CK route,
+`axial_decompose` and the Fueter images work in chain coordinates: a
+chain h = {(j, s): q} stands for the paper's collected form sum q x_0^j
+G_s, `_realize` turns it into a polynomial and `_chain_laplacian` applies
+Δ to it by index shifts.  The explicit route keeps its own powers of x̲.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .bivariate import AxialPair, axial_profiles
 from .coefficients import explicit_weights, restriction_coefficient
 from .errors import ContextMismatchError, NotAxialFormError
 from .initial_terms import builtin_initial_term
-from .operators import _gate_once, dirac
+from .operators import dirac, require_initial_term
 from .polynomials import (
     CliffordPolynomial,
     degree_witness,
@@ -50,8 +50,10 @@ from .report import VerificationReport
 class SequenceSpec:
     """Generation parameters: dimension, initial degree and term, length.
 
-    Frozen, so the G_s = x̲^s P_k and the ratios memoized on the spec for
-    its whole life by `_multiple` and `_chain_ratio` belong to its P_k."""
+    Building one runs P_k through `require_initial_term` at degree k, the
+    one gate of the sequence, axial and Fueter routes.  Frozen, so the gate
+    and the G_s = x̲^s P_k and ratios memoized on the spec for its whole
+    life by `_multiple` and `_chain_ratio` hold for its P_k."""
 
     m: int
     k: int
@@ -69,7 +71,7 @@ class SequenceSpec:
             raise ContextMismatchError(
                 f"initial term lives in m={self.pk.context.m}, spec says m={self.m}"
             )
-        _gate_once(self.pk, self.k)  # a resolved InitialTermSpec has passed it already
+        require_initial_term(self.pk, self.k)
 
     @property
     def context(self) -> AlgebraContext:
@@ -158,13 +160,15 @@ def _chain_laplacian(h: dict, mu, order: int) -> dict:
 def sequence_term_ck(spec: SequenceSpec, n: int) -> CliffordPolynomial:
     """n-th term via the Cauchy-Kovalevskaya route: c_n CK[x̲^n P_k], the
     chain {(j, n-j): c_n (-1)^j/j! λ_n⋯λ_(n-j+1)} with dirac(x̲^i P_k) =
-    λ_i x̲^(i-1) P_k from `_chain_ratio`."""
+    λ_i x̲^(i-1) P_k from `_chain_ratio`, read for i = 1..n: λ_0 = 0 is
+    D P_k = 0, which the spec's gate has checked."""
     _check_index(spec, n)
-    lambdas = [_chain_ratio(spec, dirac, 1, i) for i in range(n + 1)]  # a fault names the lowest i
-    chain, weight = {}, restriction_coefficient(spec.m, spec.k, n)
-    for j in range(n + 1):
+    lambdas = [_chain_ratio(spec, dirac, 1, i) for i in range(1, n + 1)]  # a fault names the lowest i
+    weight = restriction_coefficient(spec.m, spec.k, n)
+    chain = {(0, n): weight}
+    for j in range(1, n + 1):
+        weight *= -lambdas[n - j] / j  # λ_(n-j+1)
         chain[j, n - j] = weight
-        weight *= -lambdas[n - j] / (j + 1)
     return _realize(spec, chain)
 
 
@@ -183,7 +187,7 @@ def verify_sequence(
     d/dx_0 - dirac) rather than the bare x_0 derivative so that the check
     stays meaningful on deliberately corrupted inputs, where the two
     disagree.  A custom term list may be injected for negative controls.
-    Each x̲^i P_k of the spec meets `dirac` once, in `sequence_term_ck`.
+    Each x̲^i P_k, i >= 1, of the spec meets `dirac` once, in `sequence_term_ck`.
     """
     if terms is None:
         terms = generate_sequence(spec)
@@ -231,7 +235,7 @@ def axial_decompose(p: CliffordPolynomial, spec: SequenceSpec) -> AxialPair:
             )
         h[j, i] = ratio
     a, b_reduced = axial_profiles(h)
-    return AxialPair(a=a, b_reduced=b_reduced, k=spec.k, m=spec.m, pk=spec.pk)
+    return AxialPair(a=a, b_reduced=b_reduced, spec=spec)
 
 
 def vekua_witness(pair: AxialPair) -> str | None:

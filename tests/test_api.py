@@ -1,7 +1,11 @@
-"""The public names of the package, pinned: adding, removing or renaming one
-is an API change and has to be declared, here and in CHANGES.md."""
+"""The public names of the package, and the signatures of the functions
+and fields that take a SequenceSpec, pinned: adding, removing or renaming
+one is an API change and has to be declared, here and in CHANGES.md."""
 
+import dataclasses
 import inspect
+
+import pytest
 
 import monappell
 
@@ -69,3 +73,20 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not inspect.ismodule(value)
     )
     assert names == PUBLIC_API
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("axial_decompose", ["p", "spec"]),
+        ("fueter_map", ["n", "spec"]),
+        ("axial_embedding", ["n", "spec"]),
+    ],
+)
+def test_spec_taking_signatures_are_pinned(name, params):
+    assert list(inspect.signature(getattr(monappell, name)).parameters) == params
+
+
+def test_axial_pair_holds_its_spec():
+    fields = [field.name for field in dataclasses.fields(monappell.AxialPair)]
+    assert fields == ["a", "b_reduced", "spec"]

@@ -6,12 +6,11 @@ import pytest
 
 from monappell.algebra import AlgebraContext
 from monappell.bivariate import AxialPair, BivariatePoly, axial_profiles
-from monappell.errors import ContextMismatchError, InvalidInitialTermError
 from monappell.operators import cauchy_riemann
 from monappell.polynomials import CliffordPolynomial, radius_squared, vector_power
 from monappell.report import VerificationReport
 from monappell.sampling import random_initial_term
-from monappell.sequences import SequenceSpec, axial_decompose, sequence_term_explicit
+from monappell.sequences import SequenceSpec
 
 CTX3 = AlgebraContext(3)
 
@@ -63,21 +62,9 @@ def test_axial_profiles_fold_vector_powers():
         (coeff * (x0**j * vector_power(CTX3, i)) for (j, i), coeff in h.items()),
         CliffordPolynomial.zero(CTX3),
     )
-    pair = AxialPair(a=a, b_reduced=b, k=0, m=3, pk=CliffordPolynomial.one(CTX3))
+    spec = SequenceSpec(m=3, k=0, pk=CliffordPolynomial.one(CTX3), n_max=0)
+    pair = AxialPair(a=a, b_reduced=b, spec=spec)
     assert pair.reconstruct() == direct
-
-
-def test_axial_pair_agrees_with_its_initial_term():
-    """m must be P_k's dimension and k an int at which P_k passes the gate;
-    a pair that disagrees with its own P_k is rejected when it is built."""
-    spec = SequenceSpec.builtin(3, 1, 3)
-    pair = axial_decompose(sequence_term_explicit(spec, 3), spec)
-    with pytest.raises(ContextMismatchError, match="pair says m=5, P_k lives in m=3"):
-        replace(pair, m=5)
-    with pytest.raises(ValueError, match="k must be an integer, got True"):
-        replace(pair, k=True)
-    with pytest.raises(InvalidInitialTermError):
-        replace(pair, k=2)  # spec.pk has degree 1
 
 
 def _random_profile(rng: random.Random) -> BivariatePoly:
@@ -100,8 +87,8 @@ def test_profile_cauchy_riemann_is_the_full_operator(m, k):
     ctx = AlgebraContext(m)
     report, controls = VerificationReport(), VerificationReport()
     for _ in range(3):
-        pk = random_initial_term(rng, ctx, k)
-        pair = AxialPair(a=_random_profile(rng), b_reduced=_random_profile(rng), k=k, m=m, pk=pk)
+        spec = SequenceSpec(m=m, k=k, pk=random_initial_term(rng, ctx, k), n_max=0)
+        pair = AxialPair(a=_random_profile(rng), b_reduced=_random_profile(rng), spec=spec)
         full = cauchy_riemann(pair.reconstruct())
         image = pair.cauchy_riemann()
         params = {"m": m, "k": k}

@@ -137,8 +137,8 @@ def test_verify_forms_each_multiple_once(capsys, monkeypatch):
 
 
 def test_cli_runs_the_initial_term_checks_once(capsys, monkeypatch):
-    """The P_k gated by InitialTermSpec.resolve() is not checked again by
-    SequenceSpec or by the Fueter route."""
+    """The P_k gated by the SequenceSpec built after InitialTermSpec.resolve()
+    is not checked again by the Fueter route."""
     calls = []
     original = operators.validate_initial_term
 
@@ -150,6 +150,20 @@ def test_cli_runs_the_initial_term_checks_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, ["fueter-compare", "--m", "3", "--k", "1", "--n-max", "1"])
     assert code == 0
     assert calls == [1]
+
+
+@pytest.mark.parametrize("command", ["generate", "verify", "fueter-compare"])
+def test_a_non_monogenic_pk_file_is_a_usage_error(tmp_path, capsys, command):
+    """x_1 e_1 fails the gate of the SequenceSpec that each command builds."""
+    bad = CliffordPolynomial.monomial(CTX3, unit_exps(3, 1), CTX3.e(1))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad.to_json_dict()))
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--m", "3", "--k", "1", "--n-max", "1", "--pk", str(path)])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "initial term fails initial_term_dirac_kernel" in captured.err
 
 
 def test_fueter_compare_rejects_even_dimension(capsys):

@@ -17,7 +17,6 @@ from monappell.fueter import (
     fueter_order,
     fueter_scale,
 )
-from monappell.initial_terms import builtin_initial_term
 from monappell.operators import laplacian
 from monappell.polynomials import (
     CliffordPolynomial,
@@ -70,54 +69,54 @@ def _full_power(pk, sign, n):
 
 @pytest.mark.parametrize("n", range(8))
 def test_complex_monomial_parts_multiplicative(n):
-    """The planted complex monomial is multiplicative: axial_embedding(n, pk, k)
+    """The planted complex monomial is multiplicative: axial_embedding(n, spec)
     is (x_0 + x̲)^n P_k, the n-th power of the planted z by repeated `*`, at
     built-in and drawn two-blade initial terms."""
     for m, k, seed in EMBEDDING_CELLS:
-        pk = _oracle_initial_term(m, k, seed)
-        assert axial_embedding(n, pk, k) == _full_power(pk, 1, n)
+        spec = _oracle_spec(m, k, seed)
+        assert axial_embedding(n, spec) == _full_power(spec.pk, 1, n)
 
 
 def test_axial_embedding_oracle_negative_control():
     """The conjugate (x_0 - x̲)^n P_k differs from the planted z^n for every
     n >= 1, and first_difference names a monomial where."""
     for m, k, seed in EMBEDDING_CELLS:
-        pk = _oracle_initial_term(m, k, seed)
+        spec = _oracle_spec(m, k, seed)
         for n in range(1, 8):
-            witness = first_difference(axial_embedding(n, pk, k), _full_power(pk, -1, n))
+            witness = first_difference(axial_embedding(n, spec), _full_power(spec.pk, -1, n))
             assert witness is not None and witness.startswith("monomial ")
 
 
 def test_axial_embedding_examples():
     x0 = CliffordPolynomial.variable(CTX3, 0)
-    embedded = axial_embedding(2, ONE3, 0)
+    embedded = axial_embedding(2, spec3())
     expected = x0 * x0 - radius_squared(CTX3) + 2 * (x0 * vector_variable(CTX3))
     assert embedded == expected
-    pk = builtin_initial_term(CTX3, 2)
-    assert axial_embedding(0, pk, 2) == pk
-    assert axial_embedding(1, pk, 2) == (x0 + vector_variable(CTX3)) * pk
+    spec = SequenceSpec.builtin(3, 2, 0)
+    assert axial_embedding(0, spec) == spec.pk
+    assert axial_embedding(1, spec) == (x0 + vector_variable(CTX3)) * spec.pk
 
 
-def test_axial_embedding_checks_the_power_before_the_initial_term():
-    x1e1 = CliffordPolynomial.monomial(CTX3, unit_exps(3, 1), CTX3.e(1))  # not Dirac-annihilated
+def test_axial_embedding_rejects_a_bad_power():
     with pytest.raises(ValueError, match="non-negative"):
-        axial_embedding(-1, x1e1, 1)
+        axial_embedding(-1, spec3())
     with pytest.raises(ValueError, match="n must be an integer"):
-        axial_embedding(True, x1e1, 1)
+        axial_embedding(True, spec3())
 
 
-def _literal_image(n, pk, k):
+def _literal_image(n, spec):
     """The oracle: ν Laplacians of the axial embedding of z^n, in all m+1 variables."""
-    image = axial_embedding(n, pk, k)
-    for _ in range(fueter_order(pk.context.m, k)):
+    image = axial_embedding(n, spec)
+    for _ in range(fueter_order(spec.m, spec.k)):
         image = laplacian(image)
     return image
 
 
-def _oracle_report(pk, k, literals):
+def _oracle_report(spec, literals):
     """fueter_map of z^n against literals[n] for each n of the dict, once on
-    a fresh spec and once on one spec shared by every n in turn."""
-    m = pk.context.m
+    a fresh spec and once on one spec shared by every n in turn, both on the
+    P_k of spec."""
+    m, k, pk = spec.m, spec.k, spec.pk
     shared = SequenceSpec(m=m, k=k, pk=pk, n_max=0)
     report = VerificationReport()
     for n, literal in literals.items():
@@ -130,14 +129,14 @@ def _oracle_report(pk, k, literals):
     return report
 
 
-def _oracle_initial_term(m, k, seed):
-    """The built-in P_k for seed None, else a drawn P_3 with two blades on one monomial."""
-    ctx = AlgebraContext(m)
+def _oracle_spec(m, k, seed):
+    """A spec on the built-in P_k for seed None, else on a drawn P_3 with
+    two blades on one monomial."""
     if seed is None:
-        return builtin_initial_term(ctx, k)
-    pk = random_initial_term(random.Random(seed), ctx, k)
+        return SequenceSpec.builtin(m, k, 0)
+    pk = random_initial_term(random.Random(seed), AlgebraContext(m), k)
     assert any(len(coeff.numerators) > 1 for coeff in pk.terms.values())
-    return pk
+    return SequenceSpec(m=m, k=k, pk=pk, n_max=0)
 
 
 ORACLE_GRID = [(m, k, None) for m in (1, 3, 5, 7) for k in range(4) if m > 1 or k == 0]
@@ -148,9 +147,9 @@ ORACLE_GRID += [(3, 3, 5), (5, 3, 9)]  # two-blade P_3 draws
 def test_fueter_map_equals_the_literal_route(m, k, seed):
     """The x_0 split of Δ^ν gives the images of the full m+1-variable route
     for every n up to one past the threshold 2k+m-1."""
-    pk = _oracle_initial_term(m, k, seed)
-    literals = {n: _literal_image(n, pk, k) for n in range(2 * k + m + 1)}
-    report = _oracle_report(pk, k, literals)
+    spec = _oracle_spec(m, k, seed)
+    literals = {n: _literal_image(n, spec) for n in range(2 * k + m + 1)}
+    report = _oracle_report(spec, literals)
     assert report.all_passed, report.failures()[0].witness
 
 
@@ -169,11 +168,11 @@ def test_fueter_chain_dropped_shift_negative_control(monkeypatch):
     """With the x_0 shift of the chain Laplacian dropped, the oracle fails on
     every image with a first_difference witness.  The literal images are
     built before the patch."""
-    m, k = 3, 1
-    pk, threshold = builtin_initial_term(CTX3, k), 2 * k + m - 1
-    literals = {n: _literal_image(n, pk, k) for n in (threshold, threshold + 1)}
+    spec = SequenceSpec.builtin(3, 1, 0)
+    threshold = 2 * spec.k + spec.m - 1
+    literals = {n: _literal_image(n, spec) for n in (threshold, threshold + 1)}
     monkeypatch.setattr(fueter, "_chain_laplacian", _without_x0_shift)
-    report = _oracle_report(pk, k, literals)
+    report = _oracle_report(spec, literals)
     assert not any(entry.passed for entry in report.entries) and len(report.entries) == 4
     assert all(entry.witness.startswith("monomial ") for entry in report.entries)
 
@@ -181,12 +180,12 @@ def test_fueter_chain_dropped_shift_negative_control(monkeypatch):
 def test_fueter_split_ratio_negative_control(monkeypatch):
     """With μ_s + 1 in place of each measured μ_s (Δ x̲^s P_k = μ_s x̲^(s-2) P_k),
     the oracle report fails on every image with a first_difference witness."""
-    m, k = 3, 1
-    pk, threshold = builtin_initial_term(CTX3, k), 2 * k + m - 1
-    literals = {n: _literal_image(n, pk, k) for n in (threshold, threshold + 1)}
+    spec = SequenceSpec.builtin(3, 1, 0)
+    threshold = 2 * spec.k + spec.m - 1
+    literals = {n: _literal_image(n, spec) for n in (threshold, threshold + 1)}
     original = sequences.scalar_ratio
     monkeypatch.setattr(sequences, "scalar_ratio", lambda t, r: original(t, r) + 1)
-    report = _oracle_report(pk, k, literals)
+    report = _oracle_report(spec, literals)
     assert not any(entry.passed for entry in report.entries) and len(report.entries) == 4
     assert all(entry.witness.startswith("monomial ") for entry in report.entries)
 
@@ -364,8 +363,8 @@ def test_fueter_compare_equals_the_separate_checks(m, k, n_max):
     expected = VerificationReport()
     for n in range(threshold):
         params = {"m": m, "k": k, "n": n}
-        expected.add_equal("fueter_vanishing", params, _literal_image(n, spec.pk, k), zero)
-    images = [_literal_image(threshold + n, spec.pk, k) for n in range(n_max + 1)]
+        expected.add_equal("fueter_vanishing", params, _literal_image(n, spec), zero)
+    images = [_literal_image(threshold + n, spec) for n in range(n_max + 1)]
     for n, image in enumerate(images):
         rhs = fueter_scale(m, k, threshold + n) * ck_extend(vector_power(ctx, n) * spec.pk)
         expected.add_equal("fueter_ck_identity", {"m": m, "k": k, "n": threshold + n}, image, rhs)
@@ -398,9 +397,9 @@ def test_fueter_compare_negative_control(monkeypatch):
 
 def test_p_k_is_gated_once_per_spec_and_on_every_public_route(monkeypatch):
     """A SequenceSpec's P_k passes the gate when the spec is built, and
-    verify_axial and fueter_compare do not run it again; a P_k that has not
-    passed it at degree k is still rejected by every public function that
-    takes a bare P_k, and by the spec."""
+    verify_axial and fueter_compare do not run it again.  Every spec runs
+    it, also on a P_k that has passed it before, so a P_k that fails it at
+    degree k reaches none of the routes, which all take a spec."""
     spec = SequenceSpec.builtin(3, 1, 1)
     checks = []
     original = operators.validate_initial_term
@@ -412,13 +411,10 @@ def test_p_k_is_gated_once_per_spec_and_on_every_public_route(monkeypatch):
     monkeypatch.setattr(operators, "validate_initial_term", counting)
     assert verify_axial(spec).all_passed and fueter_compare(spec).all_passed
     assert checks == []
+    SequenceSpec(m=3, k=1, pk=spec.pk, n_max=0)
+    assert checks == [1]
 
     x1e1 = CliffordPolynomial.monomial(CTX3, unit_exps(3, 1), CTX3.e(1))  # not Dirac-annihilated
-    for pk, k in ((x1e1, 1), (spec.pk, 2)):  # spec.pk passed at degree 1, not 2
-        routes = (
-            lambda: axial_embedding(2, pk, k),
-            lambda: SequenceSpec(m=3, k=k, pk=pk, n_max=0),
-        )
-        for route in routes:
-            with pytest.raises(InvalidInitialTermError):
-                route()
+    for pk, k, failed in ((x1e1, 1, "dirac_kernel"), (spec.pk, 2, "homogeneous")):
+        with pytest.raises(InvalidInitialTermError, match=f"initial_term_{failed}"):
+            SequenceSpec(m=3, k=k, pk=pk, n_max=0)  # spec.pk has degree 1, not 2

@@ -14,6 +14,7 @@ from monappell.initial_terms import (
 )
 from monappell.polynomials import CliffordPolynomial, unit_exps
 from monappell.sampling import random_initial_term
+from monappell.sequences import SequenceSpec
 
 CTX3 = AlgebraContext(3)
 
@@ -115,12 +116,17 @@ def test_spec_round_trips_through_file(tmp_path):
 
 
 def test_spec_rejects_bad_file(tmp_path):
+    """resolve() loads a non-monogenic P_k as it is; the gate that rejects it
+    runs when a SequenceSpec is built on it.  A file of the wrong m is
+    rejected by resolve() itself."""
     bad = CliffordPolynomial.monomial(CTX3, unit_exps(3, 1), CTX3.e(1))
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad.to_json_dict()))
-    with pytest.raises(InvalidInitialTermError):
-        InitialTermSpec(m=3, k=1, source=str(path)).resolve()
-    with pytest.raises(InvalidInitialTermError):
+    term = InitialTermSpec(m=3, k=1, source=str(path)).resolve()
+    assert term == bad
+    with pytest.raises(InvalidInitialTermError, match="initial_term_dirac_kernel"):
+        SequenceSpec(m=3, k=1, pk=term, n_max=0)
+    with pytest.raises(InvalidInitialTermError, match="file declares m=3, expected m=2"):
         InitialTermSpec(m=2, k=1, source=str(path)).resolve()  # wrong dimension
 
 

@@ -165,9 +165,9 @@ def _dirac_inputs(monkeypatch) -> list:
 
 
 def _once_each(seen, spec, terms):
-    """seen holds each term and each x̲^i P_k, i = 0..n_max, once: as a
-    multiset, since P_k is both the zeroth term and x̲^0 P_k."""
-    expected = terms + [vector_power(spec.context, i) * spec.pk for i in range(spec.n_max + 1)]
+    """seen holds each term and each x̲^i P_k, i = 1..n_max, once: as a
+    multiset, so a second dirac of P_k, the zeroth term, is caught."""
+    expected = terms + [vector_power(spec.context, i) * spec.pk for i in range(1, spec.n_max + 1)]
 
     def counts(polys):
         return [sum(p == q for q in polys) for p in expected]
@@ -177,17 +177,18 @@ def _once_each(seen, spec, terms):
 
 def test_verify_sequence_applies_dirac_once_per_term_and_per_multiple(monkeypatch):
     """At m=7, k=3, n_max=7 dirac meets each term once (monogenicity) and
-    each x̲^i P_k once (its λ_i)."""
+    each x̲^i P_k, i >= 1, once (its λ_i); λ_0 is not read, as the spec's
+    gate has checked dirac(P_k) = 0."""
     spec = SequenceSpec.builtin(7, 3, 7)
     terms = generate_sequence(spec)
     seen = _dirac_inputs(monkeypatch)
     assert verify_sequence(spec, terms).all_passed
-    assert len(seen) == 16 and _once_each(seen, spec, terms)
+    assert len(seen) == 15 and _once_each(seen, spec, terms)
 
 
 def test_one_spec_measures_each_dirac_ratio_once_across_reports(monkeypatch):
     """fueter_compare then verify_sequence on one spec apply dirac to each
-    x̲^i P_k once: the second report reads the λ_i the first measured."""
+    x̲^i P_k, i >= 1, once: the second report reads the λ_i the first measured."""
     spec = SequenceSpec.builtin(3, 1, 3)
     seen = _dirac_inputs(monkeypatch)
     assert fueter_compare(spec).all_passed
@@ -337,9 +338,7 @@ def test_vekua_negative_control():
     pair = AxialPair(
         a=BivariatePoly.monomial(1, 0),
         b_reduced=BivariatePoly.monomial(0, 0, Fraction(1, 4)),
-        k=0,
-        m=3,
-        pk=CliffordPolynomial.one(AlgebraContext(3)),
+        spec=SequenceSpec(m=3, k=0, pk=CliffordPolynomial.one(AlgebraContext(3)), n_max=0),
     )
     assert vekua_witness(pair) is not None
 
@@ -366,7 +365,7 @@ def test_term_indices_are_exact_ints(n):
     routes = (
         lambda: sequence_term_explicit(spec, n),
         lambda: sequence_term_ck(spec, n),
-        lambda: axial_embedding(n, spec.pk, spec.k),
+        lambda: axial_embedding(n, spec),
         lambda: fueter_map(n, spec),
     )
     for route in routes:

@@ -83,30 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def polynomial_text(data: dict, pad: str = "") -> str:
-    """json.dumps(data, indent=2) of a `to_json_dict()` payload, byte for byte,
-    for the payload nested at depth pad (its first line is not indented).
-    The stdlib indents only through its pure-Python encoder; here the fixed
-    schema makes each term and each coeff entry one template."""
-    p1, p2, p3, p4, p5, p6 = (pad + "  " * i for i in range(1, 7))
-    sep2, sep4, sep6 = (",\n" + p for p in (p2, p4, p6))
-    blade = f"[\n{p6}%s\n{p5}]"
-    coeff = f'{{\n{p5}"blade": %s,\n{p5}"q": "%s"\n{p4}}}'
-    term = f'{{\n{p3}"exps": [\n{p4}%s\n{p3}],\n{p3}"coeff": [\n{p4}%s\n{p3}]\n{p2}}}'
-    terms = sep2.join(
-        term % (
-            sep4.join(map(str, t["exps"])),
-            sep4.join(
-                coeff % (blade % sep6.join(map(str, c["blade"])) if c["blade"] else "[]", c["q"])
-                for c in t["coeff"]
-            ),
-        )
-        for t in data["terms"]
-    )
-    body = f"[\n{p2}{terms}\n{p1}]" if data["terms"] else "[]"
-    return f'{{\n{p1}"m": {data["m"]},\n{p1}"terms": {body}\n{pad}}}'
-
-
 @contextmanager
 def _results_in_full():
     """Lift CPython's limit on int <-> str conversions (4300 digits from
@@ -131,17 +107,20 @@ def _resolve_spec(args, parser) -> SequenceSpec:
         parser.error(str(exc))
 
 
-def _output_dir(args) -> Path | None:
+def _output_dir(args, parser) -> Path | None:
+    """The output directory, made before any work; a path that cannot be one is a usage error."""
     target = args.output_dir or os.environ.get(ENV_OUTPUT_DIR)
     if target is None:
         return None
     path = Path(target)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"cannot use output directory {target}: {exc.strerror}")
     return path
 
 
-def _emit_report(report: VerificationReport, args, extra: dict | None = None) -> int:
-    outdir = _output_dir(args) if hasattr(args, "output_dir") else None
+def _emit_report(report: VerificationReport, args, outdir=None, extra: dict | None = None) -> int:
     if args.format == "json" or outdir is not None:
         text = json.dumps({**(extra or {}), **report.to_json()}, indent=2)
     if args.format == "json":
@@ -158,16 +137,14 @@ def _emit_report(report: VerificationReport, args, extra: dict | None = None) ->
 
 def cmd_generate(args, parser) -> int:
     spec = _resolve_spec(args, parser)
+    outdir = _output_dir(args, parser)
     with _results_in_full():
-        outdir = _output_dir(args)
         terms = generate_sequence(spec)
-        if args.format == "json" or outdir is not None:
-            dicts = [term.to_json_dict() for term in terms]
         if args.format == "json":
-            texts = ",\n    ".join(polynomial_text(data, "    ") for data in dicts)
+            texts = ",\n    ".join(term.to_json_text("    ") for term in terms)
             print(
                 f'{{\n  "m": {spec.m},\n  "k": {spec.k},\n  "n_max": {spec.n_max},\n'
-                f'  "initial_term": {polynomial_text(spec.pk.to_json_dict(), "  ")},\n'
+                f'  "initial_term": {spec.pk.to_json_text("  ")},\n'
                 f'  "terms": [\n    {texts}\n  ]\n}}'
             )
         elif args.format == "latex":
@@ -178,8 +155,8 @@ def cmd_generate(args, parser) -> int:
             for n, term in enumerate(terms):
                 print(f"n={n}: {term}")
         if outdir is not None:
-            for n, data in enumerate(dicts):
-                (outdir / f"term_{n}.json").write_text(polynomial_text(data) + "\n")
+            for n, term in enumerate(terms):
+                (outdir / f"term_{n}.json").write_text(term.to_json_text() + "\n")
     return 0
 
 
@@ -187,20 +164,22 @@ def cmd_verify(args, parser) -> int:
     if args.cases < 1:
         parser.error("cases must be at least 1")
     spec = _resolve_spec(args, parser)
+    outdir = _output_dir(args, parser)
     with _results_in_full():
         terms = generate_sequence(spec)
         report = verify_sequence(spec, terms)  # both reports read the spec's x̲^i P_k
         report.extend(verify_axial(spec, terms))
         report.extend(run_identity_suites(spec.m, args.seed, args.cases))
-        return _emit_report(report, args, extra={"seed": args.seed})
+        return _emit_report(report, args, outdir, extra={"seed": args.seed})
 
 
 def cmd_fueter_compare(args, parser) -> int:
     if args.m % 2 == 0:
         parser.error("fueter-compare requires an odd dimension m")
     spec = _resolve_spec(args, parser)
+    outdir = _output_dir(args, parser)
     with _results_in_full():
-        return _emit_report(fueter_compare(spec), args)
+        return _emit_report(fueter_compare(spec), args, outdir)
 
 
 def cmd_validate_pk(args, parser) -> int:

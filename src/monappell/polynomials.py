@@ -23,7 +23,7 @@ or by `_collect`, the one place that drops zero sums; the sums come from
 `laplacian` loops, which add into their dict directly.  A blade sign is
 one popcount against `algebra.sign_mask`.  Fractions and exponent tuples
 appear only at the API boundary (the `terms` views and the readers).
-Serialization orders monomials graded-lexicographically.
+Serialization orders monomials graded-lex; both JSON forms come from one walk.
 
 `linear_combination` is the one sum entry point (`+` and `-` are its
 two-operand case): one `_collect` over the least common denominator.
@@ -586,27 +586,47 @@ class CliffordPolynomial:
 
     # -- serialization ---------------------------------------------------
 
-    def sorted_exps(self) -> list[tuple[int, ...]]:
-        return [exps for exps, _ in self._grouped()]
+    def _json_parts(self) -> tuple[dict, dict, list]:
+        """({mask: generator indices}, {numerator: reduced "num/den"}, `_grouped()`):
+        the one walk both JSON forms are written from, each mask and numerator worked out once."""
+        nums, mask_bits = self.numerators, key_layout(self.context.m).mask_bits
+        indices = {mask: mask_to_indices(mask) for mask in {key & mask_bits for key in nums}}
+        ratios = {q: _ratio_text(q, self.denominator) for q in set(nums.values())}
+        return indices, ratios, self._grouped()
 
     def to_json_dict(self) -> dict:
         """Interchange schema: {"m": m, "terms": [{"exps": [...], "coeff":
         [{"blade": [...], "q": "num/den"}, ...]}, ...]}, monomials graded-lex,
-        blades by grade then mask, each "q" reduced.  The generator indices
-        of each distinct mask are found once; every entry gets its own list."""
-        mask_bits = key_layout(self.context.m).mask_bits
-        indices = {mask: mask_to_indices(mask) for mask in {k & mask_bits for k in self.numerators}}
+        blades by grade then mask, each "q" reduced; every entry gets its own list."""
+        indices, ratios, grouped = self._json_parts()
         terms = [
             {
                 "exps": list(exps),
-                "coeff": [
-                    {"blade": list(indices[mask]), "q": _ratio_text(q, self.denominator)}
-                    for mask, q in blades
-                ],
+                "coeff": [{"blade": list(indices[mask]), "q": ratios[q]} for mask, q in blades],
             }
-            for exps, blades in self._grouped()
+            for exps, blades in grouped
         ]
         return {"m": self.context.m, "terms": terms}
+
+    def to_json_text(self, pad: str = "") -> str:
+        """json.dumps(self.to_json_dict(), indent=2) byte for byte at depth pad (first line
+        unindented), one template per term and coeff entry (the stdlib indents in pure Python)."""
+        p1, p2, p3, p4, p5, p6 = (pad + "  " * i for i in range(1, 7))
+        sep2, sep4, sep6 = (",\n" + p for p in (p2, p4, p6))
+        indices, ratios, grouped = self._json_parts()
+        blade = f"[\n{p6}%s\n{p5}]"
+        lists = {mk: blade % sep6.join(map(str, ix)) if ix else "[]" for mk, ix in indices.items()}
+        entry = f'{{\n{p5}"blade": %s,\n{p5}"q": "%s"\n{p4}}}'
+        term = f'{{\n{p3}"exps": [\n{p4}%s\n{p3}],\n{p3}"coeff": [\n{p4}%s\n{p3}]\n{p2}}}'
+        terms = sep2.join(
+            term % (
+                sep4.join(map(str, exps)),
+                sep4.join(entry % (lists[mask], ratios[q]) for mask, q in blades),
+            )
+            for exps, blades in grouped
+        )
+        body = f"[\n{p2}{terms}\n{p1}]" if grouped else "[]"
+        return f'{{\n{p1}"m": {self.context.m},\n{p1}"terms": {body}\n{pad}}}'
 
     @classmethod
     def from_json_dict(cls, data: dict) -> CliffordPolynomial:

@@ -305,15 +305,53 @@ def test_output_dir_writes_terms(tmp_path, capsys):
     assert decoded == generate_sequence(SequenceSpec.builtin(2, 0, 2))[2]
 
 
-@pytest.mark.parametrize("command", ["generate", "verify"])
-def test_unusable_output_dir_fails_before_printing(tmp_path, capsys, command):
+def test_generate_writes_json_without_the_dict_form(tmp_path, capsys, monkeypatch):
+    """The CLI writes every polynomial with to_json_text, never through
+    to_json_dict, and the text is still the stdlib's indented dump."""
+
+    def refused(self):
+        raise AssertionError("the CLI built a to_json_dict() tree")
+
+    monkeypatch.setattr(CliffordPolynomial, "to_json_dict", refused)
+    expected = generate_sequence(SequenceSpec.builtin(3, 1, 3))
+    argv = ["generate", "--m", "3", "--k", "1", "--n-max", "3"]
+    code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    assert [CliffordPolynomial.from_json_dict(t) for t in payload["terms"]] == expected
+    outdir = tmp_path / "terms"
+    code, _, _ = run_cli(capsys, [*argv, "--format", "latex", "--output-dir", str(outdir)])
+    assert code == 0
+    for n, term in enumerate(expected):
+        text = (outdir / f"term_{n}.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert CliffordPolynomial.from_json_dict(json.loads(text)) == term
+
+
+@pytest.mark.parametrize("command", ["generate", "verify", "fueter-compare"])
+def test_unusable_output_dir_fails_before_printing(tmp_path, capsys, monkeypatch, command):
+    """A path under a regular file is a usage error (exit 2) raised before
+    any work, whether it comes from --output-dir or from the environment."""
+
+    def work(*args):
+        raise AssertionError("work ran before the output directory was made")
+
+    for name in ("generate_sequence", "fueter_compare"):
+        monkeypatch.setattr(cli, name, work)
     blocker = tmp_path / "file"
     blocker.write_text("")
-    argv = [command, "--m", "2", "--k", "1", "--n-max", "1", "--output-dir", str(blocker / "sub")]
-    code, out, err = run_cli(capsys, argv)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("internal error: NotADirectoryError")
+    target = str(blocker / "sub")
+    argv = [command, "--m", "3", "--k", "1", "--n-max", "1"]
+    monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
+    for route in (["--output-dir", target], []):  # the option, then the environment
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + route)
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert f"cannot use output directory {target}: Not a directory" in captured.err
+        monkeypatch.setenv(ENV_OUTPUT_DIR, target)
 
 
 def test_output_dir_from_environment(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,6 @@
-"""The JSON boundary: `cli.polynomial_text` against the stdlib encoder, the
-JSON output of every command, and the interchange reader under malformed and
-extreme input."""
+"""The JSON boundary: `CliffordPolynomial.to_json_text` against the stdlib
+encoder, the JSON output of every command, and the interchange reader under
+malformed and extreme input."""
 
 import io
 import json
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given
 
 from monappell.algebra import AlgebraContext, Multivector, indices_to_mask
-from monappell.cli import main, polynomial_text
+from monappell.cli import main
 from monappell.initial_terms import builtin_initial_term
 from monappell.polynomials import DEGREE_LIMIT, CliffordPolynomial, key_layout
 
@@ -27,7 +27,7 @@ texts = st.text(
     st.characters(blacklist_categories=()) | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é€😀')
 )
 
-# -- polynomial_text is json.dumps(..., indent=2) of a to_json_dict() payload --
+# -- to_json_text is json.dumps(..., indent=2) of the to_json_dict() payload --
 
 CTX10 = AlgebraContext(10)
 # x_0 (1 + 2/3 e_1 e_10 - e_2) + x_10^2 e_3: a scalar blade, a two-digit index
@@ -46,12 +46,12 @@ MULTI_BLADE = CliffordPolynomial(
 @example(CliffordPolynomial.zero(CTX3), "")
 @example(CliffordPolynomial.zero(CTX3), "  ")
 def test_polynomial_entries_round_trip_and_match_the_stdlib(p, pad):
-    """polynomial_text writes a payload from templates; the output is still
+    """to_json_text writes p from templates; the output is still
     json.dumps(..., indent=2), re-indented as a value nested at depth pad, it
     reads back to p, and its entries follow one sort of every key by
     `KeyLayout.sort_key`."""
     data = p.to_json_dict()
-    assert polynomial_text(data, pad) == json.dumps(data, indent=2).replace("\n", "\n" + pad)
+    assert p.to_json_text(pad) == json.dumps(data, indent=2).replace("\n", "\n" + pad)
     assert CliffordPolynomial.from_json_dict(data) == p
     layout = key_layout(p.context.m)
     oracle = [layout.decode(key) for key in sorted(p.numerators, key=layout.sort_key)]

@@ -9,6 +9,7 @@ Output is deterministic for a fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -56,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(gen)
     gen.add_argument("--n-max", type=int, required=True)
     gen.add_argument("--format", choices=("summary", "json", "latex"), default="summary")
-    gen.set_defaults(func=cmd_generate)
+    gen.set_defaults(func=cmd_generate, parser=gen)
 
     ver = sub.add_parser("verify", help="run the full identity report")
     common(ver)
@@ -64,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=0, help="seed for the randomized suites")
     ver.add_argument("--cases", type=int, default=25, help="cases per randomized identity")
     ver.add_argument("--format", choices=("summary", "json"), default="summary")
-    ver.set_defaults(func=cmd_verify)
+    ver.set_defaults(func=cmd_verify, parser=ver)
 
     fue = sub.add_parser("fueter-compare", help="compare the Fueter route with the sequence")
     common(fue)
@@ -72,13 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-max", type=int, default=4, help="extra monomial powers / matched terms"
     )
     fue.add_argument("--format", choices=("summary", "json"), default="summary")
-    fue.set_defaults(func=cmd_fueter_compare)
+    fue.set_defaults(func=cmd_fueter_compare, parser=fue)
 
     val = sub.add_parser("validate-pk", help="validate a JSON initial term")
     val.add_argument("--file", required=True)
     val.add_argument("--k", type=int, required=True)
     val.add_argument("--format", choices=("summary", "json"), default="summary")
-    val.set_defaults(func=cmd_validate_pk)
+    val.set_defaults(func=cmd_validate_pk, parser=val)
 
     return parser
 
@@ -120,11 +121,30 @@ def _output_dir(args, parser) -> Path | None:
     return path
 
 
+def _write_document(text: str) -> None:
+    """Write text and its closing newline to stdout in one write, so a
+    reader that leaves mid-way cannot fall between the document and the
+    newline.  Unbuffered stdout (python -u, PYTHONUNBUFFERED) is a raw file
+    whose writes to a pipe may be short, and its text layer drops the rest
+    without an error; there the bytes go out in a loop until all are written
+    or the closed pipe raises BrokenPipeError."""
+    data = text + "\n"
+    raw = getattr(sys.stdout, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        sys.stdout.write(data)
+        return
+    sys.stdout.flush()
+    data = data.replace("\n", os.linesep)  # the text layer's newline translation
+    view = memoryview(data.encode(sys.stdout.encoding, sys.stdout.errors))
+    while view:
+        view = view[raw.write(view) :]
+
+
 def _emit_report(report: VerificationReport, args, outdir=None, extra: dict | None = None) -> int:
     if args.format == "json" or outdir is not None:
         text = json.dumps({**(extra or {}), **report.to_json()}, indent=2)
     if args.format == "json":
-        print(text)
+        _write_document(text)
     else:
         for key, value in (extra or {}).items():
             print(f"{key}: {value}")
@@ -142,7 +162,7 @@ def cmd_generate(args, parser) -> int:
         terms = generate_sequence(spec)
         if args.format == "json":
             texts = ",\n    ".join(term.to_json_text("    ") for term in terms)
-            print(
+            _write_document(
                 f'{{\n  "m": {spec.m},\n  "k": {spec.k},\n  "n_max": {spec.n_max},\n'
                 f'  "initial_term": {spec.pk.to_json_text("  ")},\n'
                 f'  "terms": [\n    {texts}\n  ]\n}}'
@@ -194,10 +214,9 @@ def cmd_validate_pk(args, parser) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)  # the subcommand's parser, for its usage line
     except MonappellError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,11 +12,16 @@ with `bivariate.AxialPair`.
 Since i r folds like x̲, the planted z^n is (x_0 + x̲)^n P_k, in chain
 coordinates (see `sequences`) the chain {(n-s, s): C(n, s)} of the
 x̲^s P_k of a `SequenceSpec`.  `fueter_map` applies the ν Laplacians to that
-chain by index shifts and realizes the result.  A Laplacian ratio μ_s of
-the spec is measured when an entry that survives the shifts first reads
-it, so an image of even n, whose odd entries all die, forms no odd x̲^s P_k
-beyond s = 1.  The literal route, ν Laplacians of `axial_embedding`, stays
-public as the oracle that tests/test_fueter.py checks `fueter_map` against.
+chain by index shifts and realizes the result.  The Laplacian ratios μ_s
+of those shifts are not measured: `sequences._chain_ratios` derives them
+from Δ = -D^2 and the Dirac ratios λ_s, once `_operator_certificate` has
+checked, with the package's own kernels, the operator identities they
+follow from; that `dirac` and `laplacian` are the operators they name is
+the premise, which tests/test_flat_kernel.py checks against brute force.
+So no x̲^s P_k meets `laplacian`, and only the x̲^s P_k of entries that
+survive the shifts are formed.  The literal route, ν Laplacians of
+`axial_embedding`, stays public as the oracle that tests/test_fueter.py
+checks `fueter_map` against.
 
 `fueter_compare` is the one builder of Fueter report entries: every
 `fueter_vanishing` (z^n maps to zero for n below 2k+m-1), then every
@@ -30,17 +35,15 @@ and the explicit route `sequence_term_explicit`.
 
 from __future__ import annotations
 
-from functools import partial
 from math import comb
 
 from .algebra import require_int
 from .bivariate import AxialPair, axial_profiles
 from .coefficients import double_factorial, fueter_factor, restriction_coefficient
 from .errors import EvenDimensionError
-from .operators import laplacian
 from .polynomials import CliffordPolynomial
 from .report import VerificationReport
-from .sequences import SequenceSpec, _chain_laplacian, _chain_ratio, _realize
+from .sequences import SequenceSpec, _chain_laplacian, _chain_ratios, _realize
 from .sequences import sequence_term_ck, sequence_term_explicit
 
 
@@ -66,15 +69,15 @@ def fueter_map(n: int, spec: SequenceSpec) -> CliffordPolynomial:
     """Iterated Laplacian of the axial embedding of z^n planted on the spec's
     P_k, in chain coordinates: `_chain_laplacian` applies Δ^ν, ν =
     `fueter_order`, to the chain {(n-s, s): C(n, s)} of (x_0 + x̲)^n P_k with
-    Δ x̲^s P_k = μ_s x̲^(s-2) P_k from `_chain_ratio`.  The split
-    Δ = d^2/dx_0^2 + Δ_x̲ needs a P_k free of x_0, which the spec's gate has
-    checked."""
+    Δ x̲^s P_k = μ_s x̲^(s-2) P_k from `_chain_ratios`, derived, not
+    measured, under its operator certificate (see the module docstring).
+    The split Δ = d^2/dx_0^2 + Δ_x̲ needs a P_k free of x_0, which the
+    spec's gate has checked."""
     order = fueter_order(spec.m, spec.k)
     if require_int(n, "n") < 0:
         raise ValueError("n must be non-negative")
     chain = {(n - s, s): comb(n, s) for s in range(n + 1)}
-    mu = partial(_chain_ratio, spec, laplacian, 2)  # measures μ_s when first read
-    return _realize(spec, _chain_laplacian(chain, mu, order))
+    return _realize(spec, _chain_laplacian(chain, _chain_ratios(spec, 2, n), order))
 
 
 def fueter_scale(m: int, k: int, n: int) -> int:
@@ -88,7 +91,7 @@ def fueter_compare(spec: SequenceSpec) -> VerificationReport:
     """The whole `fueter-compare` report (see the module docstring); the
     lambda of each Appell match is recorded in its params.  Each image and
     its lambda are built once for both checks, and the images and CK terms
-    read the spec's x̲^s P_k, which meet `laplacian` and `dirac` at most once."""
+    read the spec's x̲^s P_k, none of which meets `laplacian` or `dirac`."""
     m, k = spec.m, spec.k
     threshold = 2 * k + m - 1
     report, matches = VerificationReport(), VerificationReport()

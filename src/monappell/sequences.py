@@ -13,30 +13,38 @@ are monogenicity, the Appell derivative step, homogeneity of degree k+n,
 the axial decomposition round-trip, and the Vekua-type system satisfied
 by the axial profiles (`AxialPair` and its operator live in `bivariate`).
 The frozen `SequenceSpec` gates its P_k when built and memoizes, for its
-whole life, what is derived from it: each G_s = x̲^s P_k (`_multiple`)
-and its ratio to G_(s-1) or G_(s-2) under `dirac` or `laplacian`
-(`_chain_ratio`), each formed or measured once, when first read; a ratio
-that does not exist raises ArithmeticError.  The CK route,
-`axial_decompose` and the Fueter images work in chain coordinates: a
-chain h = {(j, s): q} stands for the paper's collected form sum q x_0^j
-G_s, `_realize` turns it into a polynomial and `_chain_laplacian` applies
-Δ to it by index shifts.  The explicit route keeps its own powers of x̲.
+whole life, each G_s = x̲^s P_k it has formed (`_multiple`), once, when
+first read.  The ratios D G_s = λ_s G_(s-1) and Δ G_s = μ_s G_(s-2) are
+not measured but derived (`_chain_ratios`): λ_0 = 0 and λ_s = -(m + 2k +
+2s - 2) - λ_(s-1) follow from D x̲ + x̲ D = -(m + 2E), E the Euler
+operator in x̲, and μ_s = -λ_s λ_(s-1) from Δ = -D^2 on x_0-free
+functions.  `_operator_certificate` checks both identities, once per
+algebra, with the package's own `dirac`, `laplacian` and product; that
+those kernels are the operators they name is the premise, which
+tests/test_flat_kernel.py checks against brute force.  A certificate
+that fails raises ArithmeticError.  The CK route, `axial_decompose` and
+the Fueter images work in chain coordinates: a chain h = {(j, s): q}
+stands for the paper's collected form sum q x_0^j G_s, `_realize` turns
+it into a polynomial and `_chain_laplacian` applies Δ to it by index
+shifts.  The explicit route keeps its own powers of x̲.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .algebra import AlgebraContext, require_int
 from .bivariate import AxialPair, axial_profiles
 from .coefficients import explicit_weights, restriction_coefficient
 from .errors import ContextMismatchError, NotAxialFormError
 from .initial_terms import builtin_initial_term
-from .operators import dirac, require_initial_term
+from .operators import dirac, laplacian, require_initial_term
 from .polynomials import (
     CliffordPolynomial,
     degree_witness,
+    first_difference,
     linear_combination,
     scalar_ratio,
     vector_power,
@@ -52,15 +60,16 @@ class SequenceSpec:
 
     Building one runs P_k through `require_initial_term` at degree k, the
     one gate of the sequence, axial and Fueter routes.  Frozen, so the gate
-    and the G_s = x̲^s P_k and ratios memoized on the spec for its whole
-    life by `_multiple` and `_chain_ratio` hold for its P_k."""
+    and the G_s = x̲^s P_k memoized on the spec for its whole life by
+    `_multiple` hold for its P_k.  The ratios between the G_s depend on
+    (m, k) alone and are derived by `_chain_ratios`, whose certificate
+    runs when a ratio is first read, not when a spec is built."""
 
     m: int
     k: int
     pk: CliffordPolynomial
     n_max: int
     _multiples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _ratios: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("m", "k", "n_max"):
@@ -109,23 +118,52 @@ def _multiple(spec: SequenceSpec, s: int) -> CliffordPolynomial:
     return spec._multiples[s]
 
 
-def _chain_ratio(spec: SequenceSpec, operator, step: int, s: int) -> Fraction:
-    """r_s with operator(G_s) = r_s G_(s-step), G_s = x̲^s P_k, measured once
-    per spec and operator, when first read, by `scalar_ratio`; r_s = 0 for
-    s < step, where operator(G_s) must vanish.  A ratio that does not exist
-    raises ArithmeticError; on a gated P_k only a broken kernel can cause that."""
-    ratios = spec._ratios.setdefault(operator, {})
-    if s not in ratios:
-        image = operator(_multiple(spec, s))
-        if s < step:
-            ratio, target = (Fraction(0) if image.is_zero() else None), "zero"
-        else:
-            ratio = scalar_ratio(image, _multiple(spec, s - step))
-            target = f"a rational multiple of x̲^{s - step} P_k"
-        if ratio is None:
-            raise ArithmeticError(f"{operator.__name__}(x̲^{s} P_k) is not {target}")
-        ratios[s] = ratio
-    return ratios[s]
+@cache
+def _operator_certificate(context: AlgebraContext) -> None:
+    """Check, once per algebra and by literal equality, the two operator
+    identities behind `_chain_ratios`, with the package's own `dirac`,
+    `laplacian` and product:
+
+        D(x̲ f) + x̲ D f = -(m + 2E) f   on f = 1, x_1, ..., x_m,
+        Δ f + D D f = 0                on f = x_i x_j, i <= j.
+
+    Both sides of each are right-linear in f.  The first is an identity of
+    first-order operators, so it holds for every f once it holds on 1 and
+    the x_i; the second, of constant-coefficient operators of order two,
+    once it holds on the x_i x_j.  Reading "every f" off these inputs rests
+    on the premise that `dirac` and `laplacian` are the differential
+    operators they name, which tests/test_flat_kernel.py checks against
+    brute force.  A failing input raises ArithmeticError naming it."""
+    m, xv = context.m, vector_variable(context)
+    x = {i: CliffordPolynomial.variable(context, i) for i in range(1, m + 1)}
+    linear = [("1", CliffordPolynomial.one(context), 0)] + [(f"x_{i}", x[i], 1) for i in x]
+    for name, f, degree in linear:
+        witness = first_difference(dirac(xv * f) + xv * dirac(f), -(m + 2 * degree) * f)
+        if witness is not None:
+            raise ArithmeticError(f"D(x̲ f) + x̲ D f is not -(m + 2E) f at f = {name}: {witness}")
+    zero = CliffordPolynomial.zero(context)
+    for i in x:
+        for j in range(i, m + 1):
+            f = x[i] * x[j]
+            witness = first_difference(laplacian(f) + dirac(dirac(f)), zero)
+            if witness is not None:
+                raise ArithmeticError(f"Δ f + D D f is not 0 at f = x_{i} x_{j}: {witness}")
+
+
+def _chain_ratios(spec: SequenceSpec, step: int, top: int) -> list[int]:
+    """[r_0, ..., r_top] with D G_s = λ_s G_(s-1) for step 1 and Δ G_s =
+    μ_s G_(s-2) for step 2, G_s = x̲^s P_k, once `_operator_certificate`
+    holds for the spec's algebra.  D x̲ + x̲ D = -(m + 2E) on G_(s-1), of
+    degree k+s-1, gives λ_s = -(m + 2k + 2s - 2) - λ_(s-1), and D P_k = 0,
+    which the spec's gate has checked, gives λ_0 = 0.  On the x_0-free G_s,
+    Δ = -D^2 gives μ_s = -λ_s λ_(s-1), so μ_0 = μ_1 = 0."""
+    _operator_certificate(spec.context)
+    lambdas = [0]
+    for s in range(1, top + 1):
+        lambdas.append(-(spec.m + 2 * spec.k + 2 * s - 2) - lambdas[-1])
+    if step == 1:
+        return lambdas
+    return [-lam * prev for lam, prev in zip(lambdas, [0] + lambdas)]
 
 
 def _realize(spec: SequenceSpec, h: dict) -> CliffordPolynomial:
@@ -135,15 +173,13 @@ def _realize(spec: SequenceSpec, h: dict) -> CliffordPolynomial:
     return linear_combination(spec.context, terms)
 
 
-def _chain_laplacian(h: dict, mu, order: int) -> dict:
-    """Δ^order of the chain h, with Δ G_s = mu(s) G_(s-2): Δ = d^2/dx_0^2 +
-    Δ_x̲ shifts (j, s) to j(j-1) (j-2, s) and to μ_s (j, s-2).  Each shift
-    lowers j or s by 2, and Δ annihilates x_0^j G_s once j < 2 and s < 2
-    (μ_0 = μ_1 = 0, read first, so a `mu` that measures when read checks
-    them), so an entry with j//2 + s//2 below the number of Laplacians still
-    to apply can only die and is dropped, and no μ_s it holds is read."""
-    if order:
-        mu(0), mu(1)
+def _chain_laplacian(h: dict, mu: list, order: int) -> dict:
+    """Δ^order of the chain h, with Δ G_s = mu[s] G_(s-2) from
+    `_chain_ratios`: Δ = d^2/dx_0^2 + Δ_x̲ shifts (j, s) to j(j-1) (j-2, s)
+    and to μ_s (j, s-2).  Each shift lowers j or s by 2, and Δ annihilates
+    x_0^j G_s once j < 2 and s < 2 (μ_0 = μ_1 = 0 as λ_0 = 0), so an entry
+    with j//2 + s//2 below the number of Laplacians still to apply can only
+    die and is dropped."""
     for left in range(order, 0, -1):
         image: dict = {}
         for (j, s), q in h.items():
@@ -152,7 +188,7 @@ def _chain_laplacian(h: dict, mu, order: int) -> dict:
             if j >= 2:
                 image[j - 2, s] = image.get((j - 2, s), 0) + j * (j - 1) * q
             if s >= 2:
-                image[j, s - 2] = image.get((j, s - 2), 0) + mu(s) * q
+                image[j, s - 2] = image.get((j, s - 2), 0) + mu[s] * q
         h = image
     return h
 
@@ -160,14 +196,13 @@ def _chain_laplacian(h: dict, mu, order: int) -> dict:
 def sequence_term_ck(spec: SequenceSpec, n: int) -> CliffordPolynomial:
     """n-th term via the Cauchy-Kovalevskaya route: c_n CK[x̲^n P_k], the
     chain {(j, n-j): c_n (-1)^j/j! λ_n⋯λ_(n-j+1)} with dirac(x̲^i P_k) =
-    λ_i x̲^(i-1) P_k from `_chain_ratio`, read for i = 1..n: λ_0 = 0 is
-    D P_k = 0, which the spec's gate has checked."""
+    λ_i x̲^(i-1) P_k from `_chain_ratios`; no x̲^i P_k meets `dirac`."""
     _check_index(spec, n)
-    lambdas = [_chain_ratio(spec, dirac, 1, i) for i in range(1, n + 1)]  # a fault names the lowest i
+    lambdas = _chain_ratios(spec, 1, n)
     weight = restriction_coefficient(spec.m, spec.k, n)
     chain = {(0, n): weight}
     for j in range(1, n + 1):
-        weight *= -lambdas[n - j] / j  # λ_(n-j+1)
+        weight *= Fraction(-lambdas[n - j + 1], j)
         chain[j, n - j] = weight
     return _realize(spec, chain)
 
@@ -187,7 +222,7 @@ def verify_sequence(
     d/dx_0 - dirac) rather than the bare x_0 derivative so that the check
     stays meaningful on deliberately corrupted inputs, where the two
     disagree.  A custom term list may be injected for negative controls.
-    Each x̲^i P_k, i >= 1, of the spec meets `dirac` once, in `sequence_term_ck`.
+    `dirac` meets each term once, and no x̲^i P_k of the spec.
     """
     if terms is None:
         terms = generate_sequence(spec)

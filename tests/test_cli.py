@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -263,6 +264,81 @@ def test_closed_pipe_negative_control():
     the closed pipe, not from the command."""
     code, err = _generate_into_a_closed_pipe(0)
     assert (code, err) == (0, b"")
+
+
+class _CountingStdout(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--m", "5", "--k", "2", "--n-max", "2"],
+        ["verify", "--m", "3", "--k", "1", "--n-max", "2", "--cases", "1"],
+        ["fueter-compare", "--m", "3", "--k", "1", "--n-max", "1"],
+    ],
+)
+def test_each_json_document_is_one_stdout_write(monkeypatch, argv):
+    """A JSON document and its closing newline go out in one write, so a
+    reader that leaves between two writes of unbuffered stdout cannot break
+    a document that fits the pipe buffer.  The bytes are the indented dump."""
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv + ["--format", "json"]) == 0
+    text = out.getvalue()
+    assert out.writes == 1 and text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+class _ShortWrites(io.RawIOBase):
+    """A raw stdout that takes at most 1000 bytes per write, as a pipe may."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.chunks.append(bytes(data[:1000]))
+        return len(self.chunks[-1])
+
+
+def test_unbuffered_stdout_gets_the_whole_document(monkeypatch):
+    """Under unbuffered stdout, a raw file behind a write-through text layer,
+    the text layer keeps only the first short write of a document; the CLI
+    writes the rest too."""
+    dropped = _ShortWrites()
+    io.TextIOWrapper(dropped, write_through=True).write("x" * 2500)
+    assert b"".join(dropped.chunks) == b"x" * 1000  # the premise: the text layer drops the rest
+    raw = _ShortWrites()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
+    assert main(["generate", "--m", "5", "--k", "2", "--n-max", "2", "--format", "json"]) == 0
+    text = b"".join(raw.chunks).decode()
+    assert len(raw.chunks) > 1 and text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["verify", "--m", "3", "--k", "1", "--n-max", "1", "--cases", "0"], "verify"),
+        (["generate", "--m", "1", "--k", "1", "--n-max", "1"], "generate"),
+        (["fueter-compare", "--m", "4", "--k", "1"], "fueter-compare"),
+        (["validate-pk", "--file", "pk.json", "--k", "-1"], "validate-pk"),
+    ],
+)
+def test_a_usage_error_prints_the_subcommand_usage(capsys, argv, command):
+    """A usage error found after parsing (the --cases, spec, odd-m and k
+    checks) prints the failing subcommand's usage line and exits 2."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: monappell {command} [-h]")
 
 
 def test_product_past_the_degree_limit_exits_two(capsys, monkeypatch):

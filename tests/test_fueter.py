@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from monappell import fueter, operators, sequences
+from monappell import fueter, operators, polynomials, sequences
 from monappell.algebra import AlgebraContext
 from monappell.bivariate import BivariatePoly, axial_profiles
 from monappell.ck import ck_extend, is_monogenic
+from monappell.cli import main
 from monappell.coefficients import restriction_coefficient
 from monappell.errors import ArgumentTooSmallError, EvenDimensionError, InvalidInitialTermError
 from monappell.fueter import (
@@ -159,7 +160,7 @@ def _without_x0_shift(h, mu, order):
         image = {}
         for (j, s), q in h.items():
             if j // 2 + s // 2 >= left and s >= 2:
-                image[j, s - 2] = image.get((j, s - 2), 0) + mu(s) * q
+                image[j, s - 2] = image.get((j, s - 2), 0) + mu[s] * q
         h = image
     return h
 
@@ -178,68 +179,94 @@ def test_fueter_chain_dropped_shift_negative_control(monkeypatch):
 
 
 def test_fueter_split_ratio_negative_control(monkeypatch):
-    """With μ_s + 1 in place of each measured μ_s (Δ x̲^s P_k = μ_s x̲^(s-2) P_k),
-    the oracle report fails on every image with a first_difference witness."""
+    """With μ_s + 1 in place of each derived μ_s, s >= 2 (Δ x̲^s P_k =
+    μ_s x̲^(s-2) P_k), the oracle report fails on every image with a
+    first_difference witness."""
     spec = SequenceSpec.builtin(3, 1, 0)
     threshold = 2 * spec.k + spec.m - 1
     literals = {n: _literal_image(n, spec) for n in (threshold, threshold + 1)}
-    original = sequences.scalar_ratio
-    monkeypatch.setattr(sequences, "scalar_ratio", lambda t, r: original(t, r) + 1)
+    original = sequences._chain_ratios
+
+    def corrupted(spec_, step, top):
+        return [r + (s >= step) for s, r in enumerate(original(spec_, step, top))]
+
+    monkeypatch.setattr(fueter, "_chain_ratios", corrupted)
     report = _oracle_report(spec, literals)
     assert not any(entry.passed for entry in report.entries) and len(report.entries) == 4
     assert all(entry.witness.startswith("monomial ") for entry in report.entries)
 
 
 def _laplacian_inputs(monkeypatch, spec) -> list:
-    """The list of s, one per later `laplacian` call of `fueter`, whose
-    x̲^s P_k of the spec (s = 0..top, top = 2k+m-1+n_max) was the input."""
-    top = 2 * spec.k + spec.m - 1 + spec.n_max
-    multiples = [vector_power(spec.context, s) * spec.pk for s in range(top + 1)]
+    """The list of every later `laplacian` input, from each module that binds
+    it, once the operator certificate of the spec's algebra holds."""
+    sequences._operator_certificate(spec.context)
     seen = []
 
     def counting(p):
-        seen.append(multiples.index(p))
+        seen.append(p)
         return laplacian(p)
 
-    monkeypatch.setattr(fueter, "laplacian", counting)
+    for module in (polynomials, operators, sequences, fueter):
+        for name, value in list(vars(module).items()):
+            if value is laplacian:
+                monkeypatch.setattr(module, name, counting)
     return seen
 
 
-def test_fueter_compare_applies_the_laplacian_once_per_multiple(monkeypatch):
+def test_fueter_compare_applies_the_laplacian_to_no_multiple(monkeypatch):
     """At m=7, k=2, n_max=0 (ν = 5, images of z^0..z^10) the report applies
-    `laplacian` once to each x̲^s P_k whose μ_s an image reads: μ_0 and μ_1
-    for the drop rule, and the even s of z^10, whose odd entries die; the
-    odd x̲^s P_k, s >= 3, never meet it."""
+    `laplacian` to nothing, so to no x̲^s P_k: every μ_s is derived."""
     spec = SequenceSpec.builtin(7, 2, 0)
     seen = _laplacian_inputs(monkeypatch, spec)
     assert fueter_compare(spec).all_passed
-    assert seen == [0, 1, 2, 4, 6, 8, 10]
+    assert seen == []
 
 
 def test_an_odd_image_reads_every_laplacian_ratio_once(monkeypatch):
-    """At m=3, k=1, n_max=1 the image of z^5 keeps its odd entries, so every
-    x̲^s P_k, s = 0..5, meets `laplacian`, and each once."""
+    """At m=3, k=1, n_max=1 the image of z^5 keeps its odd entries, so its
+    shifts read every μ_s, s = 2..5, odd s too; each image takes its list
+    μ_0..μ_n from one `_chain_ratios` call, and no x̲^s P_k meets `laplacian`."""
     spec = SequenceSpec.builtin(3, 1, 1)
     seen = _laplacian_inputs(monkeypatch, spec)
+    calls, read = [], {}
+    original = sequences._chain_ratios
+
+    class Recorded(list):
+        def __getitem__(self, s):
+            read.setdefault(self.top, set()).add(s)
+            return super().__getitem__(s)
+
+    def recording(spec_, step, top):
+        calls.append((step, top))
+        ratios = Recorded(original(spec_, step, top))
+        ratios.top = top
+        return ratios
+
+    monkeypatch.setattr(fueter, "_chain_ratios", recording)
     assert fueter_compare(spec).all_passed
-    assert sorted(seen) == [0, 1, 2, 3, 4, 5]
+    assert calls == [(2, n) for n in range(6)] and read[5] == {2, 3, 4, 5}
+    assert seen == []
 
 
-def test_the_drop_rule_premise_is_checked_negative_control(monkeypatch):
-    """A `laplacian` that leaves x̲ P_k unchanged breaks μ_1 = 0, on which
-    the chain's drop rule rests: the m=7, k=2 report, whose images read no
-    odd μ_s beyond μ_1, still measures μ_1 and raises."""
-    spec = SequenceSpec.builtin(7, 2, 0)
-    first = vector_power(spec.context, 1) * spec.pk
+def test_the_drop_rule_premise_is_checked_negative_control(monkeypatch, capsys, fresh_certificate):
+    """A `laplacian` that leaves x_1 x_2 unchanged breaks Δ = -D^2, from
+    which μ_0 = μ_1 = 0, the premise of the chain's drop rule, follows: the
+    operator certificate fails on that input, so the m=7, k=2 report and
+    the CLI raise instead of building an image (exit 3)."""
+    ctx = AlgebraContext(7)
+    bad = CliffordPolynomial.variable(ctx, 1) * CliffordPolynomial.variable(ctx, 2)
 
     @functools.wraps(laplacian)
     def broken(p):
-        return p if p == first else laplacian(p)
+        return p if p == bad else laplacian(p)
 
-    monkeypatch.setattr(fueter, "laplacian", broken)
+    monkeypatch.setattr(sequences, "laplacian", broken)
     with pytest.raises(ArithmeticError) as excinfo:
-        fueter_compare(spec)
-    assert str(excinfo.value) == "laplacian(x̲^1 P_k) is not zero"
+        fueter_compare(SequenceSpec.builtin(7, 2, 0))
+    fault = str(excinfo.value)
+    assert fault.startswith("Δ f + D D f is not 0 at f = x_1 x_2: monomial ")
+    assert main(["fueter-compare", "--m", "7", "--k", "2", "--n-max", "0"]) == 3
+    assert f"internal error: ArithmeticError: {fault}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("m, k, n_max", [(3, 1, 3), (5, 2, 2), (7, 2, 1)])
@@ -270,7 +297,8 @@ def test_fueter_map_rejects_a_negative_power():
 
 def test_fueter_compare_shares_one_blocks_dict(monkeypatch):
     """Every image of one report reads the same chains Δ^r(x̲^s P_k): each
-    fueter_map call gets the report's spec, which holds G_s for s = 0..top."""
+    fueter_map call gets the report's spec, which holds G_s for s = 0..n_max
+    and no other, as the realized chains read no G_s of a higher degree."""
     spec = SequenceSpec.builtin(3, 1, 2)
     top = 2 * 1 + 3 - 1 + spec.n_max
     seen = []
@@ -283,7 +311,7 @@ def test_fueter_compare_shares_one_blocks_dict(monkeypatch):
     monkeypatch.setattr(fueter, "fueter_map", recording)
     assert fueter_compare(spec).all_passed
     assert len(seen) == top + 1 and all(spec_ is spec for spec_ in seen)
-    assert sorted(spec._multiples) == list(range(top + 1))
+    assert sorted(spec._multiples) == list(range(spec.n_max + 1))
 
 
 def test_fueter_order_and_even_dimension():

@@ -15,10 +15,11 @@ from monappell.coefficients import restriction_coefficient
 from monappell.errors import ContextMismatchError, InvalidInitialTermError, NotAxialFormError
 from monappell.fueter import axial_embedding, fueter_compare, fueter_map
 from monappell.initial_terms import builtin_initial_term
-from monappell.operators import dirac
+from monappell.operators import dirac, laplacian
 from monappell.polynomials import (
     CliffordPolynomial,
     first_difference,
+    scalar_ratio,
     unit_exps,
     vector_power,
     vector_variable,
@@ -104,7 +105,7 @@ CK_ORACLE_CELLS += [(3, 3, 5), (5, 3, 9)]
 
 @pytest.mark.parametrize("m, k, seed", CK_ORACLE_CELLS)
 def test_ck_route_equals_the_literal_extension(m, k, seed):
-    """The CK terms built from the measured λ_i equal c_n ck_extend(x̲^n P_k)
+    """The CK terms built from the derived λ_i equal c_n ck_extend(x̲^n P_k)
     for n = 0..6, on a fresh spec and on one spec shared by every n."""
     ctx = AlgebraContext(m)
     if seed is None:
@@ -121,39 +122,126 @@ def test_ck_route_equals_the_literal_extension(m, k, seed):
             assert first_difference(term, literal) is None
 
 
+def _ratios_off_by_one(original, at=None):
+    """`_chain_ratios` with r_s + 1 in place of each r_s, s >= step, that
+    `scalar_ratio` once measured, or at s = at alone."""
+
+    def corrupted(spec, step, top):
+        ratios = original(spec, step, top)
+        return [r + (s >= step if at is None else s == at) for s, r in enumerate(ratios)]
+
+    return corrupted
+
+
 def test_route_equivalence_negative_control(monkeypatch):
-    """With λ_i + 1 in place of each measured λ_i, route_equivalence fails
-    with a first_difference witness at every n >= 1; n = 0 reads no λ."""
+    """With λ_i + 1 in place of each derived λ_i, i >= 1, route_equivalence
+    fails with a first_difference witness at every n >= 1; n = 0 reads no λ."""
     spec = SequenceSpec.builtin(3, 1, 3)
-    original = sequences.scalar_ratio
-    monkeypatch.setattr(sequences, "scalar_ratio", lambda t, r: original(t, r) + 1)
+    monkeypatch.setattr(sequences, "_chain_ratios", _ratios_off_by_one(sequences._chain_ratios))
     entries = [e for e in verify_sequence(spec).entries if e.identity == "route_equivalence"]
     assert [e.passed for e in entries] == [True, False, False, False]
     assert all(e.witness.startswith("monomial ") for e in entries[1:])
 
 
-def test_an_unmeasured_ratio_is_an_arithmetic_error(monkeypatch, capsys):
-    """When no ratio can be measured, the CK route and the Fueter report
-    raise ArithmeticError naming the operator and the powers, and the CLI
-    exits 3 with that message: no route switches to another algorithm.
-    An operator that does not vanish on x̲^s P_k for s < step raises it too."""
-    monkeypatch.setattr(sequences, "scalar_ratio", lambda target, reference: None)
-    dirac_fault = "dirac(x̲^1 P_k) is not a rational multiple of x̲^0 P_k"
+def _measured_ratio(spec, operator, step, s):
+    """The oracle: r with operator(G_s) = r G_(s-step), G_s = x̲^s P_k, by
+    `scalar_ratio` on the literal image, or 0 when it vanishes for s < step;
+    None when no such r exists."""
+    image = operator(vector_power(spec.context, s) * spec.pk)
+    if s < step:
+        return 0 if image.is_zero() else None
+    return scalar_ratio(image, vector_power(spec.context, s - step) * spec.pk)
+
+
+def _ratio_witness(spec, top):
+    """None when the derived λ_s and μ_s, s = 0..top, equal the measured
+    ones, else the first s and operator where they differ."""
+    for step, operator, name in ((1, dirac, "λ"), (2, laplacian, "μ")):
+        derived = sequences._chain_ratios(spec, step, top)
+        for s in range(top + 1):
+            measured = _measured_ratio(spec, operator, step, s)
+            if measured != derived[s]:
+                return f"{name}_{s}: measured {measured}, derived {derived[s]}"
+    return None
+
+
+# the acceptance grid, and drawn P_k: the two-blade P_3 draws above and one draw per cell
+RATIO_ORACLE_CELLS = CK_ORACLE_CELLS + [(m, k, 100 * m + k) for m in (2, 3, 4, 5) for k in range(4)]
+
+
+@pytest.mark.parametrize("m, k, seed", RATIO_ORACLE_CELLS)
+def test_derived_ratios_equal_the_measured_ones(m, k, seed):
+    """λ_s and μ_s from the recurrence equal those measured with `dirac`
+    and `laplacian` on the literal x̲^s P_k, for s = 0..12."""
+    ctx = AlgebraContext(m)
+    if seed is None:
+        pk = builtin_initial_term(ctx, k)
+    else:
+        pk = random_initial_term(random.Random(seed), ctx, k)
+    assert _ratio_witness(SequenceSpec(m=m, k=k, pk=pk, n_max=0), 12) is None
+
+
+@pytest.mark.parametrize("step, name", [(1, "λ"), (2, "μ")])
+def test_derived_ratio_oracle_negative_control(monkeypatch, step, name):
+    """λ_5 or μ_5 off by one, and no other ratio, fails the oracle with s = 5
+    as the witness."""
+    spec = SequenceSpec.builtin(4, 2, 0)
+    original = sequences._chain_ratios
+
+    def corrupted(spec_, step_, top):
+        return (_ratios_off_by_one(original, at=5) if step_ == step else original)(spec_, step_, top)
+
+    monkeypatch.setattr(sequences, "_chain_ratios", corrupted)
+    assert _ratio_witness(spec, 12).startswith(f"{name}_5: measured ")
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_operator_certificate_holds_in_every_dimension(m):
+    """Both operator identities hold on every certificate input, m = 1..16."""
+    assert sequences._operator_certificate.__wrapped__(AlgebraContext(m)) is None
+
+
+def _flipped_dirac(j):
+    """`dirac` with the sign of generator e_j flipped: D - 2 e_j d/dx_j."""
+
+    def flipped(p):
+        e_j = CliffordPolynomial.constant(p.context, p.context.e(j))
+        return dirac(p) - 2 * (e_j * p.partial_derivative(j))
+
+    return flipped
+
+
+def test_an_unmeasured_ratio_is_an_arithmetic_error(monkeypatch, capsys, fresh_certificate):
+    """When the operator certificate fails, as under a `dirac` with the
+    sign of e_2 flipped, no ratio is derived: the CK route and the Fueter
+    report raise ArithmeticError naming the failing input, and the CLI
+    exits 3 with that message; no route switches to another algorithm."""
+    monkeypatch.setattr(sequences, "dirac", _flipped_dirac(2))
+    fault = "D(x̲ f) + x̲ D f is not -(m + 2E) f at f = 1: monomial [0, 0, 0, 0], blade []: difference 2/1"
     with pytest.raises(ArithmeticError) as excinfo:
         sequence_term_ck(SequenceSpec.builtin(3, 1, 3), 3)
-    assert str(excinfo.value) == dirac_fault
+    assert str(excinfo.value) == fault
     with pytest.raises(ArithmeticError) as excinfo:
         fueter_compare(SequenceSpec.builtin(3, 1, 3))
-    assert str(excinfo.value) == "laplacian(x̲^2 P_k) is not a rational multiple of x̲^0 P_k"
+    assert str(excinfo.value) == fault
     assert main(["verify", "--m", "3", "--k", "1", "--n-max", "3"]) == 3
-    assert f"internal error: ArithmeticError: {dirac_fault}" in capsys.readouterr().err
-    with pytest.raises(ArithmeticError) as excinfo:  # dirac(x̲ P_k) = λ_1 P_k
-        sequences._chain_ratio(SequenceSpec.builtin(3, 1, 3), dirac, 2, 1)
-    assert str(excinfo.value) == "dirac(x̲^1 P_k) is not zero"
+    assert f"internal error: ArithmeticError: {fault}" in capsys.readouterr().err
 
 
-def _dirac_inputs(monkeypatch) -> list:
-    """The list to which each later dirac call of `sequences` adds its input."""
+def test_a_laplacian_broken_on_one_certificate_input_is_named(monkeypatch, fresh_certificate):
+    """A `laplacian` that leaves x_2 x_3 unchanged fails the certificate,
+    and the message names that input."""
+    ctx = AlgebraContext(4)
+    bad = CliffordPolynomial.variable(ctx, 2) * CliffordPolynomial.variable(ctx, 3)
+    monkeypatch.setattr(sequences, "laplacian", lambda p: p if p == bad else laplacian(p))
+    with pytest.raises(ArithmeticError, match=r"^Δ f \+ D D f is not 0 at f = x_2 x_3: monomial "):
+        sequence_term_ck(SequenceSpec.builtin(4, 1, 1), 1)
+
+
+def _dirac_inputs(monkeypatch, context) -> list:
+    """The list to which each later dirac call of `sequences` adds its input,
+    once the operator certificate of the context holds."""
+    sequences._operator_certificate(context)
     seen = []
 
     def counting(p):
@@ -164,37 +252,35 @@ def _dirac_inputs(monkeypatch) -> list:
     return seen
 
 
-def _once_each(seen, spec, terms):
-    """seen holds each term and each x̲^i P_k, i = 1..n_max, once: as a
+def _only_the_terms(seen, spec, terms):
+    """seen holds each term once and no x̲^i P_k, i = 1..n_max: as a
     multiset, so a second dirac of P_k, the zeroth term, is caught."""
-    expected = terms + [vector_power(spec.context, i) * spec.pk for i in range(1, spec.n_max + 1)]
+    multiples = [vector_power(spec.context, i) * spec.pk for i in range(1, spec.n_max + 1)]
+    counts = [sum(p == q for q in seen) for p in terms]
+    return len(seen) == len(terms) and counts == [1] * len(terms) and not any(
+        p == g for p in seen for g in multiples
+    )
 
-    def counts(polys):
-        return [sum(p == q for q in polys) for p in expected]
 
-    return len(seen) == len(expected) and counts(seen) == counts(expected)
-
-
-def test_verify_sequence_applies_dirac_once_per_term_and_per_multiple(monkeypatch):
-    """At m=7, k=3, n_max=7 dirac meets each term once (monogenicity) and
-    each x̲^i P_k, i >= 1, once (its λ_i); λ_0 is not read, as the spec's
-    gate has checked dirac(P_k) = 0."""
+def test_verify_sequence_applies_dirac_once_per_term_and_to_no_multiple(monkeypatch):
+    """At m=7, k=3, n_max=7 dirac meets each term once (monogenicity) and no
+    x̲^i P_k: the CK route reads the derived λ_i."""
     spec = SequenceSpec.builtin(7, 3, 7)
     terms = generate_sequence(spec)
-    seen = _dirac_inputs(monkeypatch)
+    seen = _dirac_inputs(monkeypatch, spec.context)
     assert verify_sequence(spec, terms).all_passed
-    assert len(seen) == 15 and _once_each(seen, spec, terms)
+    assert len(seen) == 8 and _only_the_terms(seen, spec, terms)
 
 
-def test_one_spec_measures_each_dirac_ratio_once_across_reports(monkeypatch):
-    """fueter_compare then verify_sequence on one spec apply dirac to each
-    x̲^i P_k, i >= 1, once: the second report reads the λ_i the first measured."""
+def test_one_spec_applies_dirac_to_no_multiple_across_reports(monkeypatch):
+    """fueter_compare then verify_sequence on one spec apply dirac to the
+    terms alone: the Fueter report applies it to nothing."""
     spec = SequenceSpec.builtin(3, 1, 3)
-    seen = _dirac_inputs(monkeypatch)
-    assert fueter_compare(spec).all_passed
+    seen = _dirac_inputs(monkeypatch, spec.context)
+    assert fueter_compare(spec).all_passed and seen == []
     terms = generate_sequence(spec)
     assert verify_sequence(spec, terms).all_passed
-    assert _once_each(seen, spec, terms)
+    assert _only_the_terms(seen, spec, terms)
 
 
 def test_sequence_spec_is_frozen():

@@ -5,9 +5,10 @@ more variable via the exponential series
 
     sum_j ((-x_0)^j / j!) dirac^j g
 
-which terminates because dirac lowers total degree; each x_0^j factor is
-a key shift (`times_x0`), and one `linear_combination` sums the series,
-so no partial sum is copied.
+which terminates because dirac lowers total degree.  One
+`linear_combination` sums the series from (weight, dirac^j g, j) items:
+each x_0^j factor is a key shift applied as the term is added, so
+neither a partial sum nor a shifted copy of a term is built.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ def ck_extend(g: CliffordPolynomial) -> CliffordPolynomial:
     """Monogenic extension of x_0-free polynomial data."""
     if g.depends_on_x0():
         raise DependsOnX0Error("initial data must not involve x_0")
-    terms = []  # ((-1)^j / j!, x_0^j dirac^j g)
+    terms = []  # ((-1)^j / j!, dirac^j g, j): weight, operand and its x_0 power
     current = g
     while not current.is_zero():
         j = len(terms)
-        terms.append((Fraction((-1) ** j, factorial(j)), current.times_x0(j)))
+        terms.append((Fraction((-1) ** j, factorial(j)), current, j))
         current = dirac(current)
     return linear_combination(g.context, terms)
 

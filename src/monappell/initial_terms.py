@@ -14,19 +14,22 @@ from functools import lru_cache
 from pathlib import Path
 
 from .algebra import AlgebraContext, require_int, short_repr
-from .errors import DimensionTooSmallError, InvalidInitialTermError
+from .errors import DegreeLimitError, DimensionTooSmallError, InvalidInitialTermError
 from .operators import validate_initial_term  # re-exported
-from .polynomials import CliffordPolynomial, unit_exps
+from .polynomials import DEGREE_LIMIT, CliffordPolynomial, unit_exps
 
 BUILTIN_SOURCE = "builtin"
 
 
 def builtin_initial_term(context: AlgebraContext, k: int, pair=(1, 2)) -> CliffordPolynomial:
     """(x_i - e_ij x_j)^k for the generator pair (i, j), or 1 for k = 0; a k
-    that is not an int (a bool, a float) raises ValueError.  The result may
+    that is not an int (a bool, a float) raises ValueError, and one at or
+    past DEGREE_LIMIT DegreeLimitError, before any product.  The result may
     be shared with other callers, as every instance is treated as immutable."""
     if require_int(k, "k") < 0:
         raise ValueError("degree k must be non-negative")
+    if k >= DEGREE_LIMIT:  # checked before the k products of the power
+        raise DegreeLimitError(f"initial term degree {k} is not below the limit {DEGREE_LIMIT}")
     if k == 0:
         return CliffordPolynomial.one(context)
     if context.m < 2:

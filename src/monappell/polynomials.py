@@ -18,15 +18,21 @@ constructors and the seeded sampler hand it (exps, mask, numerator,
 denominator) entries.  The form is canonical (no zero numerator, no
 factor common to all numerators and the denominator, denominator 1 for
 zero), so equality is literal.  Every result is built by `_normalized`
-or by `_collect`, the one place that drops zero sums; the sums come from
-`_summed` (pairs), `_product` (the one product loop) or the `dirac` and
-`laplacian` loops, which add into their dict directly.  A blade sign is
-one popcount against `algebra.sign_mask`.  Fractions and exponent tuples
-appear only at the API boundary (the `terms` views and the readers).
-Serialization orders monomials graded-lex; both JSON forms come from one walk.
+or by `_collect`, the one place that drops zero sums, in the same pass
+that divides out the common factor; the sums come from
+`linear_combination`, `_product` (the one product loop), the `dirac` and
+`laplacian` loops, which add into their dict directly, or `_summed`
+(pairs, for the readers and `evaluate`).  A blade sign is one popcount
+against `algebra.sign_mask`.  Fractions and exponent tuples appear only
+at the API boundary (the `terms` views and the readers).  Serialization
+orders monomials graded-lex; both JSON forms come from one walk.
 
 `linear_combination` is the one sum entry point (`+` and `-` are its
-two-operand case): one `_collect` over the least common denominator.
+two-operand case).  The explicit term, every realized chain and the CK
+series are sums of x_0-shifted pieces, so an item may carry its x_0
+power: its keys are shifted as they are added into one dict seeded from
+the largest operand, and no shifted copy is built.
+
 The powers |x̲|^(2l) of a context form a ladder memoized like
 `key_layout`, each rung one product made once per process; its values
 are shared, as every instance is treated as immutable.
@@ -135,16 +141,16 @@ def unit_exps(m: int, i: int) -> tuple[int, ...]:
     return tuple(1 if t == i else 0 for t in range(require_int(m, "m") + 1))
 
 
-def _normalized(context: AlgebraContext, nums: dict, denominator: int, cls=None):
+def _normalized(context: AlgebraContext, nums: dict, denominator: int, cls=None, cancels=False):
     """The canonical nums / denominator (nonzero nums, positive denominator,
-    common factors divided out) as a `cls`, CliffordPolynomial by default."""
-    if not nums:
-        denominator = 1
-    elif denominator != 1:
-        g = gcd(denominator, *nums.values())
-        if g != 1:
-            nums = {key: q // g for key, q in nums.items()}
-            denominator //= g
+    common factors divided out) as a `cls`, CliffordPolynomial by default.
+    With `cancels`, nums may hold zeros; they are dropped in the same pass
+    that divides out the common factor (a zero leaves the gcd as it is, and
+    with no nonzero nums the gcd is the denominator itself)."""
+    g = gcd(denominator, *nums.values()) if denominator != 1 else 1
+    if g != 1 or cancels and 0 in nums.values():  # only then is a second dict needed
+        nums = {key: q // g for key, q in nums.items() if q}
+        denominator //= g
     out = object.__new__(cls or CliffordPolynomial)
     out.context, out.numerators, out.denominator = context, nums, denominator
     return out
@@ -153,14 +159,13 @@ def _normalized(context: AlgebraContext, nums: dict, denominator: int, cls=None)
 def _collect(context: AlgebraContext, sums: dict, denominator: int, cls=None):
     """The canonical sums / denominator, sums an int numerator per key: the
     keys whose sum is zero are dropped here, and only here."""
-    if 0 in sums.values():  # only a sum that cancelled needs the second dict
-        sums = {key: q for key, q in sums.items() if q}
-    return _normalized(context, sums, denominator, cls)
+    return _normalized(context, sums, denominator, cls, cancels=True)
 
 
 def _summed(contributions) -> dict:
-    """{key: sum of q} over (key, q) pairs: the sum loop of every kernel
-    but `_product` and the operators, which add into their dict directly."""
+    """{key: sum of q} over (key, q) pairs: the sum loop of the readers and
+    `evaluate`; `linear_combination`, `_product` and the operators add into
+    their dict directly."""
     sums: dict = {}
     get = sums.get
     for key, q in contributions:
@@ -168,20 +173,53 @@ def _summed(contributions) -> dict:
     return sums
 
 
-def linear_combination(context: AlgebraContext, pairs: Iterable[tuple]):
-    """sum weight * operand over (weight, operand) pairs of int or Fraction weights and
-    operands of `context`, by one `_collect` over the least common denominator; the
-    sum is a Multivector only if every operand is one."""
-    pairs = [(require_exact(weight, "weight"), operand) for weight, operand in pairs]
-    if any(x.context != context for _, x in pairs):
-        raise ContextMismatchError(f"an operand is not from the algebra of m={context.m}")
-    only_multivectors = pairs and all(isinstance(x, Multivector) for _, x in pairs)
-    terms = [(w.numerator, x.numerators, w.denominator * x.denominator) for w, x in pairs if w]
-    den = lcm(*(d for _, _, d in terms))
-    scaled = [(q * (den // d), nums) for q, nums, d in terms]
-    contributions = [(key, s * q) for s, nums in scaled for key, q in nums.items()]
-    cls = Multivector if only_multivectors else None
-    return _collect(context, _summed(contributions), den, cls)
+def _x0_step(p, j: int) -> int:
+    """The key step of x_0^j on p (a polynomial or a multivector), after
+    the checks of `times_x0`: j an int, not negative, and p's degree plus j
+    below DEGREE_LIMIT."""
+    if require_int(j, "power") < 0:
+        raise ValueError("negative powers are not defined")
+    layout, nums = key_layout(p.context.m), p.numerators
+    degree = max(nums) >> layout.degree_shift if nums else -1  # as in `total_degree`
+    _require_degree(degree + j, "product")
+    return j * layout.units[0]
+
+
+def linear_combination(context: AlgebraContext, items: Iterable[tuple]):
+    """sum weight * x_0^j * operand over (weight, operand) or (weight, operand, j)
+    items (j = 0 when left out) of int or Fraction weights and operands of
+    `context`, j checked as `times_x0` checks it; a Multivector only if
+    every operand is one and none is shifted.  One dict, seeded from the
+    operand with the most keys, takes every shifted key, and one `_collect`
+    over the least common denominator makes the normal form."""
+    items = list(items)
+    terms = []  # (weight numerator, numerators, key step, weight denominator * operand denominator)
+    cls = Multivector if items else None
+    for weight, x, *j in items:
+        weight = require_exact(weight, "weight")
+        if x.context != context:
+            raise ContextMismatchError(f"an operand is not from the algebra of m={context.m}")
+        step = _x0_step(x, *j) if j else 0
+        if step or not isinstance(x, Multivector):
+            cls = None
+        if weight and x.numerators:
+            terms.append((weight.numerator, x.numerators, step, weight.denominator * x.denominator))
+    if not terms:
+        return _normalized(context, {}, 1, cls)
+    den = lcm(*(d for _, _, _, d in terms))
+    q, nums, step, d = terms.pop(max(range(len(terms)), key=lambda i: len(terms[i][1])))
+    scale = q * (den // d)
+    if scale == 1 and not step:
+        sums = dict(nums)
+    else:
+        sums = {key + step: scale * c for key, c in nums.items()}
+    get = sums.get
+    for q, nums, step, d in terms:
+        scale = q * (den // d)
+        for key, c in nums.items():
+            key += step
+            sums[key] = get(key, 0) + scale * c
+    return _collect(context, sums, den, cls)
 
 
 def _scaled(a, q: Scalar):
@@ -528,10 +566,7 @@ class CliffordPolynomial:
 
     def times_x0(self, j: int) -> CliffordPolynomial:
         """x_0^j times self: j added to the x_0 field of every key, no product."""
-        if require_int(j, "power") < 0:
-            raise ValueError("negative powers are not defined")
-        _require_degree(self.total_degree() + j, "product")
-        step = j * key_layout(self.context.m).units[0]
+        step = _x0_step(self, j)
         nums = {key + step: q for key, q in self.numerators.items()}
         return _normalized(self.context, nums, self.denominator)
 

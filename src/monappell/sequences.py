@@ -38,10 +38,11 @@ from functools import cache
 from .algebra import AlgebraContext, require_int
 from .bivariate import AxialPair, axial_profiles
 from .coefficients import explicit_weights, restriction_coefficient
-from .errors import ContextMismatchError, NotAxialFormError
+from .errors import ContextMismatchError, DegreeLimitError, NotAxialFormError
 from .initial_terms import builtin_initial_term
 from .operators import dirac, laplacian, require_initial_term
 from .polynomials import (
+    DEGREE_LIMIT,
     CliffordPolynomial,
     degree_witness,
     first_difference,
@@ -58,8 +59,10 @@ from .report import VerificationReport
 class SequenceSpec:
     """Generation parameters: dimension, initial degree and term, length.
 
-    Building one runs P_k through `require_initial_term` at degree k, the
-    one gate of the sequence, axial and Fueter routes.  Frozen, so the gate
+    Building one rejects a last term of degree k + n_max at or past
+    DEGREE_LIMIT with DegreeLimitError, before any product, then runs P_k
+    through `require_initial_term` at degree k, the one gate of the
+    sequence, axial and Fueter routes.  Frozen, so the gate
     and the G_s = x̲^s P_k memoized on the spec for its whole life by
     `_multiple` hold for its P_k.  The ratios between the G_s depend on
     (m, k) alone and are derived by `_chain_ratios`, whose certificate
@@ -76,6 +79,9 @@ class SequenceSpec:
             require_int(getattr(self, name), name)
         if self.n_max < 0:
             raise ValueError("n_max must be non-negative")
+        degree = self.k + self.n_max  # of the last term, checked before any product
+        if degree >= DEGREE_LIMIT:
+            raise DegreeLimitError(f"last term degree {degree} is not below the limit {DEGREE_LIMIT}")
         if self.pk.context.m != self.m:
             raise ContextMismatchError(
                 f"initial term lives in m={self.pk.context.m}, spec says m={self.m}"
@@ -98,14 +104,16 @@ def _check_index(spec: SequenceSpec, n: int) -> None:
 
 
 def sequence_term_explicit(spec: SequenceSpec, n: int) -> CliffordPolynomial:
-    """Closed-form n-th term: binomially weighted powers of x_0 and x̲ times P_k."""
+    """Closed-form n-th term: binomially weighted powers of x_0 and x̲ times
+    P_k; each x̲^(n-j) is a product of its own, and its x_0^j a key shift
+    in the one `linear_combination`."""
     _check_index(spec, n)
     ctx = spec.context
     xv = vector_variable(ctx)
     power = CliffordPolynomial.one(ctx)  # x̲^(n-j), one factor x̲ more per step
     terms = []
     for j, weight in explicit_weights(spec.m, spec.k, n):
-        terms.append((weight, power.times_x0(j)))
+        terms.append((weight, power, j))
         if j:
             power = power * xv
     return linear_combination(ctx, terms) * spec.pk
@@ -167,9 +175,10 @@ def _chain_ratios(spec: SequenceSpec, step: int, top: int) -> list[int]:
 
 
 def _realize(spec: SequenceSpec, h: dict) -> CliffordPolynomial:
-    """The chain h = {(j, s): q} as the polynomial sum q x_0^j G_s, one
-    `linear_combination` of x_0 shifts of the spec's G_s = x̲^s P_k."""
-    terms = [(q, _multiple(spec, s).times_x0(j)) for (j, s), q in h.items()]
+    """The chain h = {(j, s): q} as the polynomial sum q x_0^j G_s: one
+    `linear_combination` of the spec's G_s = x̲^s P_k, each shifted by x_0^j
+    as it is added, so no shifted copy of a G_s is built."""
+    terms = [(q, _multiple(spec, s), j) for (j, s), q in h.items()]
     return linear_combination(spec.context, terms)
 
 

@@ -351,6 +351,28 @@ def test_product_past_the_degree_limit_exits_two(capsys, monkeypatch):
     assert "not below the limit 4" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "--m", "2", "--k", "1", "--n-max", "70000"], "last term degree 70001"),
+        (["fueter-compare", "--m", "3", "--k", "1", "--n-max", "70000"], "last term degree 70001"),
+        (["generate", "--m", "2", "--k", "65536", "--n-max", "0"], "initial term degree 65536"),
+    ],
+)
+def test_a_term_past_the_degree_limit_exits_two_before_any_product(
+    capsys, no_large_products, argv, message
+):
+    """A term whose degree k + n (or k alone) reaches the limit is a usage
+    error found before any product: exit 2, nothing on stdout, and the
+    limit named.  Products and generator powers past degree 1 fail here, so
+    a request that went on to build its terms would end in exit 3 at once."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (excinfo.value.code, out) == (2, "")
+    assert f"{message} is not below the limit 65536" in err
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["generate", "--m", "3"])  # missing required flags

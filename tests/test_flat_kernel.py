@@ -82,6 +82,7 @@ def test_blade_sign_negative_control(monkeypatch):
             rest ^= low
         return r
 
+    key_layout(2)  # memoized with its Dirac sign table, so built before the patch
     monkeypatch.setattr(algebra, "sign_mask", wrong_sign_mask)
     assert sign_witness() == (1, 1)  # e1 e1 came out +1
     monkeypatch.setattr(kernel, "sign_mask", wrong_sign_mask)  # the product kernel's binding
@@ -251,6 +252,16 @@ def test_common_factors_are_divided_out():
     halved = Fraction(3, 2) * p
     assert halved.denominator == 1
     assert sorted(halved.numerators.values()) == [1, 2]
+    # a sum that cancels (the e_1 keys) and whose other numerators share the
+    # factor 3 with the denominator: both are removed in one normal form
+    e1 = CliffordPolynomial.constant(ctx, ctx.e(1))
+    a, b = Fraction(2, 3) * x1 + Fraction(1, 3) * e1, Fraction(4, 3) * x1 - Fraction(1, 3) * e1
+    for total, expected in (
+        (linear_combination(ctx, [(1, a), (1, b)]), 2 * x1),
+        (linear_combination(ctx, [(1, a, 2), (1, b, 2)]), 2 * x1.times_x0(2)),
+    ):
+        assert (total.numerators, total.denominator) == (expected.numerators, 1)
+        assert_canonical(total)
 
 
 def test_zero_polynomial_has_denominator_one():
@@ -376,6 +387,53 @@ def test_linear_combination_is_the_fold_of_binary_sums(m, data):
     for result in (total, partial, cancelled):
         assert type(result) is type(zero)
         assert_canonical(result)
+
+
+@pytest.mark.parametrize("m", MS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_shifted_sum_is_the_sum_of_shifted_copies(m, data):
+    """(weight, p, j) items sum to what (weight, p.times_x0(j)) pairs sum
+    to, also mixed with unshifted pairs; the negated copies cancel every key."""
+    ctx = AlgebraContext(m)
+    items = data.draw(
+        st.lists(st.tuples(weights, rich_polynomials(ctx), st.integers(0, 4)), min_size=1, max_size=5)
+    )
+    copies = [(weight, p.times_x0(j)) for weight, p, j in items]
+    total = linear_combination(ctx, items)
+    assert total == linear_combination(ctx, copies) == binary_fold(CliffordPolynomial.zero(ctx), copies)
+    assert linear_combination(ctx, items[:1] + copies[1:]) == total
+    cancelled = linear_combination(ctx, items + [(-weight, p) for weight, p in copies])
+    assert cancelled.numerators == {} and cancelled.denominator == 1
+    for result in (total, cancelled):
+        assert type(result) is CliffordPolynomial
+        assert_canonical(result)
+
+
+def _raised(call) -> tuple[type, str]:
+    with pytest.raises(Exception) as excinfo:
+        call()
+    return type(excinfo.value), str(excinfo.value)
+
+
+def test_a_shift_is_checked_as_times_x0_checks_it():
+    """A negative, bool or float j, or one that takes the degree to
+    DEGREE_LIMIT, raises what `times_x0` raises, with a zero weight too;
+    the zero polynomial (degree -1) takes one power more.  A shifted
+    multivector is the shifted constant polynomial."""
+    ctx = AlgebraContext(3)
+    x1, zero = CliffordPolynomial.variable(ctx, 1), CliffordPolynomial.zero(ctx)
+    cases = [(x1, j) for j in (-1, True, 1.0, DEGREE_LIMIT - 1)] + [(zero, DEGREE_LIMIT + 1)]
+    for p, j in cases:
+        expected = _raised(lambda: p.times_x0(j))
+        for weight in (1, 0):
+            assert _raised(lambda: linear_combination(ctx, [(1, x1), (weight, p, j)])) == expected
+    for p, j in ((x1, DEGREE_LIMIT - 2), (zero, DEGREE_LIMIT)):
+        assert linear_combination(ctx, [(1, p, j)]) == p.times_x0(j)
+    mv = Multivector(ctx, {0: Fraction(1, 2), 5: 3})
+    assert linear_combination(ctx, [(2, mv, 0)]) == 2 * mv
+    shifted = linear_combination(ctx, [(2, mv, 3)])
+    assert shifted == 2 * CliffordPolynomial.constant(ctx, mv).times_x0(3)
 
 
 def test_linear_combination_checks_its_operands_and_weights():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from monappell.algebra import AlgebraContext
-from monappell.errors import DimensionTooSmallError, InvalidInitialTermError
+from monappell.errors import DegreeLimitError, DimensionTooSmallError, InvalidInitialTermError
 from monappell.initial_terms import (
     InitialTermSpec,
     _generator_power,
@@ -12,7 +12,7 @@ from monappell.initial_terms import (
     load_initial_term,
     validate_initial_term,
 )
-from monappell.polynomials import CliffordPolynomial, unit_exps
+from monappell.polynomials import DEGREE_LIMIT, CliffordPolynomial, unit_exps
 from monappell.sampling import random_initial_term
 from monappell.sequences import SequenceSpec
 
@@ -168,3 +168,11 @@ def test_builtin_takes_a_list_pair_and_exact_indices():
 def test_generator_power_memo_is_bounded():
     assert _generator_power.cache_info().maxsize == 256
     assert builtin_initial_term(CTX3, 3, (2, 3)) is builtin_initial_term(CTX3, 3, (2, 3))
+
+
+def test_a_builtin_term_past_the_degree_limit_is_rejected_before_any_product(no_large_products):
+    """k = DEGREE_LIMIT would take that many products to reach the limit;
+    the degree is checked first, and generator powers past degree 1 fail here."""
+    with pytest.raises(DegreeLimitError, match=f"initial term degree {DEGREE_LIMIT} is not below"):
+        builtin_initial_term(CTX3, DEGREE_LIMIT)
+    assert builtin_initial_term(CTX3, 1).is_homogeneous(1)

@@ -12,11 +12,17 @@ from monappell.bivariate import BivariatePoly, axial_profiles
 from monappell.cli import main
 from monappell.ck import ck_extend, is_monogenic
 from monappell.coefficients import restriction_coefficient
-from monappell.errors import ContextMismatchError, InvalidInitialTermError, NotAxialFormError
+from monappell.errors import (
+    ContextMismatchError,
+    DegreeLimitError,
+    InvalidInitialTermError,
+    NotAxialFormError,
+)
 from monappell.fueter import axial_embedding, fueter_compare, fueter_map
 from monappell.initial_terms import builtin_initial_term
 from monappell.operators import dirac, laplacian
 from monappell.polynomials import (
+    DEGREE_LIMIT,
     CliffordPolynomial,
     first_difference,
     scalar_ratio,
@@ -349,6 +355,15 @@ def test_sequence_spec_validation():
     spec = SequenceSpec.builtin(3, 0, 1)
     with pytest.raises(ValueError):
         sequence_term_explicit(spec, 2)
+
+
+def test_a_spec_past_the_degree_limit_is_rejected_before_any_product(no_large_products):
+    """The last term has degree k + n_max, which must stay below
+    DEGREE_LIMIT; products past degree 1 fail here, so the check is seen to
+    run before any of them.  One below the limit builds the spec."""
+    with pytest.raises(DegreeLimitError, match=f"last term degree {DEGREE_LIMIT} is not below"):
+        SequenceSpec.builtin(2, 1, DEGREE_LIMIT - 1)
+    assert SequenceSpec.builtin(2, 1, DEGREE_LIMIT - 2).n_max == DEGREE_LIMIT - 2
 
 
 @pytest.mark.parametrize(

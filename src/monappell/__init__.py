@@ -5,7 +5,6 @@ the package is checked by literal equality rather than by tolerance.
 """
 
 from .algebra import AlgebraContext, Multivector, blade_product
-from .bivariate import BivariatePoly
 from .ck import ck_extend, is_monogenic
 from .coefficients import (
     double_factorial,

@@ -7,15 +7,21 @@ from .algebra import require_int
 from .errors import ArgumentTooSmallError
 
 
+def _check_indices(m: int, k: int, n: int = 0) -> None:
+    """The one index guard of the coefficients and `fueter_order`: int m >= 1, k >= 0, n >= 0."""
+    if require_int(m, "m") < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
+    if require_int(n, "n") < 0 or require_int(k, "k") < 0:
+        raise ValueError("indices must be non-negative")
+
+
 def lowering_factor(m: int, k: int, n: int) -> int:
     """Constant in dirac(x̲^n P_k) = -lowering_factor(m,k,n) x̲^(n-1) P_k.
 
     Equals n for even n >= 2 and 2k+m+n-1 for odd n; set to 1 at n = 0 so
     that products over s = 0..n start cleanly.
     """
-    require_int(m, "m")
-    if require_int(n, "n") < 0 or require_int(k, "k") < 0:
-        raise ValueError("indices must be non-negative")
+    _check_indices(m, k, n)
     if n == 0:
         return 1
     return n if n % 2 == 0 else 2 * k + m + n - 1
@@ -27,8 +33,7 @@ def restriction_coefficient(m: int, k: int, n: int) -> Fraction:
 
     Satisfies the recurrence c_n = n c_(n-1) / lowering_factor(m,k,n).
     """
-    if require_int(n, "n") < 0 or require_int(k, "k") < 0:
-        raise ValueError("indices must be non-negative")
+    _check_indices(m, k, n)
     lowering = prod(lowering_factor(m, k, s) for s in range(n + 1))
     return Fraction(factorial(n), lowering)
 
@@ -36,8 +41,7 @@ def restriction_coefficient(m: int, k: int, n: int) -> Fraction:
 def explicit_weights(m: int, k: int, n: int) -> list[tuple[int, Fraction]]:
     """(j, binom(n, j) restriction_coefficient(m, k, n-j)) for j = n..0: the
     weight of x_0^j x̲^(n-j) in the explicit n-th term, in written order."""
-    if require_int(n, "n") < 0 or require_int(k, "k") < 0:
-        raise ValueError("indices must be non-negative")
+    _check_indices(m, k, n)
     return [(j, comb(n, j) * restriction_coefficient(m, k, n - j)) for j in range(n, -1, -1)]
 
 
@@ -55,9 +59,8 @@ def fueter_factor(m: int, k: int, n: int) -> int:
     Only defined for n >= 2k+m-1 (with m odd that threshold is even, so
     the denominator index never drops below zero).
     """
-    if require_int(n, "n") < 0 or require_int(k, "k") < 0:
-        raise ValueError("indices must be non-negative")
-    floor = 2 * k + require_int(m, "m") - 1
+    _check_indices(m, k, n)
+    floor = 2 * k + m - 1
     if n < floor:
         raise ArgumentTooSmallError(f"need n >= {floor}, got {n}")
     if n % 2:

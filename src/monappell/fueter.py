@@ -39,7 +39,7 @@ from math import comb
 
 from .algebra import require_int
 from .bivariate import AxialPair, axial_profiles
-from .coefficients import double_factorial, fueter_factor, restriction_coefficient
+from .coefficients import _check_indices, double_factorial, fueter_factor, restriction_coefficient
 from .errors import EvenDimensionError
 from .polynomials import CliffordPolynomial
 from .report import VerificationReport
@@ -60,9 +60,10 @@ def axial_embedding(n: int, spec: SequenceSpec) -> CliffordPolynomial:
 
 def fueter_order(m: int, k: int) -> int:
     """Number of Laplacian applications: k + (m-1)/2, requiring odd m."""
-    if require_int(m, "m") % 2 == 0:
+    _check_indices(m, k)
+    if m % 2 == 0:
         raise EvenDimensionError("the Fueter map requires an odd dimension m")
-    return require_int(k, "k") + (m - 1) // 2
+    return k + (m - 1) // 2
 
 
 def fueter_map(n: int, spec: SequenceSpec) -> CliffordPolynomial:

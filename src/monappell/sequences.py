@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cache
 
 from .algebra import AlgebraContext, require_int
-from .bivariate import AxialPair, axial_profiles
+from .bivariate import AxialPair, _profile_text, axial_profiles
 from .coefficients import explicit_weights, restriction_coefficient
 from .errors import ContextMismatchError, DegreeLimitError, NotAxialFormError
 from .initial_terms import builtin_initial_term
@@ -240,16 +240,13 @@ def verify_sequence(
     for n, term in enumerate(terms):
         params = {"m": spec.m, "k": spec.k, "n": n}
         d0, d = term.partial_derivative(0), dirac(term)
-        residual = d0 + d  # the Cauchy-Riemann operator
-        report.add_equal("monogenic", params, residual, zero)
-        if n >= 1:
-            step = Fraction(1, 2) * (d0 - d)  # half the conjugate operator
-            expected = n * terms[n - 1]
-            report.add_equal("appell_step", params, step, expected)
+        report.add_equal("monogenic", params, d0 + d, zero)  # the Cauchy-Riemann operator
+        if n >= 1:  # half the conjugate operator
+            report.add_equal("appell_step", params, Fraction(1, 2) * (d0 - d), n * terms[n - 1])
+        del d0, d  # not alive while the CK term is realized
         witness = degree_witness(term, spec.k + n)
         report.add("homogeneous", params, witness is None, witness)
-        ck_term = sequence_term_ck(spec, n)
-        report.add_equal("route_equivalence", params, ck_term, term)
+        report.add_equal("route_equivalence", params, sequence_term_ck(spec, n), term)
     return report
 
 
@@ -278,8 +275,7 @@ def axial_decompose(p: CliffordPolynomial, spec: SequenceSpec) -> AxialPair:
                 "homogeneous component is not a rational multiple of x̲^i times the initial term"
             )
         h[j, i] = ratio
-    a, b_reduced = axial_profiles(h)
-    return AxialPair(a=a, b_reduced=b_reduced, spec=spec)
+    return AxialPair(*axial_profiles(h), spec=spec)
 
 
 def vekua_witness(pair: AxialPair) -> str | None:
@@ -293,7 +289,7 @@ def vekua_witness(pair: AxialPair) -> str | None:
     residual = pair.cauchy_riemann()
     if residual.a.is_zero() and residual.b_reduced.is_zero():
         return None
-    return f"residuals: ({residual.a}; {residual.b_reduced})"
+    return f"residuals: ({_profile_text(residual.a)}; {_profile_text(residual.b_reduced)})"
 
 
 def verify_axial(

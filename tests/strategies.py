@@ -1,4 +1,5 @@
-"""Hypothesis strategies for multivectors and polynomials."""
+"""Hypothesis strategies for multivectors and polynomials, and the builder
+of (x_0, t) profiles."""
 
 from fractions import Fraction
 
@@ -9,6 +10,14 @@ from monappell.polynomials import CliffordPolynomial
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 nonzero_rationals = rationals.filter(bool)
+
+PLANE = AlgebraContext(1)  # the algebra of the (x_0, t) profiles: x_1 stands for t
+T = CliffordPolynomial.variable(PLANE, 1)
+
+
+def profile(terms: dict) -> CliffordPolynomial:
+    """The R_{0,1} profile sum q x_0^a t^l over {(a, l): q}."""
+    return CliffordPolynomial(PLANE, {exps: PLANE.scalar(q) for exps, q in terms.items()})
 
 
 def multivectors(ctx: AlgebraContext, max_terms: int = 3):

@@ -13,7 +13,6 @@ PUBLIC_API = [
     "AlgebraContext",
     "ArgumentTooSmallError",
     "AxialPair",
-    "BivariatePoly",
     "CheckResult",
     "CliffordPolynomial",
     "ContextMismatchError",

@@ -5,49 +5,61 @@ from fractions import Fraction
 import pytest
 
 from monappell.algebra import AlgebraContext
-from monappell.bivariate import AxialPair, BivariatePoly, axial_profiles
+from monappell.bivariate import AxialPair, _substitute_t, axial_profiles
 from monappell.operators import cauchy_riemann
 from monappell.polynomials import CliffordPolynomial, radius_squared, vector_power
 from monappell.report import VerificationReport
 from monappell.sampling import random_initial_term
 from monappell.sequences import SequenceSpec
+from strategies import PLANE, T, profile
 
 CTX3 = AlgebraContext(3)
 
 
 def test_arithmetic():
-    p = BivariatePoly({(1, 0): 1, (0, 1): Fraction(-1, 2)})  # x0 - t/2
-    q = BivariatePoly.monomial(0, 1, 2)  # 2t
-    assert p + q == BivariatePoly({(1, 0): 1, (0, 1): Fraction(3, 2)})
-    assert p - p == BivariatePoly.zero()
-    assert (p * q).terms == {(1, 1): Fraction(2), (0, 2): Fraction(-1)}
+    p = profile({(1, 0): 1, (0, 1): Fraction(-1, 2)})  # x0 - t/2
+    q = profile({(0, 1): 2})  # 2t
+    assert p + q == profile({(1, 0): 1, (0, 1): Fraction(3, 2)})
+    assert p - p == CliffordPolynomial.zero(PLANE)
+    assert p * q == profile({(1, 1): 2, (0, 2): -1})
     assert 3 * p == p * 3
     assert (0 * p).is_zero()
 
 
 def test_derivatives_and_times_t():
-    p = BivariatePoly({(2, 1): 1})  # x0^2 t
-    assert p.d_dx0() == BivariatePoly({(1, 1): 2})
-    assert p.d_dt() == BivariatePoly({(2, 0): 1})
-    assert p.times_t() == BivariatePoly({(2, 2): 1})
-    assert BivariatePoly.one().d_dx0().is_zero()
+    p = profile({(2, 1): 1})  # x0^2 t
+    assert p.partial_derivative(0) == profile({(1, 1): 2})
+    assert p.partial_derivative(1) == profile({(2, 0): 1})
+    assert p * T == profile({(2, 2): 1})
+    assert CliffordPolynomial.one(PLANE).partial_derivative(0).is_zero()
 
 
 def test_evaluate():
-    p = BivariatePoly({(1, 1): Fraction(1, 3), (0, 0): 2})
-    assert p.evaluate(3, Fraction(1, 2)) == Fraction(1, 2) + 2
+    p = profile({(1, 1): Fraction(1, 3), (0, 0): 2})
+    assert p.evaluate((3, Fraction(1, 2))).scalar_part() == Fraction(1, 2) + 2
 
 
-def test_to_clifford_substitutes_radius_squared():
-    p = BivariatePoly({(1, 1): 1, (0, 0): -5})  # x0 t - 5
-    x0 = CliffordPolynomial.variable(CTX3, 0)
-    expected = x0 * radius_squared(CTX3) - CliffordPolynomial.constant(CTX3, 5)
-    assert p.to_clifford(CTX3) == expected
+def test_substitute_t_reads_radius_squared():
+    """t becomes x_1^2 + ... + x_m^2, at m = 3 and at m = 1, where the
+    profile and its substitution share R_{0,1} and only literal equality
+    tells x0 t - 5 from x0 x1^2 - 5.  A polynomial of another algebra or
+    with a blade is refused as a profile."""
+    p = profile({(1, 1): 1, (0, 0): -5})  # x0 t - 5
+    for ctx in (CTX3, PLANE):
+        x0 = CliffordPolynomial.variable(ctx, 0)
+        expected = x0 * radius_squared(ctx) - CliffordPolynomial.constant(ctx, 5)
+        assert _substitute_t(p, ctx) == expected
+    assert _substitute_t(p, PLANE) != p
+    for stray in (CliffordPolynomial.one(CTX3), CliffordPolynomial.constant(PLANE, PLANE.e(1))):
+        with pytest.raises(ValueError, match="a profile is a scalar polynomial on R_{0,1}"):
+            _substitute_t(stray, CTX3)
 
 
 def test_rejects_negative_exponents():
     with pytest.raises(ValueError):
-        BivariatePoly({(-1, 0): 1})
+        profile({(-1, 0): 1})
+    with pytest.raises(ValueError):
+        axial_profiles({(-1, 0): 1})
 
 
 def test_axial_profiles_fold_vector_powers():
@@ -55,8 +67,8 @@ def test_axial_profiles_fold_vector_powers():
     m-variable powers: sum h x_0^j x̲^i == A + x̲ b once t is |x̲|^2."""
     h = {(2, 0): 3, (1, 1): Fraction(1, 2), (0, 2): -1, (1, 3): 2, (0, 4): 5, (0, 5): -7}
     a, b = axial_profiles(h)
-    assert a == BivariatePoly({(2, 0): 3, (0, 1): 1, (0, 2): 5})
-    assert b == BivariatePoly({(1, 0): Fraction(1, 2), (1, 1): -2, (0, 2): -7})
+    assert a == profile({(2, 0): 3, (0, 1): 1, (0, 2): 5})
+    assert b == profile({(1, 0): Fraction(1, 2), (1, 1): -2, (0, 2): -7})
     x0 = CliffordPolynomial.variable(CTX3, 0)
     direct = sum(
         (coeff * (x0**j * vector_power(CTX3, i)) for (j, i), coeff in h.items()),
@@ -67,13 +79,13 @@ def test_axial_profiles_fold_vector_powers():
     assert pair.reconstruct() == direct
 
 
-def _random_profile(rng: random.Random) -> BivariatePoly:
+def _random_profile(rng: random.Random) -> CliffordPolynomial:
     """Three draws of c x_0^a t^l with a <= 2, l <= 1 and c nonzero; never zero."""
     terms = {}
     for _ in range(3):
         coeff = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
         terms[rng.randrange(3), rng.randrange(2)] = coeff
-    return BivariatePoly(terms)
+    return profile(terms)
 
 
 @pytest.mark.parametrize("m", range(2, 7))

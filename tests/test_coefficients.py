@@ -10,7 +10,7 @@ from monappell.coefficients import (
     restriction_coefficient,
 )
 from monappell.errors import ArgumentTooSmallError
-from monappell.fueter import fueter_scale
+from monappell.fueter import fueter_order, fueter_scale
 from monappell.polynomials import unit_exps
 
 
@@ -74,19 +74,50 @@ def test_inexact_indices_are_rejected(function, head, index):
         function(*head, index)
 
 
-NEGATIVE = [  # (function, arguments with one negative index)
-    (explicit_weights, (3, 1, -1)),
-    (fueter_factor, (3, -1, 2)),
-    (restriction_coefficient, (3, 1, -1)),
+NEGATIVE = [  # (test id, function, arguments with one negative index)
+    ("explicit_weights", explicit_weights, (3, 1, -1)),
+    ("fueter_factor", fueter_factor, (3, -1, 2)),
+    ("restriction_coefficient", restriction_coefficient, (3, 1, -1)),
+    ("lowering_factor-k", lowering_factor, (3, -1, 1)),
+    ("explicit_weights-k", explicit_weights, (3, -1, 2)),
+    ("restriction_coefficient-k", restriction_coefficient, (3, -1, 2)),
+    ("fueter_order-k", fueter_order, (3, -5)),
 ]
 
 
-@pytest.mark.parametrize("function, args", NEGATIVE, ids=[f.__name__ for f, _ in NEGATIVE])
+@pytest.mark.parametrize(
+    "function, args", [case[1:] for case in NEGATIVE], ids=[case[0] for case in NEGATIVE]
+)
 def test_negative_indices_are_rejected(function, args):
-    """A negative n or k raises the ValueError that `lowering_factor` raises,
-    instead of an empty weight list, a factor of 1 or `factorial`'s message."""
+    """A negative n or k raises the ValueError of the one index guard,
+    instead of an empty weight list, a factor of 1, a negative Laplacian
+    order or `factorial`'s message."""
     with pytest.raises(ValueError, match="^indices must be non-negative$"):
         function(*args)
+
+
+SMALL_M = [  # (function, arguments with m below 1)
+    (restriction_coefficient, (0, 0, 1)),
+    (lowering_factor, (-3, 0, 1)),
+    (fueter_factor, (-3, 1, 0)),
+    (explicit_weights, (0, 0, 2)),
+    (fueter_order, (-1, 0)),
+]
+
+
+@pytest.mark.parametrize("function, args", SMALL_M, ids=[f.__name__ for f, _ in SMALL_M])
+def test_dimensions_below_one_are_rejected(function, args):
+    """m < 1 raises the guard's ValueError, not a ZeroDivisionError, a
+    negative factor, a factor of 1 or a negative Laplacian order."""
+    with pytest.raises(ValueError, match="^m must be at least 1, got -?[0-9]+$"):
+        function(*args)
+
+
+def test_the_index_guard_has_no_upper_cap_on_m():
+    """Past the algebra's 16 generators the coefficients are still defined."""
+    assert lowering_factor(40, 1, 1) == 42
+    assert restriction_coefficient(40, 1, 1) == Fraction(1, 42)
+    assert fueter_order(41, 2) == 22
 
 
 def test_double_factorial():

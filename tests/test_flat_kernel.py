@@ -7,9 +7,10 @@ packed (monomial, blade) key) must agree with exactly; its blade signs
 come from a brute-force sort of the generator lists, not from the
 package's closed-form `sign_mask`.  Multivectors, the
 degree-0 case of that kernel (an int numerator per blade mask), and
-(x_0, t) profiles, scalar polynomials on R_{0,1}, are checked through
-their Fraction `terms` views against plain dict-of-Fraction loops too,
-and every result must be in the canonical flat form.
+(x_0, t) profiles, scalar polynomials on R_{0,1} (the kernel at m = 1),
+are checked through the Fractions of their `terms` views against plain
+dict-of-Fraction loops too, and every result must be in the canonical
+flat form.
 """
 
 import copy
@@ -26,7 +27,7 @@ from hypothesis import given, settings
 from monappell import polynomials as kernel
 from monappell import algebra
 from monappell.algebra import AlgebraContext, Multivector, blade_product
-from monappell.bivariate import BivariatePoly
+from monappell.bivariate import axial_profiles
 from monappell.operators import dirac, laplacian
 from monappell.errors import ContextMismatchError, DegreeLimitError
 from monappell.polynomials import (
@@ -39,7 +40,7 @@ from monappell.polynomials import (
 )
 from monappell.report import VerificationReport
 from monappell.sequences import SequenceSpec, sequence_term_explicit
-from strategies import multivectors, polynomials, rationals
+from strategies import T, multivectors, polynomials, profile, rationals
 
 
 def ref_blade_product(a: int, b: int) -> tuple[int, int]:
@@ -509,28 +510,36 @@ profile_terms = st.dictionaries(
 )
 
 
+def _scalars(p: CliffordPolynomial) -> dict:
+    """{(a, l): Fraction} of a profile, read from its `terms` view."""
+    return {exps: coeff.scalar_part() for exps, coeff in p.terms.items()}
+
+
 @settings(max_examples=60)
 @given(p_terms=profile_terms, q_terms=profile_terms, x0=rationals, t=rationals, c=rationals)
 def test_profile_arithmetic_matches_reference(p_terms, q_terms, x0, t, c):
     a = {key: q for key, q in p_terms.items() if q}
     b = {key: q for key, q in q_terms.items() if q}
-    p, q = BivariatePoly(p_terms), BivariatePoly(q_terms)
-    assert p.terms == a and q.terms == b
-    assert (p + q).terms == ref_sparse_sum(a, b)
-    assert (p - q).terms == ref_sparse_sum(a, b, -1)
-    assert (p * q).terms == ref_sparse_product(a, b, _monomial_product)
+    p, q = profile(p_terms), profile(q_terms)
+    assert _scalars(p) == a and _scalars(q) == b
+    assert _scalars(p + q) == ref_sparse_sum(a, b)
+    assert _scalars(p - q) == ref_sparse_sum(a, b, -1)
+    assert _scalars(p * q) == ref_sparse_product(a, b, _monomial_product)
     scaled = {key: c * v for key, v in a.items()} if c else {}
-    assert (c * p).terms == scaled and (p * c).terms == scaled
-    assert p.d_dx0().terms == {(x - 1, l): x * v for (x, l), v in a.items() if x}
-    assert p.d_dt().terms == {(x, l - 1): l * v for (x, l), v in a.items() if l}
-    assert p.times_t().terms == {(x, l + 1): v for (x, l), v in a.items()}
-    assert p.evaluate(x0, t) == sum((v * x0**x * t**l for (x, l), v in a.items()), Fraction(0))
+    assert _scalars(c * p) == scaled and _scalars(p * c) == scaled
+    assert _scalars(p.partial_derivative(0)) == {(x - 1, l): x * v for (x, l), v in a.items() if x}
+    assert _scalars(p.partial_derivative(1)) == {(x, l - 1): l * v for (x, l), v in a.items() if l}
+    assert _scalars(p * T) == {(x, l + 1): v for (x, l), v in a.items()}
+    value = sum((v * x0**x * t**l for (x, l), v in a.items()), Fraction(0))
+    assert p.evaluate((x0, t)).scalar_part() == value
 
 
 @pytest.mark.parametrize("terms", [{(0, 0): 0.1}, {(0, 0): True}, {(1.5, 0): 1}])
 def test_profile_constructor_rejects_inexact_input(terms):
     with pytest.raises(ValueError):
-        BivariatePoly(terms)
+        profile(terms)
+    with pytest.raises(ValueError):
+        axial_profiles(terms)
 
 
 @pytest.mark.parametrize("bad", [0.1, True])
@@ -538,9 +547,9 @@ def test_evaluate_rejects_float_and_bool_coordinates(bad):
     with pytest.raises(ValueError, match="point coordinate"):
         vector_variable(AlgebraContext(3)).evaluate((0, bad, 0, 0))
     with pytest.raises(ValueError, match="point coordinate"):
-        BivariatePoly({(1, 0): 1}).evaluate(bad, 0)
+        profile({(1, 0): 1}).evaluate((bad, 0))
     with pytest.raises(ValueError, match="point coordinate"):
-        BivariatePoly({(0, 1): 1}).evaluate(0, bad)
+        profile({(0, 1): 1}).evaluate((0, bad))
 
 
 # -- packed keys: layout, order and the degree guard --------------------------

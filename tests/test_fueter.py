@@ -6,7 +6,7 @@ import pytest
 
 from monappell import fueter, operators, polynomials, sequences
 from monappell.algebra import AlgebraContext
-from monappell.bivariate import BivariatePoly, axial_profiles
+from monappell.bivariate import axial_profiles
 from monappell.ck import ck_extend, is_monogenic
 from monappell.cli import main
 from monappell.coefficients import restriction_coefficient
@@ -30,6 +30,7 @@ from monappell.polynomials import (
 from monappell.report import VerificationReport
 from monappell.sampling import random_initial_term
 from monappell.sequences import SequenceSpec, sequence_term_explicit, verify_axial, verify_sequence
+from strategies import profile
 
 CTX3 = AlgebraContext(3)
 ONE3 = CliffordPolynomial.one(CTX3)
@@ -47,12 +48,9 @@ def test_complex_monomial_parts_small_powers():
     def parts(n):
         return axial_profiles({(n - s, s): math.comb(n, s) for s in range(n + 1)})
 
-    assert parts(1) == (BivariatePoly.monomial(1, 0), BivariatePoly.one())
-    assert parts(2) == (BivariatePoly({(2, 0): 1, (0, 1): -1}), BivariatePoly.monomial(1, 0, 2))
-    assert parts(3) == (
-        BivariatePoly({(3, 0): 1, (1, 1): -3}),
-        BivariatePoly({(2, 0): 3, (0, 1): -1}),
-    )
+    assert parts(1) == (profile({(1, 0): 1}), profile({(0, 0): 1}))
+    assert parts(2) == (profile({(2, 0): 1, (0, 1): -1}), profile({(1, 0): 2}))
+    assert parts(3) == (profile({(3, 0): 1, (1, 1): -3}), profile({(2, 0): 3, (0, 1): -1}))
 
 
 EMBEDDING_CELLS = [(3, 0, None), (3, 1, None), (5, 2, None), (3, 3, 5)]  # (m, k, seed)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from monappell import polynomials as kernel
 from monappell import sequences
 from monappell.algebra import AlgebraContext, Multivector
-from monappell.bivariate import BivariatePoly
 from monappell.coefficients import lowering_factor
 from monappell.errors import ContextMismatchError, DegreeLimitError, InvalidInitialTermError
 from monappell.fueter import fueter_order
@@ -296,7 +295,7 @@ def test_invalid_constructions():
 @pytest.mark.parametrize("factor", [True, False, 2.0])
 @pytest.mark.parametrize(
     "operand",
-    [vector_variable(CTX3), CTX3.one(), CTX3.e(2), BivariatePoly.one()],
+    [vector_variable(CTX3), CTX3.one(), CTX3.e(2), CliffordPolynomial.one(AlgebraContext(1))],
     ids=["polynomial", "one", "e2", "bivariate"],
 )
 def test_scale_factors_must_be_exact(operand, factor):

@@ -8,7 +8,7 @@ from hypothesis import given
 
 from monappell import sequences
 from monappell.algebra import AlgebraContext
-from monappell.bivariate import BivariatePoly, axial_profiles
+from monappell.bivariate import axial_profiles
 from monappell.cli import main
 from monappell.ck import ck_extend, is_monogenic
 from monappell.coefficients import restriction_coefficient
@@ -43,7 +43,7 @@ from monappell.sequences import (
     verify_axial,
     verify_sequence,
 )
-from strategies import nonzero_rationals
+from strategies import nonzero_rationals, profile
 
 
 def display_m1(spec):
@@ -387,16 +387,16 @@ def test_axial_profiles_of_first_terms():
     terms = generate_sequence(spec)
 
     pair0 = axial_decompose(terms[0], spec)
-    assert pair0.a == BivariatePoly.one()
+    assert pair0.a == profile({(0, 0): 1})
     assert pair0.b_reduced.is_zero()
 
     pair1 = axial_decompose(terms[1], spec)
-    assert pair1.a == BivariatePoly.monomial(1, 0)  # x0
-    assert pair1.b_reduced == BivariatePoly.monomial(0, 0, Fraction(1, d))
+    assert pair1.a == profile({(1, 0): 1})  # x0
+    assert pair1.b_reduced == profile({(0, 0): Fraction(1, d)})
 
     pair2 = axial_decompose(terms[2], spec)
-    assert pair2.a == BivariatePoly({(2, 0): 1, (0, 1): Fraction(-1, d)})
-    assert pair2.b_reduced == BivariatePoly.monomial(1, 0, Fraction(2, d))
+    assert pair2.a == profile({(2, 0): 1, (0, 1): Fraction(-1, d)})
+    assert pair2.b_reduced == profile({(1, 0): Fraction(2, d)})
 
 
 @pytest.mark.parametrize("m,k", [(2, 0), (3, 1), (4, 2)])
@@ -437,8 +437,8 @@ def test_axial_rejects_non_axial_polynomial():
 def test_vekua_negative_control():
     # perturbing the odd profile breaks the first equation
     pair = AxialPair(
-        a=BivariatePoly.monomial(1, 0),
-        b_reduced=BivariatePoly.monomial(0, 0, Fraction(1, 4)),
+        a=profile({(1, 0): 1}),
+        b_reduced=profile({(0, 0): Fraction(1, 4)}),
         spec=SequenceSpec(m=3, k=0, pk=CliffordPolynomial.one(AlgebraContext(3)), n_max=0),
     )
     assert vekua_witness(pair) is not None
@@ -452,8 +452,8 @@ def test_vekua_witness_text():
     assert vekua_witness(pair) is None
     bent = replace(
         pair,
-        a=pair.a + BivariatePoly.monomial(1, 1, 2),
-        b_reduced=pair.b_reduced + BivariatePoly.monomial(0, 1),
+        a=pair.a + profile({(1, 1): 2}),
+        b_reduced=pair.b_reduced + profile({(0, 1): 1}),
     )
     assert vekua_witness(bent) == "residuals: (-5 t; 4 x0)"
 

@@ -1,5 +1,6 @@
-"""Literal pins of every text form: str/repr of multivectors, polynomials and
-profiles, their LaTeX, and the summary and LaTeX output of `generate`."""
+"""Literal pins of every text form: str/repr of multivectors and polynomials,
+the (x_0, t) text of profiles, their LaTeX, and the summary and LaTeX output
+of `generate`."""
 
 import json
 import random
@@ -8,11 +9,12 @@ from fractions import Fraction
 import pytest
 
 from monappell.algebra import AlgebraContext
-from monappell.bivariate import BivariatePoly
+from monappell.bivariate import _profile_text
 from monappell.cli import main
 from monappell.latex import multivector_latex, polynomial_latex
 from monappell.polynomials import CliffordPolynomial
 from monappell.sampling import random_initial_term
+from strategies import PLANE, profile
 
 CTX3 = AlgebraContext(3)
 CTX10 = AlgebraContext(10)
@@ -58,10 +60,9 @@ def test_polynomial_str_and_repr():
 
 
 def test_bivariate_str_in_a_l_order():
-    b = BivariatePoly({(0, 2): Fraction(-1, 3), (1, 0): 1, (0, 0): -2, (2, 1): -1, (0, 1): 5})
-    assert str(b) == "-2 + 5 t - 1/3 t^2 + x0 - x0^2 t"
-    assert repr(b) == "BivariatePoly(-2 + 5 t - 1/3 t^2 + x0 - x0^2 t)"
-    assert str(BivariatePoly.zero()) == "0"
+    b = profile({(0, 2): Fraction(-1, 3), (1, 0): 1, (0, 0): -2, (2, 1): -1, (0, 1): 5})
+    assert _profile_text(b) == "-2 + 5 t - 1/3 t^2 + x0 - x0^2 t"
+    assert _profile_text(CliffordPolynomial.zero(PLANE)) == "0"
 
 
 def test_latex_of_multi_blade_values():

@@ -1,6 +1,11 @@
 """Command-line front end: generate sequences, verify the identities,
 compare with the Fueter route, and validate user-supplied initial terms.
 
+A call builds only the parser of the command it runs.  The full parser
+tree (``build_parser``) serves top-level help and every error that one
+command's parser cannot word, such as an unknown command or a stray
+argument, so output is the same whichever parser a call went through.
+
 Exit status: 0 all checks pass, 1 verification failures, 2 usage errors,
 3 internal errors, 141 (quietly) when the reader closes stdout early.
 Output is deterministic for a fixed configuration and seed.
@@ -32,56 +37,93 @@ from .suites import run_identity_suites
 ENV_OUTPUT_DIR = "MONAPPELL_OUTPUT_DIR"
 
 
+def _common(p):
+    p.add_argument("--m", type=int, required=True, help="dimension m (generators)")
+    p.add_argument("--k", type=int, required=True, help="degree of the initial term")
+    p.add_argument(
+        "--pk",
+        default=BUILTIN_SOURCE,
+        help="initial term: 'builtin' or a path to a JSON polynomial",
+    )
+    p.add_argument(
+        "--output-dir",
+        default=None,
+        help=f"directory for JSON artifacts (default: ${ENV_OUTPUT_DIR})",
+    )
+
+
+def _add_generate(p):
+    _common(p)
+    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--format", choices=("summary", "json", "latex"), default="summary")
+    p.set_defaults(func=cmd_generate, parser=p)
+
+
+def _add_verify(p):
+    _common(p)
+    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0, help="seed for the randomized suites")
+    p.add_argument("--cases", type=int, default=25, help="cases per randomized identity")
+    p.add_argument("--format", choices=("summary", "json"), default="summary")
+    p.set_defaults(func=cmd_verify, parser=p)
+
+
+def _add_fueter_compare(p):
+    _common(p)
+    p.add_argument("--n-max", type=int, default=4, help="extra monomial powers / matched terms")
+    p.add_argument("--format", choices=("summary", "json"), default="summary")
+    p.set_defaults(func=cmd_fueter_compare, parser=p)
+
+
+def _add_validate_pk(p):
+    p.add_argument("--file", required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--format", choices=("summary", "json"), default="summary")
+    p.set_defaults(func=cmd_validate_pk, parser=p)
+
+
+# name -> (help line, the function that adds the command's arguments and
+# its func/parser defaults), in the order the top-level help lists them
+_COMMANDS = {
+    "generate": ("emit terms 0..n_max", _add_generate),
+    "verify": ("run the full identity report", _add_verify),
+    "fueter-compare": ("compare the Fueter route with the sequence", _add_fueter_compare),
+    "validate-pk": ("validate a JSON initial term", _add_validate_pk),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser tree: the one source of top-level help and of the
+    errors that no single command's parser gives."""
     parser = argparse.ArgumentParser(
         prog="monappell",
         description="Exact monogenic Appell-type sequences: generation and verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--m", type=int, required=True, help="dimension m (generators)")
-        p.add_argument("--k", type=int, required=True, help="degree of the initial term")
-        p.add_argument(
-            "--pk",
-            default=BUILTIN_SOURCE,
-            help="initial term: 'builtin' or a path to a JSON polynomial",
-        )
-        p.add_argument(
-            "--output-dir",
-            default=None,
-            help=f"directory for JSON artifacts (default: ${ENV_OUTPUT_DIR})",
-        )
-
-    gen = sub.add_parser("generate", help="emit terms 0..n_max")
-    common(gen)
-    gen.add_argument("--n-max", type=int, required=True)
-    gen.add_argument("--format", choices=("summary", "json", "latex"), default="summary")
-    gen.set_defaults(func=cmd_generate, parser=gen)
-
-    ver = sub.add_parser("verify", help="run the full identity report")
-    common(ver)
-    ver.add_argument("--n-max", type=int, required=True)
-    ver.add_argument("--seed", type=int, default=0, help="seed for the randomized suites")
-    ver.add_argument("--cases", type=int, default=25, help="cases per randomized identity")
-    ver.add_argument("--format", choices=("summary", "json"), default="summary")
-    ver.set_defaults(func=cmd_verify, parser=ver)
-
-    fue = sub.add_parser("fueter-compare", help="compare the Fueter route with the sequence")
-    common(fue)
-    fue.add_argument(
-        "--n-max", type=int, default=4, help="extra monomial powers / matched terms"
-    )
-    fue.add_argument("--format", choices=("summary", "json"), default="summary")
-    fue.set_defaults(func=cmd_fueter_compare, parser=fue)
-
-    val = sub.add_parser("validate-pk", help="validate a JSON initial term")
-    val.add_argument("--file", required=True)
-    val.add_argument("--k", type=int, required=True)
-    val.add_argument("--format", choices=("summary", "json"), default="summary")
-    val.set_defaults(func=cmd_validate_pk, parser=val)
-
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, built alone: the same parser that
+    ``build_parser()`` makes for it, since ``add_parser(name)`` passes
+    nothing but the prog "monappell {name}"."""
+    parser = argparse.ArgumentParser(prog=f"monappell {name}")
+    _COMMANDS[name][1](parser)
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with only the parser of the command it names, to which the
+    full tree would hand every token after the name.  No command, an unknown
+    one, a top-level option or tokens the command does not take go through
+    ``build_parser()``, which words the help and the error."""
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 @contextmanager
@@ -110,7 +152,7 @@ def _resolve_spec(args, parser) -> SequenceSpec:
 
 def _output_dir(args, parser) -> Path | None:
     """The output directory, made before any work; a path that cannot be one is a usage error."""
-    target = args.output_dir or os.environ.get(ENV_OUTPUT_DIR)
+    target = args.output_dir or os.environ.get(ENV_OUTPUT_DIR) or None  # "" is unset
     if target is None:
         return None
     path = Path(target)
@@ -214,14 +256,16 @@ def cmd_validate_pk(args, parser) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args, args.parser)  # the subcommand's parser, for its usage line
     except MonappellError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # what is still buffered goes to devnull, not to a second error
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

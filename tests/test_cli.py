@@ -1,8 +1,10 @@
+import argparse
 import io
 import json
 import os
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -266,6 +268,28 @@ def test_closed_pipe_negative_control():
     assert (code, err) == (0, b"")
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_a_closed_pipe_leaves_no_descriptor_open(monkeypatch):
+    """The exit through BrokenPipeError points stdout at devnull and closes
+    the descriptor it opened for that, so repeated calls in one process
+    hold no more descriptors than before."""
+
+    def closed_pipe(args, parser):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(cli, "cmd_generate", closed_pipe)
+    read_end, write_end = os.pipe()
+    try:
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            before = len(os.listdir("/proc/self/fd"))
+            for _ in range(2):
+                assert main(["generate", "--m", "3", "--k", "1", "--n-max", "1"]) == 141
+            assert len(os.listdir("/proc/self/fd")) == before
+    finally:
+        os.close(read_end)
+
+
 class _CountingStdout(io.StringIO):
     """A stdout that counts its write calls."""
 
@@ -385,6 +409,112 @@ def test_usage_errors_exit_two():
     assert excinfo.value.code == 2
 
 
+def _full_tree_parser(name):
+    """The subparser that build_parser() makes for one command."""
+    (commands,) = [
+        action
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return commands.choices[name]
+
+
+def assert_same_parser(name, parser):
+    """parser prints the usage and help of the full tree's subparser for
+    name; a difference names the first line that differs."""
+    full = _full_tree_parser(name)
+    for render in ("format_usage", "format_help"):
+        lines = zip_longest(
+            getattr(parser, render)().splitlines(), getattr(full, render)().splitlines()
+        )
+        for number, (ours, theirs) in enumerate(lines):
+            assert ours == theirs, f"{name} {render} line {number}: {ours!r} != {theirs!r}"
+
+
+@pytest.mark.parametrize("name", ["generate", "verify", "fueter-compare", "validate-pk"])
+def test_one_command_parser_matches_the_full_tree(name):
+    assert_same_parser(name, cli._command_parser(name))
+
+
+def test_parser_parity_negative_control():
+    """A one-command parser with the top-level prog prints another usage
+    line, and the check names it."""
+    parser = argparse.ArgumentParser(prog="monappell")
+    cli._COMMANDS["verify"][1](parser)
+    expected = r"verify format_usage line 0: 'usage: monappell \[-h\] --m M"
+    with pytest.raises(AssertionError, match=expected):
+        assert_same_parser("verify", parser)
+
+
+def _show_parse(args, parser):
+    """A command that prints what the parse gave it and returns 0.  The
+    full tree also records the command's name, which nothing reads."""
+    shown = sorted(
+        (key, value)
+        for key, value in vars(args).items()
+        if key not in ("func", "parser", "command")
+    )
+    print(shown, parser.format_usage())
+    return 0
+
+
+def _parse_outcome(capsys, parse):
+    """(exit code, stdout, stderr) of one parse and the command it picks."""
+    try:
+        code = parse()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _full_tree_parse(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args, args.parser)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--m", "3", "--k", "1", "--n-max", "2", "--cases", "3", "--format", "json"],
+        ["validate-pk", "--file", "pk.json", "--k", "2"],
+        ["fueter-compare", "--m", "3", "-h"],
+        ["--he"],
+        ["generate", "--he"],
+        ["generate", "--m", "3"],
+        ["verify", "--m", "x", "--k", "1", "--n-max", "1"],
+        ["fueter-compare", "--m", "3", "--k", "1", "--format", "nope"],
+        ["verify", "--m", "3", "--k", "1", "--n-max", "1", "--bogus"],
+        ["generate", "--m", "3", "--k", "1", "--n-max", "1", "stray"],
+        ["no-such-command"],
+        [],
+        ["--help"],
+    ],
+)
+def test_main_parses_as_the_full_tree(capsys, monkeypatch, argv):
+    """Whether main builds one command's parser or the full tree, a call
+    gives the exit code, stdout and stderr that the full tree's parse does,
+    and the command receives the same arguments and usage line."""
+    for name in ("cmd_generate", "cmd_verify", "cmd_fueter_compare", "cmd_validate_pk"):
+        monkeypatch.setattr(cli, name, _show_parse)
+    expected = _parse_outcome(capsys, lambda: _full_tree_parse(argv))
+    assert _parse_outcome(capsys, lambda: main(argv)) == expected
+
+
+def test_a_command_call_builds_no_parser_tree(capsys, monkeypatch):
+    """A call that names a command and passes only its arguments is parsed
+    without the full tree; a stray argument still reaches it."""
+
+    def no_tree():
+        raise AssertionError("the full parser tree was built")
+
+    monkeypatch.setattr(cli, "cmd_verify", _show_parse)
+    monkeypatch.setattr(cli, "build_parser", no_tree)
+    assert main(["verify", "--m", "3", "--k", "1", "--n-max", "1"]) == 0
+    with pytest.raises(AssertionError, match="full parser tree"):
+        main(["verify", "--m", "3", "--k", "1", "--n-max", "1", "--bogus"])
+
+
 def test_output_dir_writes_terms(tmp_path, capsys):
     outdir = tmp_path / "artifacts"
     code, _, _ = run_cli(
@@ -462,6 +592,24 @@ def test_output_dir_from_environment(tmp_path, capsys, monkeypatch):
     assert code == 0
     report = json.loads((outdir / "report.json").read_text())
     assert report["all_passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--m", "2", "--k", "0", "--n-max", "1", "--cases", "1"],
+        ["generate", "--m", "2", "--k", "1", "--n-max", "2"],
+    ],
+)
+def test_an_empty_output_dir_variable_is_unset(tmp_path, capsys, monkeypatch, argv):
+    """MONAPPELL_OUTPUT_DIR set to "" writes no artifact (Path("") is the
+    working directory) and prints what an unset variable does."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
+    unset = run_cli(capsys, argv)
+    monkeypatch.setenv(ENV_OUTPUT_DIR, "")
+    assert run_cli(capsys, argv) == unset
+    assert list(tmp_path.iterdir()) == []
 
 
 def _corrupt_pk(tmp_path, example):

@@ -201,7 +201,8 @@ def cmd_generate(args, parser) -> int:
     spec = _resolve_spec(args, parser)
     outdir = _output_dir(args, parser)
     with _results_in_full():
-        terms = generate_sequence(spec)
+        # LaTeX is rendered from (m, k, n, P_k); only the other writers read terms
+        terms = generate_sequence(spec) if args.format != "latex" or outdir is not None else []
         if args.format == "json":
             texts = ",\n    ".join(term.to_json_text("    ") for term in terms)
             _write_document(

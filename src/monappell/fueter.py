@@ -11,24 +11,24 @@ with `bivariate.AxialPair`.
 
 Since i r folds like x̲, the planted z^n is (x_0 + x̲)^n P_k, in chain
 coordinates (see `sequences`) the chain {(n-s, s): C(n, s)} of the
-x̲^s P_k of a `SequenceSpec`.  `fueter_map` applies the ν Laplacians to that
-chain by index shifts and realizes the result.  The Laplacian ratios μ_s
-of those shifts are not measured: `sequences._chain_ratios` derives them
-from Δ = -D^2 and the Dirac ratios λ_s, once `_operator_certificate` has
-checked, with the package's own kernels, the operator identities they
-follow from; that `dirac` and `laplacian` are the operators they name is
-the premise, which tests/test_flat_kernel.py checks against brute force.
-So no x̲^s P_k meets `laplacian`, and only the x̲^s P_k of entries that
-survive the shifts are formed.  The literal route, ν Laplacians of
-`axial_embedding`, stays public as the oracle that tests/test_fueter.py
-checks `fueter_map` against.
+x̲^s P_k of a `SequenceSpec`.  A Laplacian lowers j + s by 2, so below
+2ν = 2k+m-1 the image is zero by degree; from 2ν on `fueter_map` applies
+the ν Laplacians by index shifts with the ratios μ_s that
+`sequences._chain_ratios` derives from Δ = -D^2 and the Dirac ratios λ_s
+once `_operator_certificate` has checked, with the package's own kernels,
+the identities they follow from (that those kernels are the operators
+they name is the premise tests/test_flat_kernel.py checks by brute
+force).  So the certificate first runs at z^(2ν), no x̲^s P_k meets
+`laplacian`, and only the x̲^s P_k a realized chain reads are formed.
+The literal route, ν Laplacians of `axial_embedding`, stays public as
+the oracle that tests/test_fueter.py checks `fueter_map` against.
 
 `fueter_compare` is the one builder of Fueter report entries: every
-`fueter_vanishing` (z^n maps to zero for n below 2k+m-1), then every
+`fueter_vanishing` (z^n maps to zero for n below 2ν), then every
 `fueter_ck_identity` and every `fueter_appell_match`, for n = 0..n_max.
-With lambda = `fueter_scale`(m, k, 2k+m-1+n) / c_n, c_n the restriction
-coefficient, the image of z^(2k+m-1+n) is lambda times the n-th sequence
-term built by each of the two routes that `verify` compares: the CK route
+With lambda = `fueter_scale`(m, k, 2ν+n) / c_n, c_n the restriction
+coefficient, the image of z^(2ν+n) is lambda times the n-th sequence term
+built by each of the two routes that `verify` compares: the CK route
 `sequence_term_ck` (c_n CK[x̲^n P_k], so lambda c_n is the integer scale)
 and the explicit route `sequence_term_explicit`.
 """
@@ -73,10 +73,14 @@ def fueter_map(n: int, spec: SequenceSpec) -> CliffordPolynomial:
     Δ x̲^s P_k = μ_s x̲^(s-2) P_k from `_chain_ratios`, derived, not
     measured, under its operator certificate (see the module docstring).
     The split Δ = d^2/dx_0^2 + Δ_x̲ needs a P_k free of x_0, which the
-    spec's gate has checked."""
+    spec's gate has checked.  Each entry has j + s = n, and d^2/dx_0^2
+    lowers j and Δ_x̲ lowers s by 2, so for n < 2ν the image is zero,
+    returned before any ratio is read or any x̲^s P_k is formed."""
     order = fueter_order(spec.m, spec.k)
     if require_int(n, "n") < 0:
         raise ValueError("n must be non-negative")
+    if n < 2 * order:
+        return CliffordPolynomial.zero(spec.context)
     chain = {(n - s, s): comb(n, s) for s in range(n + 1)}
     return _realize(spec, _chain_laplacian(chain, _chain_ratios(spec, 2, n), order))
 
@@ -84,8 +88,8 @@ def fueter_map(n: int, spec: SequenceSpec) -> CliffordPolynomial:
 def fueter_scale(m: int, k: int, n: int) -> int:
     """Integer relating the Fueter image of z^n to a CK extension:
     (-1)^(k+(m-1)/2) (2k+m-1)!! times the double-factorial ratio."""
-    sign = -1 if fueter_order(m, k) % 2 else 1
-    return sign * double_factorial(2 * k + m - 1) * fueter_factor(m, k, n)
+    order = fueter_order(m, k)
+    return (-1) ** order * double_factorial(2 * order) * fueter_factor(m, k, n)
 
 
 def fueter_compare(spec: SequenceSpec) -> VerificationReport:
@@ -94,7 +98,7 @@ def fueter_compare(spec: SequenceSpec) -> VerificationReport:
     its lambda are built once for both checks, and the images and CK terms
     read the spec's x̲^s P_k, none of which meets `laplacian` or `dirac`."""
     m, k = spec.m, spec.k
-    threshold = 2 * k + m - 1
+    threshold = 2 * fueter_order(m, k)
     report, matches = VerificationReport(), VerificationReport()
     zero = CliffordPolynomial.zero(spec.context)
     for n in range(threshold):

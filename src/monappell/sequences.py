@@ -25,8 +25,8 @@ tests/test_flat_kernel.py checks against brute force.  A certificate
 that fails raises ArithmeticError.  The CK route, `axial_decompose` and
 the Fueter images work in chain coordinates: a chain h = {(j, s): q}
 stands for the paper's collected form sum q x_0^j G_s, `_realize` turns
-it into a polynomial and `_chain_laplacian` applies Δ to it by index
-shifts.  The explicit route keeps its own powers of x̲.
+it into a polynomial and `_chain_laplacian` applies Δ to it by two index
+shifts, pruning nothing.  The explicit route keeps its own powers of x̲.
 """
 
 from __future__ import annotations
@@ -183,17 +183,12 @@ def _realize(spec: SequenceSpec, h: dict) -> CliffordPolynomial:
 
 
 def _chain_laplacian(h: dict, mu: list, order: int) -> dict:
-    """Δ^order of the chain h, with Δ G_s = mu[s] G_(s-2) from
-    `_chain_ratios`: Δ = d^2/dx_0^2 + Δ_x̲ shifts (j, s) to j(j-1) (j-2, s)
-    and to μ_s (j, s-2).  Each shift lowers j or s by 2, and Δ annihilates
-    x_0^j G_s once j < 2 and s < 2 (μ_0 = μ_1 = 0 as λ_0 = 0), so an entry
-    with j//2 + s//2 below the number of Laplacians still to apply can only
-    die and is dropped."""
-    for left in range(order, 0, -1):
+    """Δ^order of the chain h: Δ = d^2/dx_0^2 + Δ_x̲ shifts (j, s) to j(j-1)
+    (j-2, s) and to mu[s] (j, s-2), Δ G_s = μ_s G_(s-2) from `_chain_ratios`;
+    a shift whose index would go negative has the factor 0 (j < 2 or s < 2)."""
+    for _ in range(order):
         image: dict = {}
         for (j, s), q in h.items():
-            if j // 2 + s // 2 < left:
-                continue
             if j >= 2:
                 image[j - 2, s] = image.get((j - 2, s), 0) + j * (j - 1) * q
             if s >= 2:

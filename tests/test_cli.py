@@ -53,6 +53,24 @@ def test_generate_latex_shows_a_constant_initial_term_other_than_one(capsys, tmp
     ]
 
 
+def test_latex_alone_builds_no_term(capsys, tmp_path, monkeypatch):
+    """`generate --format latex` renders from (m, k, n, P_k): with a
+    `generate_sequence` that raises it prints the same LaTeX, and only
+    --output-dir, whose files hold the terms, builds them."""
+    argv = ["generate", "--m", "3", "--k", "1", "--n-max", "2", "--format", "latex"]
+    expected = run_cli(capsys, argv)
+
+    def refused(spec):
+        raise AssertionError("a term was built for the LaTeX output")
+
+    monkeypatch.setattr(cli, "generate_sequence", refused)
+    assert run_cli(capsys, argv) == expected and expected[0] == 0
+    monkeypatch.undo()
+    outdir = tmp_path / "terms"
+    assert run_cli(capsys, [*argv, "--output-dir", str(outdir)]) == expected
+    assert sorted(p.name for p in outdir.iterdir()) == ["term_0.json", "term_1.json", "term_2.json"]
+
+
 def test_generate_json_round_trips(capsys):
     code, out, _ = run_cli(
         capsys, ["generate", "--m", "2", "--k", "1", "--n-max", "3", "--format", "json"]

@@ -154,10 +154,10 @@ def test_fueter_map_equals_the_literal_route(m, k, seed):
 
 def _without_x0_shift(h, mu, order):
     """`_chain_laplacian` with the d^2/dx_0^2 shift (j, s) -> j(j-1) (j-2, s) dropped."""
-    for left in range(order, 0, -1):
+    for _ in range(order):
         image = {}
         for (j, s), q in h.items():
-            if j // 2 + s // 2 >= left and s >= 2:
+            if s >= 2:
                 image[j, s - 2] = image.get((j, s - 2), 0) + mu[s] * q
         h = image
     return h
@@ -221,9 +221,10 @@ def test_fueter_compare_applies_the_laplacian_to_no_multiple(monkeypatch):
 
 
 def test_an_odd_image_reads_every_laplacian_ratio_once(monkeypatch):
-    """At m=3, k=1, n_max=1 the image of z^5 keeps its odd entries, so its
-    shifts read every μ_s, s = 2..5, odd s too; each image takes its list
-    μ_0..μ_n from one `_chain_ratios` call, and no x̲^s P_k meets `laplacian`."""
+    """At m=3, k=1, n_max=1 (2ν = 4) only the images of z^4 and z^5 read
+    ratios, each its list μ_0..μ_n from one `_chain_ratios` call; the image
+    of z^5 keeps its odd entries, so its shifts read every μ_s, s = 2..5,
+    odd s too; and no x̲^s P_k meets `laplacian`."""
     spec = SequenceSpec.builtin(3, 1, 1)
     seen = _laplacian_inputs(monkeypatch, spec)
     calls, read = [], {}
@@ -242,14 +243,15 @@ def test_an_odd_image_reads_every_laplacian_ratio_once(monkeypatch):
 
     monkeypatch.setattr(fueter, "_chain_ratios", recording)
     assert fueter_compare(spec).all_passed
-    assert calls == [(2, n) for n in range(6)] and read[5] == {2, 3, 4, 5}
+    assert calls == [(2, 4), (2, 5)] and read[5] == {2, 3, 4, 5}
     assert seen == []
 
 
-def test_the_drop_rule_premise_is_checked_negative_control(monkeypatch, capsys, fresh_certificate):
+def test_the_laplacian_ratio_premise_is_checked_negative_control(monkeypatch, capsys, fresh_certificate):
     """A `laplacian` that leaves x_1 x_2 unchanged breaks Δ = -D^2, from
-    which μ_0 = μ_1 = 0, the premise of the chain's drop rule, follows: the
-    operator certificate fails on that input, so the m=7, k=2 report and
+    which the μ_s follow.  At m=7, k=2 (2ν = 10) the images of z^0..z^9 are
+    zero by degree and read no ratio, so the operator certificate first
+    runs at the image of z^10 and fails there on that input: the report and
     the CLI raise instead of building an image (exit 3)."""
     ctx = AlgebraContext(7)
     bad = CliffordPolynomial.variable(ctx, 1) * CliffordPolynomial.variable(ctx, 2)
@@ -259,12 +261,33 @@ def test_the_drop_rule_premise_is_checked_negative_control(monkeypatch, capsys, 
         return p if p == bad else laplacian(p)
 
     monkeypatch.setattr(sequences, "laplacian", broken)
+    spec = SequenceSpec.builtin(7, 2, 0)
+    assert fueter_map(9, spec) == CliffordPolynomial.zero(ctx)
+    with pytest.raises(ArithmeticError, match="at f = x_1 x_2"):
+        fueter_map(10, spec)
     with pytest.raises(ArithmeticError) as excinfo:
-        fueter_compare(SequenceSpec.builtin(7, 2, 0))
+        fueter_compare(spec)
     fault = str(excinfo.value)
     assert fault.startswith("Δ f + D D f is not 0 at f = x_1 x_2: monomial ")
     assert main(["fueter-compare", "--m", "7", "--k", "2", "--n-max", "0"]) == 3
     assert f"internal error: ArithmeticError: {fault}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m, k", [(3, 0), (3, 2), (5, 1), (7, 2)])
+def test_images_below_twice_the_order_read_no_ratio_and_form_no_multiple(monkeypatch, m, k):
+    """Every chain entry of z^n has j + s = n and each Laplacian lowers it by
+    2, so below 2ν the image is zero by degree: `fueter_map` returns the
+    zero of the spec's algebra without a `_chain_ratios` call and without
+    forming any x̲^s P_k."""
+    spec = SequenceSpec.builtin(m, k, 0)
+
+    def refused(*args):
+        raise AssertionError("a ratio was read below 2ν")
+
+    monkeypatch.setattr(fueter, "_chain_ratios", refused)
+    for n in range(2 * fueter_order(m, k)):
+        assert fueter_map(n, spec) == CliffordPolynomial.zero(spec.context)
+    assert spec._multiples == {}
 
 
 @pytest.mark.parametrize("m, k, n_max", [(3, 1, 3), (5, 2, 2), (7, 2, 1)])

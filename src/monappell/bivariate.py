@@ -4,8 +4,8 @@ A profile is a plain scalar `CliffordPolynomial` on R_{0,1}, x_1 standing
 for t, so its exponent tuples are the (a, l) of x_0^a t^l and all of its
 arithmetic is the polynomial kernel's.  `axial_profiles` folds a chain into
 the profiles (A, b) of (A + x̲ b) P_k, held by `AxialPair` with their
-Cauchy-Riemann operator; `_substitute_t` reads t as x_1^2 + ... + x_m^2
-and `_profile_text` writes a profile in (x_0, t).
+Cauchy-Riemann operator and `reconstruct` (t = |x̲|^2 read as -x̲^2);
+`_profile_text` writes a profile in (x_0, t).
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .algebra import AlgebraContext, require_exact, scaled_text, signed_sum
-from .polynomials import CliffordPolynomial, from_entries, linear_combination
-from .polynomials import vector_power, vector_variable
+from .polynomials import CliffordPolynomial, from_entries, linear_combination, vector_power
 
 if TYPE_CHECKING:  # sequences imports this module
     from .sequences import SequenceSpec
@@ -40,19 +39,6 @@ def _profile_text(profile: CliffordPolynomial) -> str:
         mono = " ".join(v if e == 1 else f"{v}^{e}" for v, e in (("x0", a), ("t", l)) if e)
         parts.append(scaled_text(q, mono))
     return signed_sum(parts)
-
-
-def _substitute_t(profile: CliffordPolynomial, context: AlgebraContext) -> CliffordPolynomial:
-    """The profile with t = x_1^2 + ... + x_m^2 in `context`: per t^l, one polynomial
-    of x_0 powers times |x̲|^(2l) = (-1)^l x̲^(2l) from the context's ladder; one sum."""
-    by_power: dict[int, list] = {}  # l -> (exps, mask, num, den) of the x_0 powers at t^l
-    for (a, l), q in _profile_terms(profile):
-        by_power.setdefault(l, []).append(((a,) + (0,) * context.m, 0, q.numerator, q.denominator))
-    terms = [
-        ((-1) ** l, from_entries(context, x0s) * vector_power(context, 2 * l))
-        for l, x0s in by_power.items()
-    ]
-    return linear_combination(context, terms)
 
 
 def axial_profiles(h: dict) -> tuple[CliffordPolynomial, CliffordPolynomial]:
@@ -84,10 +70,15 @@ class AxialPair:
     spec: SequenceSpec
 
     def reconstruct(self) -> CliffordPolynomial:
+        """(A + x̲ b) P_k: q x_0^a t^l of A (odd = 0) or b (odd = 1) is (-1)^l q
+        x_0^a x̲^(2l+odd), as t = -x̲^2; one `linear_combination`, times P_k once."""
         ctx = self.spec.context
-        even = _substitute_t(self.a, ctx)
-        odd = vector_variable(ctx) * _substitute_t(self.b_reduced, ctx)
-        return (even + odd) * self.spec.pk
+        terms = [
+            ((-1) ** l * q, vector_power(ctx, 2 * l + odd), a)
+            for odd, profile in enumerate((self.a, self.b_reduced))
+            for (a, l), q in _profile_terms(profile)
+        ]
+        return linear_combination(ctx, terms) * self.spec.pk
 
     def cauchy_riemann(self) -> AxialPair:
         """Profile form of `operators.cauchy_riemann`: d/dx_0 + dirac maps

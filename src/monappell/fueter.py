@@ -13,19 +13,21 @@ Since i r folds like x̲, the planted z^n is (x_0 + x̲)^n P_k, in chain
 coordinates (see `sequences`) the chain {(n-s, s): C(n, s)} of the
 x̲^s P_k of a `SequenceSpec`.  A Laplacian lowers j + s by 2, so below
 2ν = 2k+m-1 the image is zero by degree; from 2ν on `fueter_map` applies
-the ν Laplacians by index shifts with the ratios μ_s that
-`sequences._chain_ratios` derives from Δ = -D^2 and the Dirac ratios λ_s
-once `_operator_certificate` has checked, with the package's own kernels,
-the identities they follow from (that those kernels are the operators
-they name is the premise tests/test_flat_kernel.py checks by brute
-force).  So the certificate first runs at z^(2ν), no x̲^s P_k meets
-`laplacian`, and only the x̲^s P_k a realized chain reads are formed.
+the ν Laplacians by index shifts, Δ x̲^s P_k = -λ_s λ_(s-1) x̲^(s-2) P_k
+by Δ = -D^2, with the λ_s that `sequences._chain_ratios` derives once
+`_operator_certificate` has checked, with the package's own kernels, the
+identities they follow from (that those kernels are the operators they
+name is the premise tests/test_flat_kernel.py checks by brute force).
+So the certificate first runs at z^(2ν), no x̲^s P_k meets `laplacian`,
+and only the x̲^s P_k a realized chain reads are formed.
 The literal route, ν Laplacians of `axial_embedding`, stays public as
 the oracle that tests/test_fueter.py checks `fueter_map` against.
 
 `fueter_compare` is the one builder of Fueter report entries: every
-`fueter_vanishing` (z^n maps to zero for n below 2ν), then every
-`fueter_ck_identity` and every `fueter_appell_match`, for n = 0..n_max.
+`fueter_vanishing` (z^n maps to zero for n below 2ν, the degree bound by
+which `fueter_map` returns zero there, so no such entry can fail; only
+the literal route of tests/test_fueter.py computes those images), then
+every `fueter_ck_identity` and every `fueter_appell_match`, n = 0..n_max.
 With lambda = `fueter_scale`(m, k, 2ν+n) / c_n, c_n the restriction
 coefficient, the image of z^(2ν+n) is lambda times the n-th sequence term
 built by each of the two routes that `verify` compares: the CK route
@@ -70,8 +72,8 @@ def fueter_map(n: int, spec: SequenceSpec) -> CliffordPolynomial:
     """Iterated Laplacian of the axial embedding of z^n planted on the spec's
     P_k, in chain coordinates: `_chain_laplacian` applies Δ^ν, ν =
     `fueter_order`, to the chain {(n-s, s): C(n, s)} of (x_0 + x̲)^n P_k with
-    Δ x̲^s P_k = μ_s x̲^(s-2) P_k from `_chain_ratios`, derived, not
-    measured, under its operator certificate (see the module docstring).
+    Δ x̲^s P_k = -λ_s λ_(s-1) x̲^(s-2) P_k, λ_s derived by `_chain_ratios`
+    under its operator certificate (see the module docstring).
     The split Δ = d^2/dx_0^2 + Δ_x̲ needs a P_k free of x_0, which the
     spec's gate has checked.  Each entry has j + s = n, and d^2/dx_0^2
     lowers j and Δ_x̲ lowers s by 2, so for n < 2ν the image is zero,
@@ -82,7 +84,7 @@ def fueter_map(n: int, spec: SequenceSpec) -> CliffordPolynomial:
     if n < 2 * order:
         return CliffordPolynomial.zero(spec.context)
     chain = {(n - s, s): comb(n, s) for s in range(n + 1)}
-    return _realize(spec, _chain_laplacian(chain, _chain_ratios(spec, 2, n), order))
+    return _realize(spec, _chain_laplacian(chain, _chain_ratios(spec, n), order))
 
 
 def fueter_scale(m: int, k: int, n: int) -> int:
@@ -94,9 +96,10 @@ def fueter_scale(m: int, k: int, n: int) -> int:
 
 def fueter_compare(spec: SequenceSpec) -> VerificationReport:
     """The whole `fueter-compare` report (see the module docstring); the
-    lambda of each Appell match is recorded in its params.  Each image and
-    its lambda are built once for both checks, and the images and CK terms
-    read the spec's x̲^s P_k, none of which meets `laplacian` or `dirac`."""
+    lambda of each Appell match is recorded in its params, and no
+    `fueter_vanishing` entry can fail (it restates a degree bound).  Each
+    image and its lambda are built once for both checks; the images and CK
+    terms read the spec's x̲^s P_k, none of which meets `laplacian` or `dirac`."""
     m, k = spec.m, spec.k
     threshold = 2 * fueter_order(m, k)
     report, matches = VerificationReport(), VerificationReport()

@@ -14,10 +14,10 @@ the axial decomposition round-trip, and the Vekua-type system satisfied
 by the axial profiles (`AxialPair` and its operator live in `bivariate`).
 The frozen `SequenceSpec` gates its P_k when built and memoizes, for its
 whole life, each G_s = x̲^s P_k it has formed (`_multiple`), once, when
-first read.  The ratios D G_s = λ_s G_(s-1) and Δ G_s = μ_s G_(s-2) are
+first read.  The ratios D G_s = λ_s G_(s-1) are the only chain ratios,
 not measured but derived (`_chain_ratios`): λ_0 = 0 and λ_s = -(m + 2k +
 2s - 2) - λ_(s-1) follow from D x̲ + x̲ D = -(m + 2E), E the Euler
-operator in x̲, and μ_s = -λ_s λ_(s-1) from Δ = -D^2 on x_0-free
+operator in x̲, and Δ G_s = -λ_s λ_(s-1) G_(s-2) from Δ = -D^2 on x_0-free
 functions.  `_operator_certificate` checks both identities, once per
 algebra, with the package's own `dirac`, `laplacian` and product; that
 those kernels are the operators they name is the premise, which
@@ -158,20 +158,16 @@ def _operator_certificate(context: AlgebraContext) -> None:
                 raise ArithmeticError(f"Δ f + D D f is not 0 at f = x_{i} x_{j}: {witness}")
 
 
-def _chain_ratios(spec: SequenceSpec, step: int, top: int) -> list[int]:
-    """[r_0, ..., r_top] with D G_s = λ_s G_(s-1) for step 1 and Δ G_s =
-    μ_s G_(s-2) for step 2, G_s = x̲^s P_k, once `_operator_certificate`
-    holds for the spec's algebra.  D x̲ + x̲ D = -(m + 2E) on G_(s-1), of
-    degree k+s-1, gives λ_s = -(m + 2k + 2s - 2) - λ_(s-1), and D P_k = 0,
-    which the spec's gate has checked, gives λ_0 = 0.  On the x_0-free G_s,
-    Δ = -D^2 gives μ_s = -λ_s λ_(s-1), so μ_0 = μ_1 = 0."""
+def _chain_ratios(spec: SequenceSpec, top: int) -> list[int]:
+    """[λ_0, ..., λ_top] with D G_s = λ_s G_(s-1), G_s = x̲^s P_k, once
+    `_operator_certificate` holds for the spec's algebra.  D x̲ + x̲ D =
+    -(m + 2E) on G_(s-1), of degree k+s-1, gives λ_s = -(m + 2k + 2s - 2) -
+    λ_(s-1), and D P_k = 0, which the spec's gate has checked, gives λ_0 = 0."""
     _operator_certificate(spec.context)
     lambdas = [0]
     for s in range(1, top + 1):
         lambdas.append(-(spec.m + 2 * spec.k + 2 * s - 2) - lambdas[-1])
-    if step == 1:
-        return lambdas
-    return [-lam * prev for lam, prev in zip(lambdas, [0] + lambdas)]
+    return lambdas
 
 
 def _realize(spec: SequenceSpec, h: dict) -> CliffordPolynomial:
@@ -182,17 +178,17 @@ def _realize(spec: SequenceSpec, h: dict) -> CliffordPolynomial:
     return linear_combination(spec.context, terms)
 
 
-def _chain_laplacian(h: dict, mu: list, order: int) -> dict:
+def _chain_laplacian(h: dict, lambdas: list, order: int) -> dict:
     """Δ^order of the chain h: Δ = d^2/dx_0^2 + Δ_x̲ shifts (j, s) to j(j-1)
-    (j-2, s) and to mu[s] (j, s-2), Δ G_s = μ_s G_(s-2) from `_chain_ratios`;
-    a shift whose index would go negative has the factor 0 (j < 2 or s < 2)."""
+    (j-2, s) and to -λ_s λ_(s-1) (j, s-2), Δ_x̲ = -D^2 with the λ_s of
+    `_chain_ratios`; a shift whose index would go negative has the factor 0."""
     for _ in range(order):
         image: dict = {}
         for (j, s), q in h.items():
             if j >= 2:
                 image[j - 2, s] = image.get((j - 2, s), 0) + j * (j - 1) * q
             if s >= 2:
-                image[j, s - 2] = image.get((j, s - 2), 0) + mu[s] * q
+                image[j, s - 2] = image.get((j, s - 2), 0) - lambdas[s] * lambdas[s - 1] * q
         h = image
     return h
 
@@ -202,7 +198,7 @@ def sequence_term_ck(spec: SequenceSpec, n: int) -> CliffordPolynomial:
     chain {(j, n-j): c_n (-1)^j/j! λ_n⋯λ_(n-j+1)} with dirac(x̲^i P_k) =
     λ_i x̲^(i-1) P_k from `_chain_ratios`; no x̲^i P_k meets `dirac`."""
     _check_index(spec, n)
-    lambdas = _chain_ratios(spec, 1, n)
+    lambdas = _chain_ratios(spec, n)
     weight = restriction_coefficient(spec.m, spec.k, n)
     chain = {(0, n): weight}
     for j in range(1, n + 1):

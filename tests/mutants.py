@@ -30,6 +30,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 TREE = ("src", "tests", "pyproject.toml")
 LITERAL_ROUTE = "tests/test_fueter.py::test_fueter_map_equals_the_literal_route"
+ROUTE_EQUIVALENCE = "tests/test_sequences.py::test_route_equivalence"
+AXIAL_ROUND_TRIP = "tests/test_sequences.py::test_axial_round_trip_and_vekua"
 
 
 class Mutant(NamedTuple):
@@ -52,9 +54,45 @@ MUTANTS = [
     Mutant(
         "chain_laplacian_mu_sign_flipped",
         "src/monappell/sequences.py",
-        "image.get((j, s - 2), 0) + mu[s] * q",
-        "image.get((j, s - 2), 0) - mu[s] * q",
+        "image.get((j, s - 2), 0) - lambdas[s] * lambdas[s - 1] * q",
+        "image.get((j, s - 2), 0) + lambdas[s] * lambdas[s - 1] * q",
         (LITERAL_ROUTE,),
+    ),
+    Mutant(
+        "lambda_recurrence_off_by_one",
+        "src/monappell/sequences.py",
+        "2 * s - 2) - lambdas[-1]",
+        "2 * s - 1) - lambdas[-1]",
+        (ROUTE_EQUIVALENCE, LITERAL_ROUTE),
+    ),
+    # the explicit route's weights, which the CK route does not read
+    Mutant(
+        "lowering_factor_odd_off_by_one",
+        "src/monappell/coefficients.py",
+        "2 * k + m + n - 1",
+        "2 * k + m + n",
+        (ROUTE_EQUIVALENCE,),
+    ),
+    Mutant(
+        "reconstruct_t_sign_dropped",
+        "src/monappell/bivariate.py",
+        "(-1) ** l * q",
+        "q",
+        (AXIAL_ROUND_TRIP,),
+    ),
+    Mutant(
+        "reconstruct_odd_power_dropped",
+        "src/monappell/bivariate.py",
+        "2 * l + odd",
+        "2 * l",
+        (AXIAL_ROUND_TRIP,),
+    ),
+    Mutant(
+        "vector_power_odd_sign_flipped",
+        "src/monappell/polynomials.py",
+        "return base * vector_variable(context) if odd else base",
+        "return -base * vector_variable(context) if odd else base",
+        (ROUTE_EQUIVALENCE,),
     ),
     Mutant(
         "chain_laplacian_x0_shift_dropped",

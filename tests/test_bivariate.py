@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from monappell.algebra import AlgebraContext
-from monappell.bivariate import AxialPair, _substitute_t, axial_profiles
+from monappell.bivariate import AxialPair, axial_profiles
 from monappell.operators import cauchy_riemann
 from monappell.polynomials import CliffordPolynomial, radius_squared, vector_power
 from monappell.report import VerificationReport
@@ -39,20 +39,26 @@ def test_evaluate():
     assert p.evaluate((3, Fraction(1, 2))).scalar_part() == Fraction(1, 2) + 2
 
 
-def test_substitute_t_reads_radius_squared():
+def _on_one(ctx: AlgebraContext, a: CliffordPolynomial) -> AxialPair:
+    """The pair (a, 0) on P_0 = 1 of `ctx`, whose reconstruction is a with t read as r^2."""
+    spec = SequenceSpec(m=ctx.m, k=0, pk=CliffordPolynomial.one(ctx), n_max=0)
+    return AxialPair(a=a, b_reduced=CliffordPolynomial.zero(PLANE), spec=spec)
+
+
+def test_reconstruct_reads_t_as_radius_squared():
     """t becomes x_1^2 + ... + x_m^2, at m = 3 and at m = 1, where the
-    profile and its substitution share R_{0,1} and only literal equality
+    profile and its reconstruction share R_{0,1} and only literal equality
     tells x0 t - 5 from x0 x1^2 - 5.  A polynomial of another algebra or
     with a blade is refused as a profile."""
     p = profile({(1, 1): 1, (0, 0): -5})  # x0 t - 5
     for ctx in (CTX3, PLANE):
         x0 = CliffordPolynomial.variable(ctx, 0)
         expected = x0 * radius_squared(ctx) - CliffordPolynomial.constant(ctx, 5)
-        assert _substitute_t(p, ctx) == expected
-    assert _substitute_t(p, PLANE) != p
+        assert _on_one(ctx, p).reconstruct() == expected
+    assert _on_one(PLANE, p).reconstruct() != p
     for stray in (CliffordPolynomial.one(CTX3), CliffordPolynomial.constant(PLANE, PLANE.e(1))):
         with pytest.raises(ValueError, match="a profile is a scalar polynomial on R_{0,1}"):
-            _substitute_t(stray, CTX3)
+            _on_one(CTX3, stray).reconstruct()
 
 
 def test_rejects_negative_exponents():

@@ -152,13 +152,13 @@ def test_fueter_map_equals_the_literal_route(m, k, seed):
     assert report.all_passed, report.failures()[0].witness
 
 
-def _without_x0_shift(h, mu, order):
+def _without_x0_shift(h, lambdas, order):
     """`_chain_laplacian` with the d^2/dx_0^2 shift (j, s) -> j(j-1) (j-2, s) dropped."""
     for _ in range(order):
         image = {}
         for (j, s), q in h.items():
             if s >= 2:
-                image[j, s - 2] = image.get((j, s - 2), 0) + mu[s] * q
+                image[j, s - 2] = image.get((j, s - 2), 0) - lambdas[s] * lambdas[s - 1] * q
         h = image
     return h
 
@@ -177,16 +177,16 @@ def test_fueter_chain_dropped_shift_negative_control(monkeypatch):
 
 
 def test_fueter_split_ratio_negative_control(monkeypatch):
-    """With μ_s + 1 in place of each derived μ_s, s >= 2 (Δ x̲^s P_k =
-    μ_s x̲^(s-2) P_k), the oracle report fails on every image with a
-    first_difference witness."""
+    """With λ_s + 1 in place of each derived λ_s, s >= 1, so that the split's
+    Δ x̲^s P_k = -λ_s λ_(s-1) x̲^(s-2) P_k is off for every s >= 2, the
+    oracle report fails on every image with a first_difference witness."""
     spec = SequenceSpec.builtin(3, 1, 0)
     threshold = 2 * spec.k + spec.m - 1
     literals = {n: _literal_image(n, spec) for n in (threshold, threshold + 1)}
     original = sequences._chain_ratios
 
-    def corrupted(spec_, step, top):
-        return [r + (s >= step) for s, r in enumerate(original(spec_, step, top))]
+    def corrupted(spec_, top):
+        return [r + (s >= 1) for s, r in enumerate(original(spec_, top))]
 
     monkeypatch.setattr(fueter, "_chain_ratios", corrupted)
     report = _oracle_report(spec, literals)
@@ -213,7 +213,7 @@ def _laplacian_inputs(monkeypatch, spec) -> list:
 
 def test_fueter_compare_applies_the_laplacian_to_no_multiple(monkeypatch):
     """At m=7, k=2, n_max=0 (ν = 5, images of z^0..z^10) the report applies
-    `laplacian` to nothing, so to no x̲^s P_k: every μ_s is derived."""
+    `laplacian` to nothing, so to no x̲^s P_k: every ratio is derived."""
     spec = SequenceSpec.builtin(7, 2, 0)
     seen = _laplacian_inputs(monkeypatch, spec)
     assert fueter_compare(spec).all_passed
@@ -222,9 +222,9 @@ def test_fueter_compare_applies_the_laplacian_to_no_multiple(monkeypatch):
 
 def test_an_odd_image_reads_every_laplacian_ratio_once(monkeypatch):
     """At m=3, k=1, n_max=1 (2ν = 4) only the images of z^4 and z^5 read
-    ratios, each its list μ_0..μ_n from one `_chain_ratios` call; the image
-    of z^5 keeps its odd entries, so its shifts read every μ_s, s = 2..5,
-    odd s too; and no x̲^s P_k meets `laplacian`."""
+    ratios, each its list λ_0..λ_n from one `_chain_ratios` call; the image
+    of z^5 keeps its odd entries, so its shifts, -λ_s λ_(s-1) for s = 2..5,
+    read every λ_s, s = 1..5, odd s too; and no x̲^s P_k meets `laplacian`."""
     spec = SequenceSpec.builtin(3, 1, 1)
     seen = _laplacian_inputs(monkeypatch, spec)
     calls, read = [], {}
@@ -235,24 +235,24 @@ def test_an_odd_image_reads_every_laplacian_ratio_once(monkeypatch):
             read.setdefault(self.top, set()).add(s)
             return super().__getitem__(s)
 
-    def recording(spec_, step, top):
-        calls.append((step, top))
-        ratios = Recorded(original(spec_, step, top))
+    def recording(spec_, top):
+        calls.append(top)
+        ratios = Recorded(original(spec_, top))
         ratios.top = top
         return ratios
 
     monkeypatch.setattr(fueter, "_chain_ratios", recording)
     assert fueter_compare(spec).all_passed
-    assert calls == [(2, 4), (2, 5)] and read[5] == {2, 3, 4, 5}
+    assert calls == [4, 5] and read[5] == {1, 2, 3, 4, 5}
     assert seen == []
 
 
 def test_the_laplacian_ratio_premise_is_checked_negative_control(monkeypatch, capsys, fresh_certificate):
-    """A `laplacian` that leaves x_1 x_2 unchanged breaks Δ = -D^2, from
-    which the μ_s follow.  At m=7, k=2 (2ν = 10) the images of z^0..z^9 are
-    zero by degree and read no ratio, so the operator certificate first
-    runs at the image of z^10 and fails there on that input: the report and
-    the CLI raise instead of building an image (exit 3)."""
+    """A `laplacian` that leaves x_1 x_2 unchanged breaks Δ = -D^2, by which
+    the chain Laplacian reads -λ_s λ_(s-1).  At m=7, k=2 (2ν = 10) the images
+    of z^0..z^9 are zero by degree and read no ratio, so the operator
+    certificate first runs at the image of z^10 and fails there on that
+    input: the report and the CLI raise instead of building an image (exit 3)."""
     ctx = AlgebraContext(7)
     bad = CliffordPolynomial.variable(ctx, 1) * CliffordPolynomial.variable(ctx, 2)
 

@@ -129,12 +129,12 @@ def test_ck_route_equals_the_literal_extension(m, k, seed):
 
 
 def _ratios_off_by_one(original, at=None):
-    """`_chain_ratios` with r_s + 1 in place of each r_s, s >= step, that
+    """`_chain_ratios` with λ_s + 1 in place of each λ_s, s >= 1, that
     `scalar_ratio` once measured, or at s = at alone."""
 
-    def corrupted(spec, step, top):
-        ratios = original(spec, step, top)
-        return [r + (s >= step if at is None else s == at) for s, r in enumerate(ratios)]
+    def corrupted(spec, top):
+        ratios = original(spec, top)
+        return [r + (s >= 1 if at is None else s == at) for s, r in enumerate(ratios)]
 
     return corrupted
 
@@ -159,11 +159,15 @@ def _measured_ratio(spec, operator, step, s):
     return scalar_ratio(image, vector_power(spec.context, s - step) * spec.pk)
 
 
-def _ratio_witness(spec, top):
-    """None when the derived λ_s and μ_s, s = 0..top, equal the measured
-    ones, else the first s and operator where they differ."""
-    for step, operator, name in ((1, dirac, "λ"), (2, laplacian, "μ")):
-        derived = sequences._chain_ratios(spec, step, top)
+def _ratio_witness(spec, top, steps=(1, 2)):
+    """None when the derived λ_s (step 1) and μ_s = -λ_s λ_(s-1) (step 2),
+    s = 0..top, equal the ones measured with `dirac` and `laplacian`, else
+    the first s and operator where they differ."""
+    lambdas = sequences._chain_ratios(spec, top)
+    mus = [-lam * prev for lam, prev in zip(lambdas, [0] + lambdas)]
+    for step, operator, name, derived in ((1, dirac, "λ", lambdas), (2, laplacian, "μ", mus)):
+        if step not in steps:
+            continue
         for s in range(top + 1):
             measured = _measured_ratio(spec, operator, step, s)
             if measured != derived[s]:
@@ -177,8 +181,8 @@ RATIO_ORACLE_CELLS = CK_ORACLE_CELLS + [(m, k, 100 * m + k) for m in (2, 3, 4, 5
 
 @pytest.mark.parametrize("m, k, seed", RATIO_ORACLE_CELLS)
 def test_derived_ratios_equal_the_measured_ones(m, k, seed):
-    """λ_s and μ_s from the recurrence equal those measured with `dirac`
-    and `laplacian` on the literal x̲^s P_k, for s = 0..12."""
+    """λ_s from the recurrence, and μ_s = -λ_s λ_(s-1), equal those measured
+    with `dirac` and `laplacian` on the literal x̲^s P_k, for s = 0..12."""
     ctx = AlgebraContext(m)
     if seed is None:
         pk = builtin_initial_term(ctx, k)
@@ -189,16 +193,53 @@ def test_derived_ratios_equal_the_measured_ones(m, k, seed):
 
 @pytest.mark.parametrize("step, name", [(1, "λ"), (2, "μ")])
 def test_derived_ratio_oracle_negative_control(monkeypatch, step, name):
-    """λ_5 or μ_5 off by one, and no other ratio, fails the oracle with s = 5
-    as the witness."""
+    """λ_5 off by one, and no other λ_s, fails the oracle with s = 5 as the
+    witness: on the λ_s read with `dirac`, and on the μ_s = -λ_s λ_(s-1)
+    read with `laplacian` alone, where μ_5 is the first to move."""
     spec = SequenceSpec.builtin(4, 2, 0)
-    original = sequences._chain_ratios
+    monkeypatch.setattr(sequences, "_chain_ratios", _ratios_off_by_one(sequences._chain_ratios, at=5))
+    assert _ratio_witness(spec, 12, steps=(step,)).startswith(f"{name}_5: measured ")
 
-    def corrupted(spec_, step_, top):
-        return (_ratios_off_by_one(original, at=5) if step_ == step else original)(spec_, step_, top)
 
-    monkeypatch.setattr(sequences, "_chain_ratios", corrupted)
-    assert _ratio_witness(spec, 12).startswith(f"{name}_5: measured ")
+def _chain_laplacian_witness(spec, h, lambdas):
+    """None when one `_chain_laplacian` step of the chain h, with the ratios
+    `lambdas`, realizes to `laplacian` of the realized h, else the
+    first_difference witness."""
+    image = _realize(spec, sequences._chain_laplacian(h, lambdas, 1))
+    return first_difference(image, laplacian(_realize(spec, h)))
+
+
+def _random_chain(rng):
+    """Three draws of q x_0^j G_s, j <= 4 and s <= 5 (odd and even), q nonzero."""
+    draws = [((rng.randrange(5), rng.randrange(6)), rng.choice((-3, -1, 2, 5))) for _ in range(3)]
+    return {key: Fraction(q, rng.randint(1, 3)) for key, q in draws}
+
+
+# every (m, k) with a drawn P_k for m = 1..6, k = 0..3 (m = 1 has only k = 0)
+CHAIN_PIN_CELLS = [(1, 0)] + [(m, k) for m in range(2, 7) for k in range(4)]
+
+
+@pytest.mark.parametrize("m, k", CHAIN_PIN_CELLS)
+def test_chain_laplacian_step_equals_the_kernel(m, k):
+    """One `_chain_laplacian` step, with the λ_s of `_chain_ratios`, equals
+    `laplacian` of the realized chain on three drawn chains and drawn P_k."""
+    rng = random.Random(1000 * m + k)
+    for _ in range(3):
+        spec = SequenceSpec(m=m, k=k, pk=random_initial_term(rng, AlgebraContext(m), k), n_max=0)
+        h = _random_chain(rng)
+        assert _chain_laplacian_witness(spec, h, sequences._chain_ratios(spec, 5)) is None, h
+
+
+def test_chain_laplacian_pin_negative_control():
+    """λ_s from the recurrence with 2s - 1 in place of 2s - 2 moves every
+    -λ_s λ_(s-1), s >= 2, so the pin fails with a first_difference witness."""
+    spec = SequenceSpec(m=3, k=1, pk=random_initial_term(random.Random(4), AlgebraContext(3), 1), n_max=0)
+    lambdas = [0]
+    for s in range(1, 6):
+        lambdas.append(-(spec.m + 2 * spec.k + 2 * s - 1) - lambdas[-1])
+    h = {(2, 3): 1, (0, 4): Fraction(-1, 2)}
+    assert _chain_laplacian_witness(spec, h, sequences._chain_ratios(spec, 5)) is None
+    assert _chain_laplacian_witness(spec, h, lambdas).startswith("monomial ")
 
 
 @pytest.mark.parametrize("m", range(1, 17))
